@@ -10,7 +10,7 @@ The closures are stored as term partial orderings: a fixed element
 sequence (top-level terms in order of first appearance) plus a
 triangular array of pairwise facts.  Orderings are perfectly shared
 through a store, so isomorphic paths reuse one instance.  The store is
-a single-writer structure owned by one index.
+a single-writer structure owned by one diagram, and dies with it.
 """
 
 from __future__ import annotations
@@ -279,6 +279,9 @@ class TpoStore:
     def __init__(self, order: TermOrder):
         self.order = order
         self._pool: dict = {}
+        # (v.tid, u.tid) -> 1 if v > u, -1 if u > v, else 0.  Terms are
+        # interned and immutable, so a verdict never goes stale.
+        self._static: dict[tuple, int] = {}
         self.empty = self._intern((), b"")
 
     def _intern(self, elements: tuple, cells: bytes) -> PartialOrdering:
@@ -300,9 +303,9 @@ class TpoStore:
         ``constraints`` are (s, Cmp3, t) facts taken from a traversed
         edge; ``new_terms`` are top-level terms entering the path.  New
         elements bring along every statically known greater-than fact
-        against existing elements.  Transitivity only needs to be re-run
-        from the added facts.  Extending with nothing returns the parent
-        unchanged.
+        against existing elements; the store remembers each pair's
+        verdict.  Transitivity only needs to be re-run from the added
+        facts.  Extending with nothing returns the parent unchanged.
         """
         constraints = list(constraints)
         elements = list(parent.elements)
@@ -330,16 +333,27 @@ class TpoStore:
         for a, rel, b in constraints:
             cl.add(_REL_KIND[rel], pos[a], pos[b])
         compare = self.order.compare
+        static = self._static
         for v in fresh:
             i = pos[v]
             for u in elements:
                 if u is v:
                     continue
-                j = pos[u]
-                if compare(v, u) is Cmp3.GREATER:
-                    cl.add("gt", i, j)
-                elif compare(u, v) is Cmp3.GREATER:
-                    cl.add("gt", j, i)
+                key = (v.tid, u.tid)
+                verdict = static.get(key)
+                if verdict is None:
+                    if compare(v, u) is Cmp3.GREATER:
+                        verdict = 1
+                    elif compare(u, v) is Cmp3.GREATER:
+                        verdict = -1
+                    else:
+                        verdict = 0
+                    static[key] = verdict
+                    static[(u.tid, v.tid)] = -verdict
+                if verdict > 0:
+                    cl.add("gt", i, pos[u])
+                elif verdict < 0:
+                    cl.add("gt", pos[u], i)
         cl.run()
         return self._intern(tuple(elements), bytes(cells))
 

@@ -9,6 +9,15 @@ group.  Three retrieval modes answer the same queries identically:
 * ``on``      keeps one diagram per equality,
 * ``shared``  keeps one diagram per group.
 
+Only live equalities are kept.  ``remove`` forgets the equality and, in
+``on`` mode, drops its diagram.  A ``shared`` diagram keeps a removed
+equality's nodes (its walk skips them) until the group's removed
+equalities outnumber its live ones; the diagram is then rebuilt from
+the live equalities in insertion order.  So after every operation a
+diagram holds at most as many removed equalities as live ones
+(dead <= live, hence at most 2 * live in all), and each rebuild's
+inserts are paid for by the removals before it.
+
 One index is single-threaded; independent indexes may run in parallel.
 """
 
@@ -17,23 +26,14 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from .forcing import TpoStore
 from .ordering import TermOrder, make_order
 from .stats import Stats
 from .terms import Signature, Substitution, Term
-from .tod import Equality, Tod
-
-
-class DuplicateEqualityError(ValueError):
-    """The canonical (lhs, rhs) pair is already live in the index."""
+from .tod import DuplicateEqualityError, Equality, Tod, UnknownEqualityError
 
 
 class MalformedEqualityError(ValueError):
     """The right-hand side uses variables the left-hand side lacks."""
-
-
-class UnknownEqualityError(KeyError):
-    """No equality with the given id."""
 
 
 class IndexMode(enum.Enum):
@@ -99,11 +99,12 @@ def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
 
 
 class _Group:
-    __slots__ = ("key", "eqs", "tod", "tods")
+    __slots__ = ("key", "eqs", "rhs_ids", "tod", "tods")
 
     def __init__(self, key: Term):
         self.key = key
-        self.eqs: list[Equality] = []
+        self.eqs: dict[int, Equality] = {}      # live, in insertion order
+        self.rhs_ids: dict[Term, int] = {}      # live rhs -> id
         self.tod: Optional[Tod] = None          # shared mode
         self.tods: dict[int, Tod] = {}          # per-equality mode
 
@@ -117,12 +118,17 @@ class PostOrderingIndex:
         self.order = make_order(order, signature) if isinstance(order, str) else order
         self.mode = IndexMode.parse(mode)
         self.stats = Stats()
-        self._tpo_store = TpoStore(self.order)
         self._groups: dict[Term, _Group] = {}
-        self._eq_group: dict[int, _Group] = {}
+        self._eq_group: dict[int, _Group] = {}   # live ids only
         self._next_id = 1
 
     # -- maintenance -----------------------------------------------------------
+
+    def _build_tod(self, eqs) -> Tod:
+        tod = Tod(self.order, self.stats)
+        for eq in eqs:
+            tod.insert(eq)
+        return tod
 
     def insert(self, lhs: Term, rhs: Term) -> int:
         """Add an equality; returns its id.
@@ -136,42 +142,59 @@ class PostOrderingIndex:
             group = _Group(lhs_c)
             self._groups[lhs_c] = group
             if self.mode is IndexMode.SHARED_BY_LHS:
-                group.tod = Tod(self.order, self.stats, self._tpo_store)
+                group.tod = self._build_tod(())
                 self.stats.tods += 1
-        for other in group.eqs:
-            if not other.deleted and other.rhs is rhs_c:
-                raise DuplicateEqualityError(
-                    f"equality {lhs_c!r} = {rhs_c!r} already live as {other.eq_id}")
+        other = group.rhs_ids.get(rhs_c)
+        if other is not None:
+            raise DuplicateEqualityError(
+                f"equality {lhs_c!r} = {rhs_c!r} already live as {other}")
         eq_id = self._next_id
         self._next_id += 1
         eq = Equality(eq_id, lhs_c, rhs_c)
-        group.eqs.append(eq)
+        group.eqs[eq_id] = eq
+        group.rhs_ids[rhs_c] = eq_id
         self._eq_group[eq_id] = group
         if self.mode is IndexMode.SHARED_BY_LHS:
             group.tod.insert(eq)
         elif self.mode is IndexMode.PER_EQUALITY:
-            tod = Tod(self.order, self.stats, self._tpo_store)
+            group.tods[eq_id] = self._build_tod((eq,))
             self.stats.tods += 1
-            tod.insert(eq)
-            group.tods[eq_id] = tod
         self.stats.demodulators += 1
         return eq_id
 
     def remove(self, eq_id: int) -> None:
-        """Lazy deletion: flag the equality, keep the structures."""
-        group = self._eq_group.get(eq_id)
+        """Remove a live equality; removing it again does nothing.
+
+        The equality is forgotten at once: ``equality`` no longer
+        finds it.  In ``on`` mode its diagram goes with it; in
+        ``shared`` mode the group's diagram may be rebuilt (see the
+        module docstring).  Raises ``UnknownEqualityError`` for an id
+        this index never assigned.
+        """
+        group = self._eq_group.pop(eq_id, None)
         if group is None:
+            if isinstance(eq_id, int) and 0 < eq_id < self._next_id:
+                return
             raise UnknownEqualityError(eq_id)
-        eq = next(e for e in group.eqs if e.eq_id == eq_id)
-        if not eq.deleted:
+        eq = group.eqs.pop(eq_id)
+        del group.rhs_ids[eq.rhs]
+        self.stats.demodulators -= 1
+        if self.mode is IndexMode.SHARED_BY_LHS:
+            group.tod.mark_deleted(eq_id)
+            if group.tod.dead > len(group.eqs):
+                group.tod = self._build_tod(group.eqs.values())
+        else:
             eq.deleted = True
-            self.stats.demodulators -= 1
+            if self.mode is IndexMode.PER_EQUALITY:
+                del group.tods[eq_id]
+                self.stats.tods -= 1
 
     def equality(self, eq_id: int) -> Equality:
+        """The live equality with this id; removed ids are unknown."""
         group = self._eq_group.get(eq_id)
         if group is None:
             raise UnknownEqualityError(eq_id)
-        return next(e for e in group.eqs if e.eq_id == eq_id)
+        return group.eqs[eq_id]
 
     # -- retrieval ---------------------------------------------------------------
 
@@ -200,8 +223,8 @@ class PostOrderingIndex:
             return group.tod.retrieve(sigma_c, first_only)
         if self.mode is IndexMode.PER_EQUALITY:
             results: list[int] = []
-            for eq in group.eqs:
-                results.extend(group.tods[eq.eq_id].retrieve(sigma_c, first_only))
+            for tod in group.tods.values():
+                results.extend(tod.retrieve(sigma_c, first_only))
                 if first_only and results:
                     break
             return results
@@ -210,9 +233,7 @@ class PostOrderingIndex:
         results = []
         steps = [0]
         finished = True
-        for eq in group.eqs:
-            if eq.deleted:
-                continue
+        for eq in group.eqs.values():
             if self.order.greater_unidirectional(eq.lhs, sigma_c,
                                                  eq.rhs, sigma_c, steps):
                 results.append(eq.eq_id)
@@ -233,8 +254,7 @@ class PostOrderingIndex:
 
     def groups(self):
         """(canonical lhs, live member count) pairs, in creation order."""
-        return [(g.key, sum(not e.deleted for e in g.eqs))
-                for g in self._groups.values()]
+        return [(g.key, len(g.eqs)) for g in self._groups.values()]
 
     def tods(self):
         """All diagrams owned by the index (for validation in tests)."""

@@ -20,8 +20,9 @@ class NodeCounters:
 class Stats:
     """Counters for index activity and diagram node traffic.
 
-    ``demodulators`` tracks the live equality count (it drops on lazy
-    deletion); everything else is monotone.
+    ``demodulators`` counts the live equalities and ``tods`` the
+    diagrams the index holds; both can drop on removal.  Everything
+    else is monotone.
     """
 
     queries: int = 0

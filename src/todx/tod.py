@@ -41,7 +41,8 @@ class TodStructureError(RuntimeError):
 
 
 class DuplicateEqualityError(ValueError):
-    """An equality id was inserted twice into one diagram."""
+    """The equality is already live: its id in a diagram, or its
+    canonical (lhs, rhs) pair in an index."""
 
 
 class UnknownEqualityError(KeyError):
@@ -87,7 +88,12 @@ _SIGN_EDGE = {
 
 @dataclass
 class Equality:
-    """An indexed equality; deletion is a flag, never a structure change."""
+    """An indexed equality.
+
+    Deletion sets the flag; the walk skips a deleted equality's success
+    nodes.  When a shared diagram is rebuilt without them is decided in
+    ``todx.index``.
+    """
 
     eq_id: int
     lhs: Term
@@ -131,16 +137,18 @@ class TodNode:
 class Tod:
     """One term ordering diagram over a fixed order."""
 
-    def __init__(self, order: TermOrder, stats: Optional[Stats] = None,
-                 tpo_store: Optional[TpoStore] = None):
+    def __init__(self, order: TermOrder, stats: Optional[Stats] = None):
         self.order = order
         self.stats = stats if stats is not None else Stats()
-        self.tpo_store = tpo_store if tpo_store is not None else TpoStore(order)
+        # the store, and every ordering and comparison it keeps, dies
+        # with the diagram
+        self.tpo_store = TpoStore(order)
         # audit hook: called as (node, sigma, label) whenever a label is
         # forced during retrieval, before the node is bypassed
         self.forcing_audit = None
         self._next_nid = 0
         self._eqs: dict[int, Equality] = {}
+        self.dead = 0       # deleted equalities still in the diagram
         self.root = self._node(NodeKind.ROOT)
         self.exit = self._node(NodeKind.EXIT)
         self.root.visited = True
@@ -202,10 +210,10 @@ class Tod:
         self.stats.nodes_created.success += 1
 
     def mark_deleted(self, eq_id: int) -> None:
-        try:
-            self._eqs[eq_id].deleted = True
-        except KeyError:
-            raise UnknownEqualityError(eq_id) from None
+        eq = self.equality(eq_id)
+        if not eq.deleted:
+            eq.deleted = True
+            self.dead += 1
 
     def equality(self, eq_id: int) -> Equality:
         try:

@@ -174,12 +174,14 @@ class ScenarioChecker:
                 for node in tod.nodes():
                     if not node.visited or node.kind.value in ("root", "exit"):
                         continue
+                    # keyed by the diagram itself: a removal can free a
+                    # diagram, and a later one may reuse its id()
                     path = tod.root_path(node)
-                    prior = self._paths.get((m, id(tod), node.nid))
+                    prior = self._paths.get((m, tod, node.nid))
                     if prior is not None:
                         assert prior == path, (
                             f"root path of visited node changed: {prior} -> {path}")
-                    self._paths[(m, id(tod), node.nid)] = path
+                    self._paths[(m, tod, node.nid)] = path
 
 
 def run_scenario(seed: int, order_kind: str, ops: int = 12,

@@ -54,6 +54,29 @@ def test_transitivity_chain_example(sig, store):
     assert force_term_label(t3, x, z) is N
 
 
+def test_static_verdicts_are_compared_once_per_pair(sig):
+    # a pair that joins another path is decided from the store's memo
+    order = make_order("kbo", sig)
+    calls = []
+    plain = order.compare
+
+    def counting(s, t):
+        calls.append((s, t))
+        return plain(s, t)
+
+    order.compare = counting
+    store = TpoStore(order)
+    x = sig.var(0)
+    gx, a = sig.app("g", [x]), sig.app("a")
+    first = store.extend(store.empty, [], [gx, x])
+    n = len(calls)
+    assert n > 0
+    again = store.extend(store.extend(store.empty, [], [a]), [], [x, gx])
+    assert again.relation(gx, x) is G and first.relation(gx, x) is G
+    # only the pairs with the new element a were compared
+    assert all(a in pair for pair in calls[n:])
+
+
 def test_static_facts_join_new_elements(sig, store):
     x = sig.var(0)
     gx = sig.app("g", [x])

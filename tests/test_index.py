@@ -3,9 +3,9 @@ import random
 import pytest
 
 from helpers import ScenarioChecker
-from todx import (DuplicateEqualityError, IndexMode, MalformedEqualityError,
-                  PostOrderingIndex, Substitution, UnknownEqualityError,
-                  canonicalize_equality)
+from todx import (DuplicateEqualityError, Equality, IndexMode,
+                  MalformedEqualityError, PostOrderingIndex, Substitution, Tod,
+                  UnknownEqualityError, canonicalize_equality, make_order)
 
 
 @pytest.fixture
@@ -69,6 +69,23 @@ def test_deleted_pair_can_be_reinserted(sig, swap_setup):
     assert idx.query(l, sigma) == [e2]
 
 
+@pytest.mark.parametrize("mode", ["off", "on", "shared"])
+def test_removed_pair_reinserts_in_every_mode(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    e1 = idx.insert(l, r1)
+    e2 = idx.insert(l, r2)
+    idx.remove(e1)
+    idx.remove(e2)          # shared: dead 2 > live 0, rebuilt empty
+    e3 = idx.insert(l, r1)
+    with pytest.raises(DuplicateEqualityError):
+        idx.insert(l, r1)
+    a = sig.app("a")
+    sigma = Substitution({0: sig.app("f", [a, a]), 1: a})
+    assert idx.query(l, sigma) == [e3]
+    assert idx.equality(e3).rhs is r1
+
+
 def test_rhs_with_fresh_variables_rejected(sig):
     x, z = sig.var(0), sig.var(5)
     with pytest.raises(MalformedEqualityError):
@@ -84,9 +101,81 @@ def test_remove_unknown_and_idempotent(sig, swap_setup):
     idx.remove(e1)
     st = idx.snapshot_stats()
     assert st.demodulators == 0
-    assert st.nodes_created == created  # lazy deletion leaves the diagram alone
+    assert st.nodes_created == created  # the rebuild of an emptied group inserts nothing
     with pytest.raises(UnknownEqualityError):
         idx.remove(999)
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "shared"])
+def test_remove_again_is_noop_for_every_assigned_id(sig, swap_setup, mode):
+    # a compacted diagram keeps no trace of e1, yet removing it again,
+    # or removing any other assigned id that is gone, still does nothing
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    e1 = idx.insert(l, r1)
+    e2 = idx.insert(l, r2)
+    e3 = idx.insert(l, sig.app("g", [l]))
+    idx.remove(e1)
+    idx.remove(e2)
+    for eq_id in (e1, e2, e1):
+        idx.remove(eq_id)
+    assert idx.snapshot_stats().demodulators == 1
+    assert idx.groups() == [(l, 1)]
+    with pytest.raises(UnknownEqualityError):
+        idx.remove(999)
+    with pytest.raises(UnknownEqualityError):
+        idx.remove(0)
+    assert idx.equality(e3).eq_id == e3
+
+
+@pytest.mark.parametrize("mode", ["off", "on", "shared"])
+def test_equality_of_removed_id_is_unknown(sig, swap_setup, mode):
+    l, r1, _ = swap_setup
+    idx = make_index(sig, mode)
+    e1 = idx.insert(l, r1)
+    assert idx.equality(e1).rhs is r1
+    idx.remove(e1)
+    with pytest.raises(UnknownEqualityError):
+        idx.equality(e1)
+
+
+def test_one_class_per_equality_error(sig, swap_setup):
+    # the diagram and the index raise the same exported classes
+    tod = Tod(make_order("kbo", sig))
+    with pytest.raises(UnknownEqualityError):
+        tod.mark_deleted(99)
+    with pytest.raises(UnknownEqualityError):
+        tod.equality(99)
+    l, r1, _ = swap_setup
+    tod.insert(Equality(1, l, r1))
+    with pytest.raises(DuplicateEqualityError):
+        tod.insert(Equality(1, l, r1))
+
+
+def test_per_equality_mode_drops_removed_diagram(sig, swap_setup):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, "on")
+    e1 = idx.insert(l, r1)
+    idx.insert(l, r2)
+    idx.remove(e1)
+    assert len(idx.tods()) == idx.snapshot_stats().tods == 1
+
+
+def test_shared_mode_rebuilds_when_dead_outnumber_live(sig, swap_setup):
+    l, r1, r2 = swap_setup
+    r3 = sig.app("a")
+    idx = make_index(sig, "shared")
+    e1, e2, e3 = (idx.insert(l, r) for r in (r1, r2, r3))
+    tod = idx.tods()[0]
+    idx.remove(e1)          # dead 1 <= live 2: kept
+    assert idx.tods() == [tod] and tod.dead == 1
+    idx.remove(e2)          # dead 2 > live 1: rebuilt from e3 alone
+    rebuilt, = idx.tods()
+    assert rebuilt is not tod and rebuilt.dead == 0
+    assert [n.eq.eq_id for n in rebuilt.nodes()
+            if n.kind.value == "success"] == [e3]
+    rebuilt.validate()
+    assert idx.query(l, Substitution({0: r3, 1: r3})) == [e3]
 
 
 def test_query_unknown_lhs_is_empty(sig, swap_setup):
