@@ -12,11 +12,11 @@ from .index import (DuplicateEqualityError, IndexMode, MalformedEqualityError,
 from .ordering import (Cmp3, KboOrder, LpoOrder, TermOrder, closure_equal,
                        closure_weight, make_order)
 from .forcing import (PartialOrdering, TpoInconsistencyError, TpoStore,
-                      force_positivity_label, force_term_label, term_formula)
+                      force_positivity_label, force_term_label)
 from .stats import NodeCounters, Stats
 from .terms import (EMPTY_SUBST, ArityError, LinearExpr, Sign3, Signature,
                     SignatureError, Substitution, Symbol, Term,
-                    UnknownSymbolError, occurrences, subst_linear, term_weight)
+                    UnknownSymbolError, term_weight)
 from .tod import (EdgeLabel, Equality, NodeKind, StepCapExceededError, Tod,
                   TodNode, TodStructureError, STEP_CAP)
 
@@ -32,6 +32,5 @@ __all__ = [
     "TpoInconsistencyError", "TpoStore", "UnknownEqualityError",
     "UnknownSymbolError", "canonicalize_equality", "canonicalize_term",
     "closure_equal", "closure_weight", "force_positivity_label",
-    "force_term_label", "make_order", "occurrences", "subst_linear",
-    "term_formula", "term_weight",
+    "force_term_label", "make_order", "term_weight",
 ]

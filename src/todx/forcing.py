@@ -7,8 +7,9 @@ order sometimes pins down the outcome of the node's own check before
 evaluating it; the node can then be bypassed for every future query.
 
 The closures are stored as term partial orderings: a fixed element
-sequence (top-level terms in order of first appearance) plus a
-triangular array of pairwise facts.  Orderings are perfectly shared
+sequence (top-level terms in order of first appearance) plus one fact
+byte per ordered element pair, laid out so that extending an ordering
+appends to its parent's bytes.  Orderings are perfectly shared
 through a store, so isomorphic paths reuse one instance.  The store is
 a single-writer structure owned by one diagram, and dies with it.
 """
@@ -20,13 +21,11 @@ from typing import Iterable, Optional, Sequence
 from .ordering import Cmp3, TermOrder
 from .terms import LinearExpr, Sign3, Term
 
-# Per unordered element pair (i < j) five facts can be known; "a" is the
-# smaller-indexed element.  gt and nge are directional, eq is symmetric.
-_GT_AB = 1
-_GT_BA = 2
-_EQ = 4
-_NGE_AB = 8
-_NGE_BA = 16
+# Facts known about an ordered element pair (i, j), one bit each: i > j,
+# i = j (stored in both orientations), and i !>= j.
+_GT = 1
+_EQ = 2
+_NGE = 4
 
 
 class TpoInconsistencyError(RuntimeError):
@@ -38,7 +37,9 @@ class TpoInconsistencyError(RuntimeError):
 
 
 def _cell(i: int, j: int) -> int:
-    return j * (j - 1) // 2 + i
+    # Pairs within the first n elements fill the first n*n cells, so a
+    # parent's cells are a prefix of every extension's.
+    return i * i + j if j <= i else j * j + j + 1 + i
 
 
 class PartialOrdering:
@@ -51,14 +52,6 @@ class PartialOrdering:
         self._pos = {t: i for i, t in enumerate(elements)}
         self._cells = cells
 
-    def _flags(self, i: int, j: int) -> tuple:
-        """Return (gt, eq, nge) facts oriented from element i to element j."""
-        if i < j:
-            m = self._cells[_cell(i, j)]
-            return bool(m & _GT_AB), bool(m & _EQ), bool(m & _NGE_AB)
-        m = self._cells[_cell(j, i)]
-        return bool(m & _GT_BA), bool(m & _EQ), bool(m & _NGE_BA)
-
     def relation(self, s: Term, t: Term) -> Optional[Cmp3]:
         """The known relation of s to t, if any."""
         if s is t:
@@ -67,39 +60,31 @@ class PartialOrdering:
         j = self._pos.get(t)
         if i is None or j is None:
             return None
-        gt, eq, nge = self._flags(i, j)
-        if gt:
+        m = self._cells[_cell(i, j)]
+        if m & _GT:
             return Cmp3.GREATER
-        if eq:
+        if m & _EQ:
             return Cmp3.EQUAL
-        if nge:
+        if m & _NGE:
             return Cmp3.NOT_GREATER_EQUAL
         return None
-
-    def incomparable(self, s: Term, t: Term) -> bool:
-        """Whether neither instance can ever be >= the other."""
-        i = self._pos.get(s)
-        j = self._pos.get(t)
-        if i is None or j is None or i == j:
-            return False
-        return self._flags(i, j)[2] and self._flags(j, i)[2]
 
     def facts(self):
         """Yield the stored primitive facts as (s, Cmp3, t) triples."""
         n = len(self.elements)
         for j in range(n):
             for i in range(j):
-                m = self._cells[_cell(i, j)]
+                ab, ba = self._cells[_cell(i, j)], self._cells[_cell(j, i)]
                 a, b = self.elements[i], self.elements[j]
-                if m & _GT_AB:
+                if ab & _GT:
                     yield (a, Cmp3.GREATER, b)
-                if m & _GT_BA:
+                if ba & _GT:
                     yield (b, Cmp3.GREATER, a)
-                if m & _EQ:
+                if ab & _EQ:
                     yield (a, Cmp3.EQUAL, b)
-                if m & _NGE_AB:
+                if ab & _NGE:
                     yield (a, Cmp3.NOT_GREATER_EQUAL, b)
-                if m & _NGE_BA:
+                if ba & _NGE:
                     yield (b, Cmp3.NOT_GREATER_EQUAL, a)
 
     def __len__(self) -> int:
@@ -118,159 +103,105 @@ class _Closure:
         self.cells = cells
         self.queue: list = []
 
-    def _has(self, bit: int, i: int, j: int) -> bool:
-        return bool(self.cells[_cell(i, j)] & bit) if i < j else \
-            bool(self.cells[_cell(j, i)] & self._swap(bit))
+    def gt(self, i: int, j: int) -> int:
+        return self.cells[_cell(i, j)] & _GT
 
-    @staticmethod
-    def _swap(bit: int) -> int:
-        if bit == _GT_AB:
-            return _GT_BA
-        if bit == _GT_BA:
-            return _GT_AB
-        if bit == _NGE_AB:
-            return _NGE_BA
-        if bit == _NGE_BA:
-            return _NGE_AB
-        return bit
+    def eq(self, i: int, j: int) -> int:
+        return self.cells[_cell(i, j)] & _EQ
 
-    def gt(self, i: int, j: int) -> bool:
-        return self._has(_GT_AB, i, j)
+    def nge(self, i: int, j: int) -> int:
+        return self.cells[_cell(i, j)] & _NGE
 
-    def eq(self, i: int, j: int) -> bool:
-        return self._has(_EQ, i, j)
-
-    def nge(self, i: int, j: int) -> bool:
-        return self._has(_NGE_AB, i, j)
-
-    def le(self, i: int, j: int) -> bool:
-        return self.gt(j, i) or self.eq(i, j)
-
-    def add(self, kind: str, i: int, j: int) -> None:
+    def add(self, bit: int, i: int, j: int) -> None:
         if i == j:
-            if kind == "eq":
+            if bit == _EQ:
                 return
-            raise TpoInconsistencyError(f"reflexive {kind} fact")
-        self.queue.append((kind, i, j))
+            raise TpoInconsistencyError("reflexive strict fact")
+        self.queue.append((bit, i, j))
 
     def run(self) -> None:
+        cells = self.cells
         while self.queue:
-            kind, a, b = self.queue.pop()
-            if kind == "gt":
-                if self.gt(a, b):
-                    continue
-                if self.eq(a, b) or self.nge(a, b) or self.gt(b, a):
+            bit, a, b = self.queue.pop()
+            ab = _cell(a, b)
+            m = cells[ab]
+            if m & bit:
+                continue
+            if bit == _GT:
+                if m & (_EQ | _NGE) or self.gt(b, a):
                     raise TpoInconsistencyError("gt conflicts with stored facts")
-                self._set(_GT_AB, a, b)
+                cells[ab] = m | _GT
                 self._derive_gt(a, b)
-            elif kind == "eq":
-                if self.eq(a, b):
-                    continue
-                if self.gt(a, b) or self.gt(b, a) or self.nge(a, b) or self.nge(b, a):
+            elif bit == _EQ:
+                ba = _cell(b, a)
+                if m & (_GT | _NGE) or cells[ba] & (_GT | _NGE):
                     raise TpoInconsistencyError("eq conflicts with stored facts")
-                self._set(_EQ, a, b)
+                cells[ab] = m | _EQ
+                cells[ba] |= _EQ
                 self._derive_eq(a, b)
             else:
-                if self.nge(a, b):
-                    continue
-                if self.gt(a, b) or self.eq(a, b):
+                if m & (_GT | _EQ):
                     raise TpoInconsistencyError("nge conflicts with stored facts")
-                self._set(_NGE_AB, a, b)
+                cells[ab] = m | _NGE
                 self._derive_nge(a, b)
-
-    def _set(self, bit: int, i: int, j: int) -> None:
-        if i < j:
-            self.cells[_cell(i, j)] |= bit
-        else:
-            self.cells[_cell(j, i)] |= self._swap(bit)
 
     def _derive_gt(self, a: int, b: int) -> None:
         # a > b entails b !>= a, and joins through every third element.
-        self.add("nge", b, a)
+        self.add(_NGE, b, a)
         for k in range(self.n):
             if k == a or k == b:
                 continue
             if self.gt(k, a):
-                self.add("gt", k, b)
+                self.add(_GT, k, b)
             if self.eq(a, k):
-                self.add("gt", k, b)
+                self.add(_GT, k, b)
             if self.gt(b, k) or self.eq(k, b):
-                self.add("gt", a, k)
+                self.add(_GT, a, k)
             if self.nge(k, b):
-                self.add("nge", k, a)
+                self.add(_NGE, k, a)
             if self.nge(a, k):
-                self.add("nge", b, k)
+                self.add(_NGE, b, k)
 
     def _derive_eq(self, a: int, b: int) -> None:
         for k in range(self.n):
             if k == a or k == b:
                 continue
             if self.eq(b, k):
-                self.add("eq", a, k)
+                self.add(_EQ, a, k)
             if self.eq(a, k):
-                self.add("eq", b, k)
+                self.add(_EQ, b, k)
             if self.gt(k, b):
-                self.add("gt", k, a)
+                self.add(_GT, k, a)
             if self.gt(k, a):
-                self.add("gt", k, b)
+                self.add(_GT, k, b)
             if self.gt(a, k):
-                self.add("gt", b, k)
+                self.add(_GT, b, k)
             if self.gt(b, k):
-                self.add("gt", a, k)
+                self.add(_GT, a, k)
             if self.nge(k, a):
-                self.add("nge", k, b)
+                self.add(_NGE, k, b)
             if self.nge(k, b):
-                self.add("nge", k, a)
+                self.add(_NGE, k, a)
             if self.nge(b, k):
-                self.add("nge", a, k)
+                self.add(_NGE, a, k)
             if self.nge(a, k):
-                self.add("nge", b, k)
+                self.add(_NGE, b, k)
 
     def _derive_nge(self, a: int, b: int) -> None:
         for k in range(self.n):
             if k == a or k == b:
                 continue
             if self.gt(k, b) or self.eq(b, k):
-                self.add("nge", a, k)
+                self.add(_NGE, a, k)
             if self.gt(a, k) or self.eq(k, a):
-                self.add("nge", k, b)
+                self.add(_NGE, k, b)
 
 
-_REL_KIND = {
-    Cmp3.GREATER: "gt",
-    Cmp3.EQUAL: "eq",
-    Cmp3.NOT_GREATER_EQUAL: "nge",
+_REL_BIT = {
+    Cmp3.GREATER: _GT,
+    Cmp3.EQUAL: _EQ,
+    Cmp3.NOT_GREATER_EQUAL: _NGE,
 }
-
-
-def term_formula(order: TermOrder, steps: Sequence[tuple],
-                 node_terms: Sequence[Term] = ()) -> list:
-    """The constraint conjunction for a traversed path.
-
-    ``steps`` holds one (s, Cmp3, t) entry per term comparison followed
-    by the edge it took; positivity checks contribute nothing and are
-    simply not listed.  ``node_terms`` are the label terms of the node
-    under examination, which count as top-level terms but add no edge
-    fact.  On top of the edge facts, every statically ordered pair of
-    top-level terms becomes a greater-than fact.
-    """
-    facts = list(steps)
-    tops: list[Term] = []
-
-    def note(v: Term) -> None:
-        if all(v is not u for u in tops):
-            tops.append(v)
-
-    for s, _, t in steps:
-        note(s)
-        note(t)
-    for v in node_terms:
-        note(v)
-    for v in tops:
-        for u in tops:
-            if u is not v and order.compare(v, u) is Cmp3.GREATER:
-                facts.append((v, Cmp3.GREATER, u))
-    return facts
 
 
 class TpoStore:
@@ -327,11 +258,11 @@ class TpoStore:
             return parent
 
         n = len(elements)
-        cells = bytearray(n * (n - 1) // 2)
+        cells = bytearray(n * n)
         cells[:len(parent._cells)] = parent._cells
         cl = _Closure(n, cells)
         for a, rel, b in constraints:
-            cl.add(_REL_KIND[rel], pos[a], pos[b])
+            cl.add(_REL_BIT[rel], pos[a], pos[b])
         compare = self.order.compare
         static = self._static
         for v in fresh:
@@ -351,9 +282,9 @@ class TpoStore:
                     static[key] = verdict
                     static[(u.tid, v.tid)] = -verdict
                 if verdict > 0:
-                    cl.add("gt", i, pos[u])
+                    cl.add(_GT, i, pos[u])
                 elif verdict < 0:
-                    cl.add("gt", pos[u], i)
+                    cl.add(_GT, pos[u], i)
         cl.run()
         return self._intern(tuple(elements), bytes(cells))
 

@@ -26,10 +26,9 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .index import IndexMode, PostOrderingIndex, canonicalize_equality
+from .index import PostOrderingIndex, canonicalize_equality
 from .ordering import Cmp3, make_order
-from .stats import Stats
-from .terms import Signature, Substitution, Term
+from .terms import Signature, Substitution, Term, term_weight
 
 
 class ScriptError(ValueError):
@@ -364,16 +363,15 @@ class RunReport:
     expect_failures: list
     divergences: list
     warnings: tuple = ()
-    seed: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.expect_failures and not self.divergences
 
 
-def _build_signature(script: Script) -> Signature:
+def _build_signature(commands: Iterable[Command]) -> Signature:
     return Signature((c.name, c.arity, c.weight, c.precedence)
-                     for c in script.sig_decls)
+                     for c in commands if isinstance(c, SigDecl))
 
 
 class _Resolver:
@@ -394,18 +392,16 @@ class _Resolver:
 
 
 def run(script: Script, mode: str = "shared", want: str = "all",
-        order_override: Optional[str] = None, seed: Optional[int] = None,
+        order_override: Optional[str] = None,
         script_name: str = "script") -> RunReport:
     """Execute a script; ``crosscheck`` runs all three modes side by side.
 
-    Execution is deterministic; ``seed`` is recorded in the report so
-    generated-script runs can be tied back to their generator call.
+    Execution is deterministic.
     """
-    sig = _build_signature(script)
+    sig = _build_signature(script.commands)
     order_kind = order_override or script.order_kind
     modes = (["off", "on", "shared"] if mode == "crosscheck" else [mode])
-    indexes = {m: PostOrderingIndex(sig, order_kind, IndexMode.parse(m))
-               for m in modes}
+    indexes = {m: PostOrderingIndex(sig, order_kind, m) for m in modes}
     resolver = _Resolver(sig)
 
     # per-index equality ids plus name mapping back to script ids
@@ -474,7 +470,6 @@ def run(script: Script, mode: str = "shared", want: str = "all",
         expect_failures=expect_failures,
         divergences=divergences,
         warnings=script.warnings,
-        seed=seed,
     )
 
 
@@ -546,8 +541,7 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
 
     # duplicate inserts are an error at run time, so dedupe candidate
     # equalities on their canonical form, the same way the index will
-    sig = Signature((c.name, c.arity, c.weight, c.precedence)
-                    for c in commands if isinstance(c, SigDecl))
+    sig = _build_signature(commands)
     resolver = _Resolver(sig)
 
     group_lhs: list[RawTree] = []
@@ -635,7 +629,7 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
 # -- benchmarks --------------------------------------------------------------------
 
 
-def _swap_script(n: int, seed: int, order: str) -> Script:
+def _argswap_script(n: int, seed: int, order: str) -> Script:
     commands: list[Command] = [
         SigDecl("a", 0, 1, 0, True, True),
         SigDecl("b", 0, 1, 1, True, True),
@@ -663,8 +657,7 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
         SigDecl("f", 2, 1, 4, True, True),
         OrderDecl(order),
     ]
-    sig = Signature((c.name, c.arity, c.weight, c.precedence)
-                    for c in commands if isinstance(c, SigDecl))
+    sig = _build_signature(commands)
     kbo = make_order("kbo", sig)
     resolver = _Resolver(sig)
     funcs = [("f", 2), ("g", 1), ("h", 1)]
@@ -682,7 +675,7 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
         r = resolver.term(rhs_raw, varmap)
         if len(varmap) > 2:
             continue
-        diff = kbo.weight(l) - kbo.weight(r)
+        diff = term_weight(l) - term_weight(r)
         if not diff.coeffs:
             continue
         if kbo.compare(l, r) is Cmp3.GREATER or kbo.compare(r, l) is Cmp3.GREATER:
@@ -703,7 +696,7 @@ def bench(family: str, n: int, order: str = "kbo", want: str = "all",
           seed: int = 0, mode: str = "crosscheck") -> RunReport:
     """Run a benchmark family and return its report (one Stats per mode)."""
     if family == "swap":
-        script = _swap_script(n, seed, order)
+        script = _argswap_script(n, seed, order)
     elif family == "poly":
         script = _poly_script(n, seed, order)
     else:

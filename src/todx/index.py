@@ -4,8 +4,8 @@ Groups key on the canonical form of the left-hand side (variables
 renumbered by first occurrence), so alpha-renamed copies land in one
 group.  Three retrieval modes answer the same queries identically:
 
-* ``off``     checks each equality with a direct fail-fast closure
-              comparison (the baseline),
+* ``off``     checks each equality with one closure comparison (the
+              baseline),
 * ``on``      keeps one diagram per equality,
 * ``shared``  keeps one diagram per group.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from .ordering import TermOrder, make_order
+from .ordering import Cmp3, TermOrder, make_order
 from .stats import Stats
 from .terms import Signature, Substitution, Term
 from .tod import DuplicateEqualityError, Equality, Tod, UnknownEqualityError
@@ -40,15 +40,6 @@ class IndexMode(enum.Enum):
     OFF = "off"
     PER_EQUALITY = "on"
     SHARED_BY_LHS = "shared"
-
-    @classmethod
-    def parse(cls, text: Union[str, "IndexMode"]) -> "IndexMode":
-        if isinstance(text, IndexMode):
-            return text
-        for m in cls:
-            if m.value == text:
-                return m
-        raise ValueError(f"unknown index mode {text!r}")
 
 
 def canonicalize_term(sig: Signature, t: Term,
@@ -116,7 +107,7 @@ class PostOrderingIndex:
                  mode: Union[str, IndexMode] = IndexMode.SHARED_BY_LHS):
         self.signature = signature
         self.order = make_order(order, signature) if isinstance(order, str) else order
-        self.mode = IndexMode.parse(mode)
+        self.mode = IndexMode(mode)
         self.stats = Stats()
         self._groups: dict[Term, _Group] = {}
         self._eq_group: dict[int, _Group] = {}   # live ids only
@@ -183,11 +174,9 @@ class PostOrderingIndex:
             group.tod.mark_deleted(eq_id)
             if group.tod.dead > len(group.eqs):
                 group.tod = self._build_tod(group.eqs.values())
-        else:
-            eq.deleted = True
-            if self.mode is IndexMode.PER_EQUALITY:
-                del group.tods[eq_id]
-                self.stats.tods -= 1
+        elif self.mode is IndexMode.PER_EQUALITY:
+            del group.tods[eq_id]
+            self.stats.tods -= 1
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""
@@ -228,20 +217,21 @@ class PostOrderingIndex:
                 if first_only and results:
                     break
             return results
-        # baseline: fail-fast closure comparison per live equality
+        # baseline: one closure comparison per live equality
         st = self.stats
+        order = self.order
         results = []
-        steps = [0]
+        steps = order.steps
         finished = True
         for eq in group.eqs.values():
-            if self.order.greater_unidirectional(eq.lhs, sigma_c,
-                                                 eq.rhs, sigma_c, steps):
+            if order.compare_closure(eq.lhs, sigma_c,
+                                     eq.rhs, sigma_c) is Cmp3.GREATER:
                 results.append(eq.eq_id)
                 st.answers += 1
                 if first_only:
                     finished = False
                     break
-        st.naive_comparisons += steps[0]
+        st.naive_comparisons += order.steps - steps
         if finished:
             st.answers += 1
         return results

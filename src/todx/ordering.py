@@ -8,7 +8,10 @@ substitution is consulted only when the traversal reaches a variable.
 
 All comparisons are pure functions over immutable terms.  The weight
 memoization cache lives in the shared terms and follows the same
-single-writer contract as the interner.
+single-writer contract as the interner.  An order's one mutable field
+is ``steps``, which counts the entries into ``compare`` and
+``compare_closure``; an order that indexes share across threads can
+over-count it, but answers are not affected.
 """
 
 from __future__ import annotations
@@ -70,15 +73,15 @@ def closure_equal(s: Term, sigma: Substitution, t: Term, theta: Substitution) ->
     return True
 
 
-def closure_weight(s: Term, sigma: Substitution, memoize: bool = True) -> LinearExpr:
+def closure_weight(s: Term, sigma: Substitution) -> LinearExpr:
     """Weight of the instance s*sigma computed on the uninstantiated pair."""
     s, sigma = _deref(s, sigma)
     if sigma.is_empty:
-        return term_weight(s, memoize)
+        return term_weight(s)
     const = s.sym.weight
     acc: dict[int, int] = {}
     for a in s.args:
-        w = closure_weight(a, sigma, memoize)
+        w = closure_weight(a, sigma)
         const += w.constant
         for v, c in w.coeffs.items():
             acc[v] = acc.get(v, 0) + c
@@ -90,29 +93,16 @@ class TermOrder:
 
     kind = ""
 
-    def __init__(self, signature: Signature, memoize_weights: bool = True):
+    def __init__(self, signature: Signature):
         self.signature = signature
-        self.memoize_weights = memoize_weights
+        self.steps = 0
 
-    def compare(self, s: Term, t: Term, _steps=None) -> Cmp3:
+    def compare(self, s: Term, t: Term) -> Cmp3:
         raise NotImplementedError
 
     def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution, _steps=None) -> Cmp3:
+                        t: Term, theta: Substitution) -> Cmp3:
         raise NotImplementedError
-
-    def greater_unidirectional(self, s: Term, sigma: Substitution,
-                               t: Term, theta: Substitution, _steps=None) -> bool:
-        """Certify s*sigma > t*theta, failing as soon as that is impossible.
-
-        With the three-valued verdict set the fail-fast comparison and the
-        full one coincide (equality falls out for free along the way), so
-        this is the greater-projection of ``compare_closure``.
-        """
-        return self.compare_closure(s, sigma, t, theta, _steps) is _GT
-
-    def weight(self, t: Term) -> LinearExpr:
-        return term_weight(t, self.memoize_weights)
 
 
 class KboOrder(TermOrder):
@@ -126,12 +116,11 @@ class KboOrder(TermOrder):
 
     kind = "kbo"
 
-    def compare(self, s: Term, t: Term, _steps=None) -> Cmp3:
-        if _steps is not None:
-            _steps[0] += 1
+    def compare(self, s: Term, t: Term) -> Cmp3:
+        self.steps += 1
         if s is t:
             return _EQ
-        e = self.weight(s) - self.weight(t)
+        e = term_weight(s) - term_weight(t)
         sg = e.sign(self.signature.w0)
         if sg is Sign3.POSITIVE:
             return _GT
@@ -145,19 +134,17 @@ class KboOrder(TermOrder):
             return _NGE
         for a, b in zip(s.args, t.args):
             if a is not b:
-                return _GT if self.compare(a, b, _steps) is _GT else _NGE
+                return _GT if self.compare(a, b) is _GT else _NGE
         return _EQ
 
     def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution, _steps=None) -> Cmp3:
-        if _steps is not None:
-            _steps[0] += 1
+                        t: Term, theta: Substitution) -> Cmp3:
+        self.steps += 1
         s, sigma = _deref(s, sigma)
         t, theta = _deref(t, theta)
         if sigma.is_empty and theta.is_empty:
-            return self.compare(s, t, _steps)
-        memo = self.memoize_weights
-        e = closure_weight(s, sigma, memo) - closure_weight(t, theta, memo)
+            return self.compare(s, t)
+        e = closure_weight(s, sigma) - closure_weight(t, theta)
         sg = e.sign(self.signature.w0)
         if sg is Sign3.POSITIVE:
             return _GT
@@ -173,7 +160,7 @@ class KboOrder(TermOrder):
             return _NGE
         for a, b in zip(s.args, t.args):
             if not closure_equal(a, sigma, b, theta):
-                c = self.compare_closure(a, sigma, b, theta, _steps)
+                c = self.compare_closure(a, sigma, b, theta)
                 return _GT if c is _GT else _NGE
         return _EQ
 
@@ -183,16 +170,15 @@ class LpoOrder(TermOrder):
 
     kind = "lpo"
 
-    def compare(self, s: Term, t: Term, _steps=None) -> Cmp3:
-        if _steps is not None:
-            _steps[0] += 1
+    def compare(self, s: Term, t: Term) -> Cmp3:
+        self.steps += 1
         if s is t:
             return _EQ
         if s.sym is None:
             return _NGE
         if t.sym is None:
             for a in s.args:
-                if self.compare(a, t, _steps) is not _NGE:
+                if self.compare(a, t) is not _NGE:
                     return _GT
             return _NGE
         if s.sym is t.sym:
@@ -203,33 +189,32 @@ class LpoOrder(TermOrder):
                 i += 1
             if i == k:
                 return _EQ
-            if self.compare(args_s[i], args_t[i], _steps) is _GT:
+            if self.compare(args_s[i], args_t[i]) is _GT:
                 for l in range(i + 1, k):
-                    if self.compare(s, args_t[l], _steps) is not _GT:
+                    if self.compare(s, args_t[l]) is not _GT:
                         return _NGE
                 return _GT
             for j in range(i + 1, k):
-                if self.compare(args_s[j], t, _steps) is not _NGE:
+                if self.compare(args_s[j], t) is not _NGE:
                     return _GT
             return _NGE
         if s.sym.precedence > t.sym.precedence:
             for b in t.args:
-                if self.compare(s, b, _steps) is not _GT:
+                if self.compare(s, b) is not _GT:
                     return _NGE
             return _GT
         for a in s.args:
-            if self.compare(a, t, _steps) is not _NGE:
+            if self.compare(a, t) is not _NGE:
                 return _GT
         return _NGE
 
     def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution, _steps=None) -> Cmp3:
-        if _steps is not None:
-            _steps[0] += 1
+                        t: Term, theta: Substitution) -> Cmp3:
+        self.steps += 1
         s, sigma = _deref(s, sigma)
         t, theta = _deref(t, theta)
         if sigma.is_empty and theta.is_empty:
-            return self.compare(s, t, _steps)
+            return self.compare(s, t)
         if s.sym is None:
             return _NGE
         if t.sym is not None:
@@ -241,30 +226,29 @@ class LpoOrder(TermOrder):
                     i += 1
                 if i == k:
                     return _EQ
-                if self.compare_closure(args_s[i], sigma, args_t[i], theta, _steps) is _GT:
+                if self.compare_closure(args_s[i], sigma, args_t[i], theta) is _GT:
                     for l in range(i + 1, k):
-                        if self.compare_closure(s, sigma, args_t[l], theta, _steps) is not _GT:
+                        if self.compare_closure(s, sigma, args_t[l], theta) is not _GT:
                             return _NGE
                     return _GT
                 for j in range(i + 1, k):
-                    if self.compare_closure(args_s[j], sigma, t, theta, _steps) is not _NGE:
+                    if self.compare_closure(args_s[j], sigma, t, theta) is not _NGE:
                         return _GT
                 return _NGE
             if s.sym.precedence > t.sym.precedence:
                 for b in t.args:
-                    if self.compare_closure(s, sigma, b, theta, _steps) is not _GT:
+                    if self.compare_closure(s, sigma, b, theta) is not _GT:
                         return _NGE
                 return _GT
         for a in s.args:
-            if self.compare_closure(a, sigma, t, theta, _steps) is not _NGE:
+            if self.compare_closure(a, sigma, t, theta) is not _NGE:
                 return _GT
         return _NGE
 
 
-def make_order(kind: str, signature: Signature,
-               memoize_weights: bool = True) -> TermOrder:
+def make_order(kind: str, signature: Signature) -> TermOrder:
     if kind == "kbo":
-        return KboOrder(signature, memoize_weights)
+        return KboOrder(signature)
     if kind == "lpo":
-        return LpoOrder(signature, memoize_weights)
+        return LpoOrder(signature)
     raise ValueError(f"unknown order kind {kind!r}")

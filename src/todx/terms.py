@@ -10,8 +10,9 @@ single-writer contract.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Optional, Union
 
 
 class SignatureError(ValueError):
@@ -58,10 +59,6 @@ class Term:
         self.ground = ground
         self.tid = tid
         self._weight: Optional[LinearExpr] = None
-
-    @property
-    def is_var(self) -> bool:
-        return self.sym is None
 
     def __repr__(self) -> str:
         if self.sym is None:
@@ -172,30 +169,6 @@ class Signature:
         name, raw_args = raw
         return self.app(name, [self.intern(a) for a in raw_args])
 
-    def apply(self, t: Term, subst: "Substitution") -> Term:
-        """Instantiate ``t`` with ``subst`` (simultaneous, non-recursive).
-
-        Shared subterms are rebuilt once, so the cost is linear in the
-        dag size of ``t``.
-        """
-        if t.ground or subst.is_empty:
-            return t
-        memo: dict[int, Term] = {}
-
-        def go(u: Term) -> Term:
-            if u.ground:
-                return u
-            if u.sym is None:
-                img = subst.get(u.vid)
-                return u if img is None else img
-            r = memo.get(u.tid)
-            if r is None:
-                r = self.app(u.sym, [go(a) for a in u.args])
-                memo[u.tid] = r
-            return r
-
-        return go(t)
-
 
 class Substitution:
     """A finite mapping from variable ids to terms.
@@ -217,9 +190,6 @@ class Substitution:
     def get(self, vid: int) -> Optional[Term]:
         return self._m.get(vid)
 
-    def image(self, var: Term) -> Term:
-        return self._m.get(var.vid, var)
-
     def items(self):
         return self._m.items()
 
@@ -240,20 +210,6 @@ class Substitution:
 
 
 EMPTY_SUBST = Substitution()
-
-
-def occurrences(t: Term, p: Union[Symbol, int]) -> int:
-    """Count occurrences of a symbol or a variable id in ``t``."""
-    n = 0
-    if isinstance(p, int):
-        for u in t.subterms():
-            if u.sym is None and u.vid == p:
-                n += 1
-    else:
-        for u in t.subterms():
-            if u.sym is p:
-                n += 1
-    return n
 
 
 class Sign3(enum.Enum):
@@ -313,9 +269,6 @@ class LinearExpr:
 
     def __neg__(self) -> "LinearExpr":
         return LinearExpr(-self.constant, [(v, -c) for v, c in self._coeffs])
-
-    def scaled(self, k: int) -> "LinearExpr":
-        return LinearExpr(self.constant * k, [(v, c * k) for v, c in self._coeffs])
 
     def subst(self, sigma: Substitution) -> "LinearExpr":
         """Replace every variable by the weight of its image under sigma."""
@@ -377,35 +330,25 @@ class LinearExpr:
         return out[2:] if out.startswith("+ ") else "-" + out[2:]
 
 
-ZERO = LinearExpr.of_const(0)
-
-
-def term_weight(t: Term, memoize: bool = True) -> LinearExpr:
+def term_weight(t: Term) -> LinearExpr:
     """The weight |t|: symbol weights summed plus one unit per variable.
 
-    With ``memoize`` the result is cached in the shared term; weights are
-    signature constants, so cached values never need invalidation.
+    The result is cached in the shared term; weights are signature
+    constants, so cached values never need invalidation.
     """
-    if memoize:
-        w = t._weight
-        if w is not None:
-            return w
+    w = t._weight
+    if w is not None:
+        return w
     if t.sym is None:
         w = LinearExpr.of_var(t.vid)
     else:
         const = t.sym.weight
         acc: dict[int, int] = {}
         for a in t.args:
-            wa = term_weight(a, memoize)
+            wa = term_weight(a)
             const += wa.constant
             for v, c in wa._coeffs:
                 acc[v] = acc.get(v, 0) + c
         w = LinearExpr(const, acc)
-    if memoize:
-        t._weight = w
+    t._weight = w
     return w
-
-
-def subst_linear(sigma: Substitution, e: LinearExpr) -> LinearExpr:
-    """Apply a substitution to a linear expression: x becomes |x sigma|."""
-    return e.subst(sigma)

@@ -79,6 +79,7 @@ _CMP_EDGE = {
     Cmp3.EQUAL: _EQ,
     Cmp3.NOT_GREATER_EQUAL: _NGE,
 }
+_EDGE_CMP = {edge: c for c, edge in _CMP_EDGE.items()}
 _SIGN_EDGE = {
     Sign3.POSITIVE: _GT,
     Sign3.NON_NEGATIVE: _GEQ,
@@ -223,11 +224,10 @@ class Tod:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate_node(self, node: TodNode, sigma: Substitution,
-                      _steps=None) -> EdgeLabel:
+    def evaluate_node(self, node: TodNode, sigma: Substitution) -> EdgeLabel:
         """The edge a substitution takes out of an evaluation node."""
         if node.kind is NodeKind.TERM:
-            c = self.order.compare_closure(node.lhs, sigma, node.rhs, sigma, _steps)
+            c = self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
             return _CMP_EDGE[c]
         if node.kind is NodeKind.POS:
             return _SIGN_EDGE[node.expr.subst(sigma).sign(self.order.signature.w0)]
@@ -236,9 +236,7 @@ class Tod:
     def _edge_constraints(self, node: TodNode, label: EdgeLabel) -> list:
         if node.kind is not NodeKind.TERM:
             return []
-        rel = {_GT: Cmp3.GREATER, _EQ: Cmp3.EQUAL,
-               _NGE: Cmp3.NOT_GREATER_EQUAL}[label]
-        return [(node.lhs, rel, node.rhs)]
+        return [(node.lhs, _EDGE_CMP[label], node.rhs)]
 
     def _tpo_at(self, prev: TodNode, arrival: EdgeLabel,
                 node: TodNode) -> PartialOrdering:
@@ -287,6 +285,16 @@ class Tod:
             created.success += 1
         return copy
 
+    def _replace_with(self, node: TodNode, target: TodNode) -> TodNode:
+        """Send ``node``'s one incoming edge to ``target``; prune orphans."""
+        (src, in_label), = node.parents
+        node.parents = []
+        old_targets = self._unlink_out(node)
+        src.out[in_label] = target
+        target.parents.append((src, in_label))
+        self._cleanup(old_targets)
+        return target
+
     def remove_forced(self, node: TodNode, label: EdgeLabel) -> TodNode:
         """Bypass a node whose outcome is forced; prune what that orphans."""
         if node.visited:
@@ -295,14 +303,7 @@ class Tod:
             raise TodStructureError("forced removal needs a single incoming edge")
         if label not in node.out:
             raise TodStructureError(f"node has no {label!r} edge")
-        (src, in_label), = node.parents
-        target = node.out[label]
-        node.parents = []
-        old_targets = self._unlink_out(node)
-        src.out[in_label] = target
-        target.parents.append((src, in_label))
-        self._cleanup(old_targets)
-        return target
+        return self._replace_with(node, node.out[label])
 
     # -- order-specific transformations -----------------------------------------
 
@@ -316,15 +317,6 @@ class Tod:
         if node.lhs.sym is None or node.rhs.sym is None:
             raise TodStructureError("both comparison sides must be applications")
 
-    def _replace_with(self, node: TodNode, target: TodNode) -> TodNode:
-        (src, in_label), = node.parents
-        node.parents = []
-        old_targets = self._unlink_out(node)
-        src.out[in_label] = target
-        target.parents.append((src, in_label))
-        self._cleanup(t for t in old_targets if t is not target)
-        return target
-
     def transform_kbo(self, node: TodNode) -> TodNode:
         """Expand a comparison of two applications by the KBO definition.
 
@@ -336,8 +328,7 @@ class Tod:
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
         n1, n2, n3 = node.out[_GT], node.out[_EQ], node.out[_NGE]
-        memo = self.order.memoize_weights
-        expr = term_weight(s, memo) - term_weight(t, memo)
+        expr = term_weight(s) - term_weight(t)
         old_targets = self._unlink_out(node)
         node.kind = NodeKind.POS
         node.expr = expr

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import random
 
+from oracles import instantiate
 from todx import (PostOrderingIndex, Signature, Substitution, Term,
                   canonicalize_equality, make_order)
 from todx.ordering import Cmp3
@@ -127,8 +128,9 @@ class ScenarioChecker:
                    for m, idx in self.indexes.items()}
         expected = [i for i, l, r in self.model
                     if l is key and i not in self.deleted
-                    and self.order.compare(self.sig.apply(l, sigma),
-                                           self.sig.apply(r, sigma)) is Cmp3.GREATER]
+                    and self.order.compare(instantiate(self.sig, l, sigma),
+                                           instantiate(self.sig, r, sigma))
+                    is Cmp3.GREATER]
         if want == "all":
             for m, got in results.items():
                 assert got == expected, (

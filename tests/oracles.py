@@ -3,12 +3,15 @@
 These deliberately avoid the library's comparison code paths: weights
 are recomputed on every call from scratch, the argument rules search
 over every split position, and nothing is memoized.  Slow but obviously
-faithful, which is what a test oracle should be.
+faithful, which is what a test oracle should be.  The one-shot
+counterparts of the library's incremental code live here too:
+instantiation, the path term formula and a naive fixpoint closure of
+partial-ordering facts.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 from todx import Cmp3, Sign3
 
@@ -125,3 +128,105 @@ def brute_sign(expr, w0, span=6):
     if all(v >= 0 for v in values):
         return Sign3.NON_NEGATIVE, witness
     return Sign3.NOT_NON_NEGATIVE, witness
+
+
+def instantiate(sig, t, sigma):
+    """Instantiate ``t`` with ``sigma`` (simultaneous, non-recursive).
+
+    Shared subterms are rebuilt once, so the cost is linear in the
+    dag size of ``t``.
+    """
+    if t.ground or sigma.is_empty:
+        return t
+    memo: dict[int, object] = {}
+
+    def go(u):
+        if u.ground:
+            return u
+        if u.sym is None:
+            img = sigma.get(u.vid)
+            return u if img is None else img
+        r = memo.get(u.tid)
+        if r is None:
+            r = sig.app(u.sym, [go(a) for a in u.args])
+            memo[u.tid] = r
+        return r
+
+    return go(t)
+
+
+def term_formula(order, steps, node_terms=()):
+    """The constraint conjunction for a traversed path.
+
+    ``steps`` holds one (s, Cmp3, t) entry per term comparison followed
+    by the edge it took; positivity checks contribute nothing and are
+    simply not listed.  ``node_terms`` are the label terms of the node
+    under examination, which count as top-level terms but add no edge
+    fact.  On top of the edge facts, every statically ordered pair of
+    top-level terms becomes a greater-than fact.  ``TpoStore.extend``
+    is the incremental version of this one-shot formula.
+    """
+    facts = list(steps)
+    tops = []
+
+    def note(v):
+        if all(v is not u for u in tops):
+            tops.append(v)
+
+    for s, _, t in steps:
+        note(s)
+        note(t)
+    for v in node_terms:
+        note(v)
+    for v in tops:
+        for u in tops:
+            if u is not v and order.compare(v, u) is Cmp3.GREATER:
+                facts.append((v, Cmp3.GREATER, u))
+    return facts
+
+
+class Contradiction(Exception):
+    """The naive closure derived conflicting facts."""
+
+
+def ref_closure(n, facts):
+    """Close (i, Cmp3, j) facts over elements 0..n-1 by naive fixpoint.
+
+    Besides = being symmetric and a > b entailing b !>= a, the rules
+    tr1-tr5 of a simplification order are applied to every triple of
+    distinct elements until nothing changes.  Returns the derived facts
+    on distinct pairs.  Raises ``Contradiction`` for a reflexive strict
+    input fact or when a pair ends up with two different relations.
+    """
+    G, E, N = Cmp3.GREATER, Cmp3.EQUAL, Cmp3.NOT_GREATER_EQUAL
+    known = set()
+    for i, r, j in facts:
+        if i != j:
+            known.add((i, r, j))
+        elif r is not E:
+            raise Contradiction((i, r, j))
+
+    def ge(a, b):
+        return (a, G, b) in known or (a, E, b) in known
+
+    while True:
+        new = {(j, E, i) for i, r, j in known if r is E}
+        new |= {(j, N, i) for i, r, j in known if r is G}
+        for a, b, c in permutations(range(n), 3):
+            if (a, E, b) in known and (b, E, c) in known:       # tr1
+                new.add((a, E, c))
+            if ge(a, b) and (b, G, c) in known:                  # tr2
+                new.add((a, G, c))
+            if (a, G, b) in known and ge(b, c):                  # tr3
+                new.add((a, G, c))
+            if (a, N, b) in known and ge(c, b):                  # tr4
+                new.add((a, N, c))
+            if ge(b, a) and (b, N, c) in known:                  # tr5
+                new.add((a, N, c))
+        if new <= known:
+            break
+        known |= new
+    for i, j in permutations(range(n), 2):
+        if sum((i, r, j) in known for r in (G, E, N)) > 1:
+            raise Contradiction((i, j))
+    return known

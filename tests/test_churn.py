@@ -10,7 +10,7 @@ by the number of equalities ever inserted.
 import random
 
 from helpers import random_term
-from oracles import ref_compare
+from oracles import instantiate, ref_compare
 from todx import Cmp3, NodeKind, PostOrderingIndex, Signature, Substitution
 
 LIVE = 8
@@ -62,10 +62,10 @@ def test_churn_bounded_and_oracle_exact():
         for idx in indexes.values():
             idx.remove(old)
         sigma = Substitution({v: random_term(rng, sig, [], 2) for v in (0, 1)})
-        ground_lhs = sig.apply(lhs, sigma)
+        ground_lhs = instantiate(sig, lhs, sigma)
         want = [i for i, r in live
                 if ref_compare(sig, "kbo", ground_lhs,
-                               sig.apply(r, sigma)) is Cmp3.GREATER]
+                               instantiate(sig, r, sigma)) is Cmp3.GREATER]
         for mode, idx in indexes.items():
             assert idx.query(lhs, sigma) == want, (mode, rnd, sigma)
 

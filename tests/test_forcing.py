@@ -3,9 +3,10 @@ import random
 import pytest
 
 from helpers import random_term
-from todx import (Cmp3, LinearExpr, Sign3, TpoInconsistencyError, TpoStore,
-                  force_positivity_label, force_term_label, make_order,
-                  term_formula)
+from oracles import Contradiction, ref_closure, term_formula
+from todx import (Cmp3, LinearExpr, Sign3, Substitution, TpoInconsistencyError,
+                  TpoStore, force_positivity_label, force_term_label,
+                  make_order)
 
 G, E, N = Cmp3.GREATER, Cmp3.EQUAL, Cmp3.NOT_GREATER_EQUAL
 
@@ -171,6 +172,44 @@ def test_closure_respects_axioms(sig, store):
                     assert rel(a, c) is N
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_closure_matches_naive_fixpoint(sig, seed):
+    # distinct variables are never statically ordered, so the facts are
+    # exactly the constraints; they arrive spread over 1-3 extensions
+    rng = random.Random(700 + seed)
+    variables = [sig.var(i) for i in range(6)]
+    raised = closed = 0
+    for _ in range(150):
+        store = TpoStore(make_order(rng.choice(["kbo", "lpo"]), sig))
+        n = rng.randint(2, 6)
+        facts = [(rng.randrange(n), rng.choice([G, E, N]), rng.randrange(n))
+                 for _ in range(rng.randint(1, 2 * n))]
+        try:
+            want = ref_closure(n, facts)
+        except Contradiction:
+            want = None
+        tpo = store.empty
+        chunks = rng.randint(1, 3)
+        try:
+            for k in range(chunks):
+                fresh = rng.sample(variables[:n], rng.randint(0, n))
+                tpo = store.extend(tpo, [(variables[i], r, variables[j])
+                                         for i, r, j in facts[k::chunks]], fresh)
+        except TpoInconsistencyError:
+            assert want is None, facts
+            raised += 1
+            continue
+        assert want is not None, facts
+        closed += 1
+        got = {(i, tpo.relation(variables[i], variables[j]), j)
+               for i in range(n) for j in range(n)
+               if i != j and tpo.relation(variables[i], variables[j])}
+        assert got == want, facts
+        listed = {(a.vid, r, b.vid) for a, r, b in tpo.facts()}
+        assert listed | {(j, E, i) for i, r, j in listed if r is E} == want
+    assert raised > 10 and closed > 10
+
+
 def test_inconsistent_facts_raise(sig, store):
     x, y = sig.var(0), sig.var(1)
     tpo = store.extend(store.empty, [(x, G, y)])
@@ -183,9 +222,11 @@ def test_inconsistent_facts_raise(sig, store):
 def test_incomparable_pairs(sig, store):
     x, y = sig.var(0), sig.var(1)
     tpo = store.extend(store.empty, [(x, N, y), (y, N, x)])
-    assert tpo.incomparable(x, y)
-    assert tpo.incomparable(y, x)
-    assert not store.extend(store.empty, [(x, N, y)]).incomparable(x, y)
+    assert tpo.relation(x, y) is N
+    assert tpo.relation(y, x) is N
+    one_way = store.extend(store.empty, [(x, N, y)])
+    assert one_way.relation(x, y) is N
+    assert one_way.relation(y, x) is None
 
 
 def test_term_formula_collects_edge_and_static_facts(sig, store):
@@ -240,8 +281,7 @@ def test_positivity_nonconstant_nonnegative_is_not_forced(sig):
     e = LinearExpr(-1, {0: 1})
     assert e.sign(sig.w0) is Sign3.NON_NEGATIVE
     assert force_positivity_label(e, sig.w0) is None
-    from todx import Substitution, subst_linear
     faa = sig.app("f", [sig.app("a"), sig.app("a")])
-    assert subst_linear(Substitution({0: faa}), e).sign(sig.w0) is Sign3.POSITIVE
-    assert subst_linear(Substitution({0: sig.app("a")}), e).sign(sig.w0) \
+    assert e.subst(Substitution({0: faa})).sign(sig.w0) is Sign3.POSITIVE
+    assert e.subst(Substitution({0: sig.app("a")})).sign(sig.w0) \
         is Sign3.NON_NEGATIVE

@@ -222,3 +222,12 @@ def test_bench_families_run_clean():
         assert not rep.divergences
         assert set(rep.mode_stats) == {"off", "on", "shared"}
         assert rep.mode_stats["off"].naive_comparisons > 0
+
+
+@pytest.mark.parametrize("family, order, steps", [
+    ("swap", "kbo", 8614), ("swap", "lpo", 19713),
+    ("poly", "kbo", 12000), ("poly", "lpo", 74910)])
+def test_naive_comparisons_are_pinned(family, order, steps):
+    # one count per entry into compare or compare_closure on the off path
+    rep = bench(family, 2000, order=order, seed=0, mode="off")
+    assert rep.mode_stats["off"].naive_comparisons == steps

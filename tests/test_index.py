@@ -319,9 +319,11 @@ def test_canonicalize_equality_numbering(sig):
     assert mapping == {9: 0, 5: 1}
 
 
-def test_index_mode_parse():
-    assert IndexMode.parse("off") is IndexMode.OFF
-    assert IndexMode.parse("on") is IndexMode.PER_EQUALITY
-    assert IndexMode.parse("shared") is IndexMode.SHARED_BY_LHS
+def test_index_mode_parse(sig):
+    assert IndexMode("off") is IndexMode.OFF
+    assert IndexMode("on") is IndexMode.PER_EQUALITY
+    assert IndexMode(IndexMode.SHARED_BY_LHS) is IndexMode.SHARED_BY_LHS
+    index = PostOrderingIndex(sig, "kbo", "shared")
+    assert index.mode is IndexMode.SHARED_BY_LHS
     with pytest.raises(ValueError):
-        IndexMode.parse("both")
+        PostOrderingIndex(sig, "kbo", "both")

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_signature, random_subst, random_term
-from oracles import brute_sign
+from oracles import brute_sign, instantiate
 from todx import (ArityError, LinearExpr, Sign3, Signature, SignatureError,
-                  Substitution, UnknownSymbolError, occurrences, subst_linear,
-                  term_weight)
+                  Substitution, UnknownSymbolError, term_weight)
 
 
 def test_interning_idempotent(sig):
@@ -71,10 +70,10 @@ def test_apply_basics(sig):
     x, y = sig.var(0), sig.var(1)
     a = sig.app("a")
     fxx = sig.app("f", [x, x])
-    assert sig.apply(fxx, Substitution({0: a})) is sig.app("f", [a, a])
-    assert sig.apply(x, Substitution()) is x
+    assert instantiate(sig, fxx, Substitution({0: a})) is sig.app("f", [a, a])
+    assert instantiate(sig, x, Substitution()) is x
     gy = sig.app("g", [y])
-    assert sig.apply(sig.app("f", [x, y]), Substitution({0: gy})) \
+    assert instantiate(sig, sig.app("f", [x, y]), Substitution({0: gy})) \
         is sig.app("f", [gy, y])
 
 
@@ -82,7 +81,8 @@ def test_apply_is_simultaneous(sig):
     # x's image mentions y, but y's own binding must not rewrite it
     x, y = sig.var(0), sig.var(1)
     a = sig.app("a")
-    t = sig.apply(sig.app("f", [x, y]), Substitution({0: sig.app("g", [y]), 1: a}))
+    t = instantiate(sig, sig.app("f", [x, y]),
+                    Substitution({0: sig.app("g", [y]), 1: a}))
     assert t is sig.app("f", [sig.app("g", [y]), a])
 
 
@@ -90,14 +90,6 @@ def test_substitution_drops_identity_bindings(sig):
     s = Substitution({0: sig.var(0), 1: sig.app("a")})
     assert s.get(0) is None
     assert len(s) == 1
-
-
-def test_occurrences(sig):
-    x = sig.var(0)
-    fxx = sig.app("f", [x, x])
-    assert occurrences(fxx, sig.symbol("f")) == 1
-    assert occurrences(fxx, 0) == 2
-    assert occurrences(fxx, 1) == 0
 
 
 def test_weight_counts_symbols_and_variables():
@@ -117,19 +109,19 @@ def test_weight_nested(sig):
 def test_subst_linear_grounds_to_constant():
     sig = Signature([("a", 0, 1, 0), ("f", 2, 2, 1)])
     e = LinearExpr(2, {0: 2})  # weight of f(x,x) with w(f)=2
-    out = subst_linear(Substitution({0: sig.app("a")}), e)
+    out = e.subst(Substitution({0: sig.app("a")}))
     assert out == LinearExpr.of_const(4)
 
 
 def test_subst_linear_identity(sig):
     e = LinearExpr(5, {0: 2, 3: -1})
-    assert subst_linear(Substitution(), e) is e
+    assert e.subst(Substitution()) is e
 
 
 def test_subst_linear_cancellation(sig):
     # x - y with x bound to g(y): |g(y)| = y + 1, so the expression collapses
     e = LinearExpr(0, {0: 1, 1: -1})
-    out = subst_linear(Substitution({0: sig.app("g", [sig.var(1)])}), e)
+    out = e.subst(Substitution({0: sig.app("g", [sig.var(1)])}))
     assert out == LinearExpr.of_const(1)
 
 
@@ -162,8 +154,8 @@ def test_weight_commutes_with_substitution():
         sig = random_signature(rng, "mixed", max_weight=3)
         t = random_term(rng, sig, [0, 1, 2], 3)
         sigma = random_subst(rng, sig, [0, 1, 2], 2)
-        assert term_weight(sig.apply(t, sigma)) == \
-            subst_linear(sigma, term_weight(t))
+        assert term_weight(instantiate(sig, t, sigma)) == \
+            term_weight(t).subst(sigma)
 
 
 @given(st.integers(-5, 5), st.integers(-5, 5),
