@@ -7,20 +7,26 @@ import sys
 from pathlib import Path
 
 from . import harness
+from .index import DuplicateEqualityError, MalformedEqualityError
+from .terms import SignatureError
+
+# a script that does not parse, or parses but cannot be run
+_INVALID_SCRIPT = (harness.ScriptError, SignatureError, MalformedEqualityError,
+                   DuplicateEqualityError)
 
 
 def _cmd_run(args) -> int:
     text = Path(args.file).read_text(encoding="utf-8")
     try:
         script = harness.parse_script(text)
-    except harness.ScriptError as err:
+        for w in script.warnings:
+            print(f"warning: {w}", file=sys.stderr)
+        report = harness.run(script, mode=args.mode, want=args.want,
+                             order_override=args.order_override,
+                             script_name=Path(args.file).stem)
+    except _INVALID_SCRIPT as err:
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
-    for w in script.warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    report = harness.run(script, mode=args.mode, want=args.want,
-                         order_override=args.order_override,
-                         script_name=Path(args.file).stem)
     for qid, ids in report.query_results.items():
         print(f"{qid}: {{{','.join(ids)}}}")
     for fail in report.expect_failures:

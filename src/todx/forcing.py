@@ -298,8 +298,6 @@ def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Cmp3]:
     pair itself is part of the lookup).  Identical operands force
     equality outright.
     """
-    if s is t:
-        return Cmp3.EQUAL
     return tpo.relation(s, t)
 
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .index import PostOrderingIndex, canonicalize_equality
+from .index import MalformedEqualityError, PostOrderingIndex, canonicalize_equality
 from .ordering import Cmp3, make_order
 from .terms import Signature, Substitution, Term, term_weight
 
@@ -96,10 +96,6 @@ class Script:
     def order_kind(self) -> str:
         return next(c.kind for c in self.commands if isinstance(c, OrderDecl))
 
-    @property
-    def sig_decls(self) -> tuple:
-        return tuple(c for c in self.commands if isinstance(c, SigDecl))
-
 
 # -- term text ------------------------------------------------------------------
 
@@ -155,13 +151,6 @@ class _TermScanner:
         if not self.text.startswith(token, self.pos):
             raise self.error(f"expected {token!r}")
         self.pos += len(token)
-
-
-def parse_term_text(text: str, line: int = 0, offset: int = 0) -> RawTree:
-    sc = _TermScanner(text, line, offset)
-    t = sc.term()
-    sc.expect_end()
-    return t
 
 
 def format_term(t: RawTree) -> str:
@@ -374,21 +363,17 @@ def _build_signature(commands: Iterable[Command]) -> Signature:
                      for c in commands if isinstance(c, SigDecl))
 
 
-class _Resolver:
-    """Turns raw name trees into terms; undeclared identifiers are variables."""
-
-    def __init__(self, sig: Signature):
-        self.sig = sig
-
-    def term(self, raw: RawTree, varmap: dict) -> Term:
-        if isinstance(raw, str):
-            if self.sig.has_symbol(raw):
-                return self.sig.app(raw, ())
-            if raw not in varmap:
-                varmap[raw] = len(varmap)
-            return self.sig.var(varmap[raw])
-        name, args = raw
-        return self.sig.app(name, [self.term(a, varmap) for a in args])
+def _resolve(sig: Signature, raw: RawTree, varmap: dict) -> Term:
+    """A raw name tree as a term; undeclared identifiers are variables,
+    numbered through ``varmap``."""
+    if isinstance(raw, str):
+        if sig.has_symbol(raw):
+            return sig.app(raw, ())
+        if raw not in varmap:
+            varmap[raw] = len(varmap)
+        return sig.var(varmap[raw])
+    name, args = raw
+    return sig.app(name, [_resolve(sig, a, varmap) for a in args])
 
 
 def run(script: Script, mode: str = "shared", want: str = "all",
@@ -402,11 +387,10 @@ def run(script: Script, mode: str = "shared", want: str = "all",
     order_kind = order_override or script.order_kind
     modes = (["off", "on", "shared"] if mode == "crosscheck" else [mode])
     indexes = {m: PostOrderingIndex(sig, order_kind, m) for m in modes}
-    resolver = _Resolver(sig)
 
-    # per-index equality ids plus name mapping back to script ids
-    eq_ids: dict[str, dict[str, int]] = {m: {} for m in modes}
-    eq_names: dict[str, dict[int, str]] = {m: {} for m in modes}
+    # every index numbers equalities alike: script id <-> index id
+    eq_ids: dict[str, int] = {}
+    eq_names: dict[int, str] = {}
     # group key -> canonical variable names, from the first group member
     group_names: dict[Term, list] = {}
     group_order: list[Term] = []
@@ -418,12 +402,12 @@ def run(script: Script, mode: str = "shared", want: str = "all",
     for cmd in script.commands:
         if isinstance(cmd, Insert):
             varmap: dict[str, int] = {}
-            lhs = resolver.term(cmd.lhs, varmap)
-            rhs = resolver.term(cmd.rhs, varmap)
-            for m, idx in indexes.items():
+            lhs = _resolve(sig, cmd.lhs, varmap)
+            rhs = _resolve(sig, cmd.rhs, varmap)
+            for idx in indexes.values():
                 eid = idx.insert(lhs, rhs)
-                eq_ids[m][cmd.eq_id] = eid
-                eq_names[m][eid] = cmd.eq_id
+            eq_ids[cmd.eq_id] = eid
+            eq_names[eid] = cmd.eq_id
             key, _, mapping = canonicalize_equality(sig, lhs, rhs)
             if key not in group_names:
                 names_by_vid = sorted(varmap.items(), key=lambda kv: kv[1])
@@ -431,8 +415,8 @@ def run(script: Script, mode: str = "shared", want: str = "all",
                 group_names[key] = [n for n, _ in names_by_vid[:lhs_vid_count]]
                 group_order.append(key)
         elif isinstance(cmd, Delete):
-            for m, idx in indexes.items():
-                idx.remove(eq_ids[m][cmd.eq_id])
+            for idx in indexes.values():
+                idx.remove(eq_ids[cmd.eq_id])
         elif isinstance(cmd, Query):
             bound = dict(cmd.bindings)
             per_mode: dict[str, list] = {m: [] for m in modes}
@@ -442,16 +426,15 @@ def run(script: Script, mode: str = "shared", want: str = "all",
                     continue
                 varmap = {n: i for i, n in enumerate(names)}
                 sigma = Substitution(
-                    {varmap[n]: resolver.term(bound[n], varmap) for n in names})
+                    {varmap[n]: _resolve(sig, bound[n], varmap) for n in names})
                 for m, idx in indexes.items():
-                    got = idx.query(key, sigma, want)
-                    per_mode[m].extend(eq_names[m][i] for i in got)
+                    per_mode[m].extend(eq_names[i]
+                                       for i in idx.query(key, sigma, want))
             first = per_mode[modes[0]]
             for m in modes[1:]:
-                if set(per_mode[m]) != set(first):
+                if per_mode[m] != first:
                     divergences.append(
-                        f"{cmd.query_id}: {modes[0]}={sorted(set(first))} "
-                        f"{m}={sorted(set(per_mode[m]))}")
+                        f"{cmd.query_id}: {modes[0]}={first} {m}={per_mode[m]}")
             query_results[cmd.query_id] = per_mode[modes[-1]]
         elif isinstance(cmd, Expect):
             got = set(query_results.get(cmd.query_id, []))
@@ -542,7 +525,6 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
     # duplicate inserts are an error at run time, so dedupe candidate
     # equalities on their canonical form, the same way the index will
     sig = _build_signature(commands)
-    resolver = _Resolver(sig)
 
     group_lhs: list[RawTree] = []
     group_keys: set = set()
@@ -552,22 +534,12 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
             args = tuple(rng.choice(var_names) for _ in range(arity))
             lhs = (name, args)
             key, _, _ = canonicalize_equality(
-                sig, resolver.term(lhs, {}), sig.app(consts[0]))
+                sig, _resolve(sig, lhs, {}), sig.app(consts[0]))
             if key not in group_keys:
                 group_keys.add(key)
                 group_lhs.append(lhs)
     if not group_lhs:
         group_lhs = [rng.choice(consts)]
-
-    def lhs_vars(raw: RawTree) -> list:
-        if isinstance(raw, str):
-            return [raw] if raw.startswith("v") else []
-        seen: list[str] = []
-        for a in raw[1]:
-            for v in lhs_vars(a):
-                if v not in seen:
-                    seen.append(v)
-        return seen
 
     eq_cmds: list[Insert] = []
     used_pairs = set()
@@ -575,15 +547,16 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
     while len(eq_cmds) < params.equalities and attempts < params.equalities * 30:
         attempts += 1
         lhs = rng.choice(group_lhs)
-        vs = lhs_vars(lhs) or var_names[:1]
+        # a group lhs is a constant or a symbol over variable names
+        vs = list(dict.fromkeys(lhs[1])) if isinstance(lhs, tuple) else var_names[:1]
         rhs = _gen_term(rng, funcs, consts, vs, rng.randint(0, params.max_depth))
         if rhs == lhs:
             continue
         varmap: dict[str, int] = {}
         try:
-            pair = canonicalize_equality(sig, resolver.term(lhs, varmap),
-                                         resolver.term(rhs, varmap))[:2]
-        except Exception:
+            pair = canonicalize_equality(sig, _resolve(sig, lhs, varmap),
+                                         _resolve(sig, rhs, varmap))[:2]
+        except MalformedEqualityError:
             continue
         if pair in used_pairs:
             continue
@@ -659,7 +632,6 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
     ]
     sig = _build_signature(commands)
     kbo = make_order("kbo", sig)
-    resolver = _Resolver(sig)
     funcs = [("f", 2), ("g", 1), ("h", 1)]
     consts = ["a", "b"]
     lhs_raw = ("f", ("x", "y"))
@@ -671,8 +643,8 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
         if rhs_raw in chosen or rhs_raw == lhs_raw:
             continue
         varmap: dict[str, int] = {}
-        l = resolver.term(lhs_raw, varmap)
-        r = resolver.term(rhs_raw, varmap)
+        l = _resolve(sig, lhs_raw, varmap)
+        r = _resolve(sig, rhs_raw, varmap)
         if len(varmap) > 2:
             continue
         diff = term_weight(l) - term_weight(r)

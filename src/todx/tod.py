@@ -176,6 +176,24 @@ class Tod:
         src.out = {}
         return old
 
+    def _term(self, lhs: Term, rhs: Term, gt: TodNode, eq: TodNode,
+              nge: TodNode) -> TodNode:
+        """A new comparison node lhs vs rhs with its three edges."""
+        c = self._node(NodeKind.TERM, lhs=lhs, rhs=rhs)
+        self.stats.nodes_created.term += 1
+        self._link(c, _GT, gt)
+        self._link(c, _EQ, eq)
+        self._link(c, _NGE, nge)
+        return c
+
+    def _rewire(self, node: TodNode, edges: dict) -> TodNode:
+        """Replace ``node``'s outgoing edges; prune what that orphans."""
+        old_targets = self._unlink_out(node)
+        for label, dst in edges.items():
+            self._link(node, label, dst)
+        self._cleanup(old_targets)
+        return node
+
     def _cleanup(self, candidates) -> None:
         """Drop nodes left without incoming edges, cascading; exit stays."""
         stack = [n for n in candidates if not n.parents and n.kind is not NodeKind.EXIT]
@@ -233,18 +251,13 @@ class Tod:
             return _SIGN_EDGE[node.expr.subst(sigma).sign(self.order.signature.w0)]
         raise TodStructureError(f"{node!r} is not an evaluation node")
 
-    def _edge_constraints(self, node: TodNode, label: EdgeLabel) -> list:
-        if node.kind is not NodeKind.TERM:
-            return []
-        return [(node.lhs, _EDGE_CMP[label], node.rhs)]
-
     def _tpo_at(self, prev: TodNode, arrival: EdgeLabel,
                 node: TodNode) -> PartialOrdering:
         """Closure of the path formula for the path arriving at ``node``."""
+        facts = ([(prev.lhs, _EDGE_CMP[arrival], prev.rhs)]
+                 if prev.kind is NodeKind.TERM else [])
         new_terms = (node.lhs, node.rhs) if node.kind is NodeKind.TERM else ()
-        return self.tpo_store.extend(prev.tpo,
-                                     self._edge_constraints(prev, arrival),
-                                     new_terms)
+        return self.tpo_store.extend(prev.tpo, facts, new_terms)
 
     def _forced(self, node: TodNode, tpo: PartialOrdering) -> Optional[EdgeLabel]:
         if node.kind is NodeKind.TERM:
@@ -320,123 +333,72 @@ class Tod:
     def transform_kbo(self, node: TodNode) -> TodNode:
         """Expand a comparison of two applications by the KBO definition.
 
-        The node becomes a positivity check on the weight difference;
-        for equal head symbols a chain of argument comparisons hangs off
-        its >= edge.  The check stays even when its sign is statically
-        known: forcing removes it on the same visit.
+        The node becomes a positivity check on the weight difference.
+        Its >= edge goes to the old > target when the head of s is
+        above that of t, to the old !>= target when below, and for equal
+        heads into a chain of argument comparisons along = edges.  The
+        check stays even when its sign is statically known: forcing
+        removes it on the same visit.
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
-        n1, n2, n3 = node.out[_GT], node.out[_EQ], node.out[_NGE]
-        expr = term_weight(s) - term_weight(t)
-        old_targets = self._unlink_out(node)
-        node.kind = NodeKind.POS
-        node.expr = expr
-        node.lhs = node.rhs = None
-        created = self.stats.nodes_created
-        created.pos += 1
-        fs, gs = s.sym, t.sym
-        if fs.precedence > gs.precedence:
-            self._link(node, _GT, n1)
-            self._link(node, _GEQ, n1)
-            self._link(node, _NGE, n3)
-        elif gs.precedence > fs.precedence:
-            self._link(node, _GT, n1)
-            self._link(node, _GEQ, n3)
-            self._link(node, _NGE, n3)
+        gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
+        ps, pt = s.sym.precedence, t.sym.precedence
+        if ps != pt:
+            geq = gt if ps > pt else nge
         else:
-            nxt = n2
+            geq = eq
             for a, b in zip(reversed(s.args), reversed(t.args)):
-                c = self._node(NodeKind.TERM, lhs=a, rhs=b)
-                created.term += 1
-                self._link(c, _GT, n1)
-                self._link(c, _EQ, nxt)
-                self._link(c, _NGE, n3)
-                nxt = c
-            self._link(node, _GT, n1)
-            self._link(node, _GEQ, nxt)
-            self._link(node, _NGE, n3)
-        self._cleanup(old_targets)
-        return node
+                geq = self._term(a, b, gt, geq, nge)
+        node.kind = NodeKind.POS
+        node.expr = term_weight(s) - term_weight(t)
+        node.lhs = node.rhs = None
+        self.stats.nodes_created.pos += 1
+        return self._rewire(node, {_GT: gt, _GEQ: geq, _NGE: nge})
 
     def transform_lpo(self, node: TodNode) -> TodNode:
-        """Expand a comparison of two applications by the LPO definition."""
+        """Expand a comparison of two applications by the LPO definition.
+
+        Two side conditions become chains of comparisons.  "s beats
+        every argument of t" runs along > edges, and any other outcome
+        fails.  "Some argument of s reaches t" runs along !>= edges, and
+        the first > or = succeeds.  A higher head of s needs the first
+        chain, a higher head of t the second.  Equal heads give a grid:
+        the middle column compares the argument pairs left to right; a >
+        there continues in the first chain over the remaining arguments
+        of t (left column), a !>= in the second chain over the remaining
+        arguments of s (right column).  The original node becomes the
+        head of the expansion, or, with no arguments to compare, gives
+        way to its old >, !>= or = target respectively.
+        """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
-        n1, n2, n3 = node.out[_GT], node.out[_EQ], node.out[_NGE]
-        fs, gs = s.sym, t.sym
-        created = self.stats.nodes_created
-
-        if fs.precedence > gs.precedence:
-            # s beats every argument of t, left to right.
-            if not t.args:
-                return self._replace_with(node, n1)
-            old_targets = self._unlink_out(node)
-            nxt = n1
+        gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
+        ps, pt = s.sym.precedence, t.sym.precedence
+        if ps > pt and not t.args:
+            return self._replace_with(node, gt)
+        if ps <= pt and not s.args:
+            return self._replace_with(node, nge if ps < pt else eq)
+        # left[i]: s beats each of t.args[i+1:]; right[i]: some of
+        # s.args[i+1:] reaches t
+        left, right = [gt], [nge]
+        if ps >= pt:
             for b in reversed(t.args[1:]):
-                c = self._node(NodeKind.TERM, lhs=s, rhs=b)
-                created.term += 1
-                self._link(c, _GT, nxt)
-                self._link(c, _EQ, n3)
-                self._link(c, _NGE, n3)
-                nxt = c
-            node.rhs = t.args[0]
-            self._link(node, _GT, nxt)
-            self._link(node, _EQ, n3)
-            self._link(node, _NGE, n3)
-            self._cleanup(old_targets)
-            return node
-
-        if gs.precedence > fs.precedence:
-            # Some argument of s reaches t.
-            if not s.args:
-                return self._replace_with(node, n3)
-            old_targets = self._unlink_out(node)
-            nxt = n3
+                left.insert(0, self._term(s, b, left[0], nge, nge))
+        if ps <= pt:
             for a in reversed(s.args[1:]):
-                c = self._node(NodeKind.TERM, lhs=a, rhs=t)
-                created.term += 1
-                self._link(c, _GT, n1)
-                self._link(c, _EQ, n1)
-                self._link(c, _NGE, nxt)
-                nxt = c
+                right.insert(0, self._term(a, t, gt, gt, right[0]))
+        if ps > pt:
+            node.rhs = t.args[0]
+            return self._rewire(node, {_GT: left[0], _EQ: nge, _NGE: nge})
+        if ps < pt:
             node.lhs = s.args[0]
-            self._link(node, _GT, n1)
-            self._link(node, _EQ, n1)
-            self._link(node, _NGE, nxt)
-            self._cleanup(old_targets)
-            return node
-
-        # Equal heads: lexicographic grid.  Middle column compares the
-        # argument pairs; a > there detours through "s beats the remaining
-        # t arguments" (left column), a !>= through "some remaining s
-        # argument reaches t" (right column).
-        k = len(s.args)
-        if k == 0:
-            return self._replace_with(node, n2)
-        old_targets = self._unlink_out(node)
-        gt_cont, eq_cont, nge_cont = n1, n2, n3
-        for i in range(k - 1, 0, -1):
-            left = self._node(NodeKind.TERM, lhs=s, rhs=t.args[i])
-            self._link(left, _GT, gt_cont)
-            self._link(left, _EQ, n3)
-            self._link(left, _NGE, n3)
-            right = self._node(NodeKind.TERM, lhs=s.args[i], rhs=t)
-            self._link(right, _GT, n1)
-            self._link(right, _EQ, n1)
-            self._link(right, _NGE, nge_cont)
-            mid = self._node(NodeKind.TERM, lhs=s.args[i], rhs=t.args[i])
-            self._link(mid, _GT, gt_cont)
-            self._link(mid, _EQ, eq_cont)
-            self._link(mid, _NGE, nge_cont)
-            created.term += 3
-            gt_cont, eq_cont, nge_cont = left, mid, right
+            return self._rewire(node, {_GT: gt, _EQ: gt, _NGE: right[0]})
+        mid = eq
+        for i in range(len(s.args) - 1, 0, -1):
+            mid = self._term(s.args[i], t.args[i], left[i], mid, right[i])
         node.lhs, node.rhs = s.args[0], t.args[0]
-        self._link(node, _GT, gt_cont)
-        self._link(node, _EQ, eq_cont)
-        self._link(node, _NGE, nge_cont)
-        self._cleanup(old_targets)
-        return node
+        return self._rewire(node, {_GT: left[0], _EQ: mid, _NGE: right[0]})
 
     def _transform(self, node: TodNode) -> TodNode:
         if self.order.kind == "kbo":
@@ -470,8 +432,7 @@ class Tod:
                     if len(node.parents) > 1:
                         self.replicate_node(node, (prev, arrival))
                     node.visited = True
-                    node.tpo = self.tpo_store.extend(
-                        prev.tpo, self._edge_constraints(prev, arrival))
+                    node.tpo = self._tpo_at(prev, arrival, node)
                     st.nodes_processed.success += 1
                 st.nodes_traversed.success += 1
                 eq = node.eq
@@ -487,23 +448,19 @@ class Tod:
                     self.replicate_node(node, (prev, arrival))
                 tpo = self._tpo_at(prev, arrival, node)
                 forced = self._forced(node, tpo)
-                if forced is not None:
-                    if self.forcing_audit is not None:
-                        self.forcing_audit(node, sigma, forced)
-                    if kind is NodeKind.TERM:
-                        st.nodes_processed.term += 1
-                    else:
-                        st.nodes_processed.pos += 1
-                    node = self.remove_forced(node, forced)
-                    continue
-                if (kind is NodeKind.TERM and node.lhs.sym is not None
-                        and node.rhs.sym is not None):
+                if (forced is None and kind is NodeKind.TERM
+                        and node.lhs.sym is not None and node.rhs.sym is not None):
                     node = self._transform(node)
                     continue
                 if kind is NodeKind.TERM:
                     st.nodes_processed.term += 1
                 else:
                     st.nodes_processed.pos += 1
+                if forced is not None:
+                    if self.forcing_audit is not None:
+                        self.forcing_audit(node, sigma, forced)
+                    node = self.remove_forced(node, forced)
+                    continue
                 node.visited = True
                 node.tpo = tpo
             if node.kind is NodeKind.TERM:
@@ -612,14 +569,3 @@ class Tod:
         for n in nodes:
             if id(n) not in reaches_exit:
                 raise TodStructureError(f"exit unreachable from {n!r}")
-
-    def root_path(self, node: TodNode) -> list:
-        """The unique path root -> node for a visited node (for tests)."""
-        path = []
-        n = node
-        while n.kind is not NodeKind.ROOT:
-            (src, label), = n.parents
-            path.append((src.nid, label))
-            n = src
-        path.reverse()
-        return path

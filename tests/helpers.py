@@ -6,8 +6,9 @@ import functools
 import random
 
 from oracles import instantiate
-from todx import (PostOrderingIndex, Signature, Substitution, Term,
-                  canonicalize_equality, make_order)
+from todx import (MalformedEqualityError, NodeKind, PostOrderingIndex,
+                  Signature, Substitution, Term, canonicalize_equality,
+                  make_order)
 from todx.ordering import Cmp3
 
 SIG_SHAPES = {
@@ -92,7 +93,7 @@ class ScenarioChecker:
             return False
         try:
             lhs_c, rhs_c, _ = canonicalize_equality(self.sig, lhs, rhs)
-        except Exception:
+        except MalformedEqualityError:
             return False
         if sum(l is lhs_c for _, l, _ in self.model) >= 6:
             return False
@@ -178,12 +179,23 @@ class ScenarioChecker:
                         continue
                     # keyed by the diagram itself: a removal can free a
                     # diagram, and a later one may reuse its id()
-                    path = tod.root_path(node)
+                    path = root_path(node)
                     prior = self._paths.get((m, tod, node.nid))
                     if prior is not None:
                         assert prior == path, (
                             f"root path of visited node changed: {prior} -> {path}")
                     self._paths[(m, tod, node.nid)] = path
+
+
+def root_path(node) -> list:
+    """The unique path root -> node of a visited node, as (nid, label)."""
+    path = []
+    while node.kind is not NodeKind.ROOT:
+        (src, label), = node.parents
+        path.append((src.nid, label))
+        node = src
+    path.reverse()
+    return path
 
 
 def run_scenario(seed: int, order_kind: str, ops: int = 12,

@@ -1,6 +1,6 @@
 import pytest
 
-from todx import harness
+from todx import IndexMode, PostOrderingIndex, harness
 from todx.harness import (Delete, GenParams, Insert, Query,
                           ScriptError, SigDecl, bench, emit_stats_csv,
                           format_script, gen_random_script, parse_script, run)
@@ -60,7 +60,7 @@ def test_lpo_weight_warning():
 
 def test_auto_precedence_avoids_explicit_values():
     sc = parse_script("sig a/0 p=1\nsig b/0\nsig c/0\nord kbo\n")
-    precs = [c.precedence for c in sc.sig_decls]
+    precs = [c.precedence for c in sc.commands if isinstance(c, SigDecl)]
     assert precs == [1, 0, 2]
 
 
@@ -201,6 +201,41 @@ def test_cli_exit_codes(tmp_path):
     broken = tmp_path / "broken.tod"
     broken.write_text("sig a/0\nnonsense\n")
     assert main(["run", str(broken)]) == 2
+
+
+@pytest.mark.parametrize("eqs, message", [
+    ("eq e1: f(x,y) = f(z,z)", "variables not in the left-hand side"),
+    ("eq e1: f(x,y) = f(y,x)\neq e2: f(u,v) = f(v,u)", "already live"),
+    ("eq e1: f(a) = a", "expects 2 arguments"),
+    ("eq e1: f(x,y) = g(x)", "unknown symbol 'g'"),
+], ids=["malformed", "duplicate", "arity", "unknown-symbol"])
+def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, eqs, message):
+    from todx.cli import main
+    path = tmp_path / "invalid.tod"
+    path.write_text(f"sig a/0\nsig f/2\nord kbo\n{eqs}\n")
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{path}: ") and message in err
+
+
+@pytest.mark.parametrize("distort", [lambda ids: ids[::-1],
+                                     lambda ids: ids + ids[:1]],
+                         ids=["reordered", "duplicated"])
+def test_crosscheck_compares_answer_lists(monkeypatch, distort):
+    # same answer set, different list: still a divergence
+    query = PostOrderingIndex.query
+
+    def shared_distorted(self, *args):
+        got = query(self, *args)
+        return distort(got) if self.mode is IndexMode.SHARED_BY_LHS else got
+
+    monkeypatch.setattr(PostOrderingIndex, "query", shared_distorted)
+    rep = run(parse_script("sig a/0\nsig b/0\nsig f/2\nord kbo\n"
+                           "eq e1: f(x,y) = x\neq e2: f(x,y) = y\n"
+                           "query q1: x := a, y := b\n"), mode="crosscheck")
+    assert rep.query_results["q1"] == distort(["e1", "e2"])
+    assert rep.divergences == [
+        f"q1: off=['e1', 'e2'] shared={distort(['e1', 'e2'])}"]
 
 
 def test_cli_gen_and_stats_roundtrip(tmp_path):

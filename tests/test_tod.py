@@ -245,6 +245,33 @@ def test_transform_kbo_equal_heads_chain(sig, kbo_tod):
     assert node.out[GT] is succ and node.out[NGE] is kbo_tod.exit
 
 
+def h3_rotation(kind):
+    """A diagram with one h(x,y,z) vs h(y,z,x) comparison, unexpanded."""
+    sig = Signature([("a", 0, 1, 0), ("b", 0, 1, 1), ("h", 3, 1, 2)])
+    x, y, z = sig.var(0), sig.var(1), sig.var(2)
+    tod = Tod(make_order(kind, sig))
+    tod.insert(Equality(1, sig.app("h", [x, y, z]), sig.app("h", [y, z, x])))
+    return tod, (x, y, z)
+
+
+def test_transform_kbo_three_argument_chain():
+    tod, (x, y, z) = h3_rotation("kbo")
+    node = tod.root.out[NEXT]
+    succ = node.out[GT]
+    created = tod.stats.nodes_created.total
+    out = tod.transform_kbo(node)
+    tod.validate()
+    assert out is node and node.kind is NodeKind.POS and node.expr.is_zero
+    assert tod.stats.nodes_created.total - created == 4  # the check, 3 links
+    c1 = node.out[GEQ]
+    c2 = c1.out[EQ]
+    c3 = c2.out[EQ]
+    assert [(c.lhs, c.rhs) for c in (c1, c2, c3)] == [(x, y), (y, z), (z, x)]
+    for c in (c1, c2, c3):
+        assert c.out[GT] is succ and c.out[NGE] is tod.exit
+    assert c3.out[EQ] is tod.exit
+
+
 def test_transform_kbo_unequal_rhs_chain(sig, kbo_tod):
     l, _, r2 = swap_terms(sig)
     kbo_tod.insert(Equality(1, l, r2))
@@ -408,6 +435,36 @@ def test_transform_lpo_equal_heads_grid(sig):
     assert mid.out[GT] is succ and mid.out[EQ] is ex and mid.out[NGE] is ex
     assert (right.lhs, right.rhs) == (y, r1)
     assert right.out[GT] is succ and right.out[EQ] is succ and right.out[NGE] is ex
+
+
+def test_transform_lpo_three_argument_grid():
+    tod, (x, y, z) = h3_rotation("lpo")
+    node = tod.root.out[NEXT]
+    s, t = node.lhs, node.rhs
+    succ, ex = node.out[GT], tod.exit
+    created = tod.stats.nodes_created.term
+    out = tod.transform_lpo(node)
+    tod.validate()
+    assert out is node and (node.lhs, node.rhs) == (x, y)
+    assert tod.stats.nodes_created.term - created == 6  # two levels of 3
+    left1, mid1, right1 = node.out[GT], node.out[EQ], node.out[NGE]
+    left2, mid2, right2 = mid1.out[GT], mid1.out[EQ], mid1.out[NGE]
+    # level 1 compares the second arguments
+    assert (left1.lhs, left1.rhs) == (s, z)
+    assert (mid1.lhs, mid1.rhs) == (y, z)
+    assert (right1.lhs, right1.rhs) == (y, t)
+    # each column continues into level 2 along its > or !>= edge, and
+    # the middle column's > and !>= join the side columns there
+    assert left1.out[GT] is left2 and right1.out[NGE] is right2
+    assert (left2.lhs, left2.rhs) == (s, x)
+    assert (mid2.lhs, mid2.rhs) == (z, x)
+    assert (right2.lhs, right2.rhs) == (z, t)
+    for left in (left1, left2):
+        assert left.out[EQ] is ex and left.out[NGE] is ex
+    for right in (right1, right2):
+        assert right.out[GT] is succ and right.out[EQ] is succ
+    assert left2.out[GT] is succ and right2.out[NGE] is ex
+    assert mid2.out[GT] is succ and mid2.out[EQ] is ex and mid2.out[NGE] is ex
 
 
 def test_transform_lpo_equal_constants_collapse(sig):
