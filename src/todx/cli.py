@@ -7,12 +7,10 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .index import DuplicateEqualityError, MalformedEqualityError
 from .terms import SignatureError
 
-# a script that does not parse, or parses but cannot be run
-_INVALID_SCRIPT = (harness.ScriptError, SignatureError, MalformedEqualityError,
-                   DuplicateEqualityError)
+# a script that does not parse, cannot be run, or declares a bad signature
+_INVALID_SCRIPT = (harness.ScriptError, SignatureError)
 
 
 def _cmd_run(args) -> int:
@@ -41,10 +39,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    params = harness.GenParams(
-        symbols=args.symbols, max_arity=args.max_arity, max_depth=args.depth,
-        equalities=args.equalities, queries=args.queries, groups=args.groups,
-        delete_prob=args.delete_prob, order=args.order)
+    try:
+        params = harness.GenParams(
+            symbols=args.symbols, max_arity=args.max_arity,
+            max_depth=args.depth, equalities=args.equalities,
+            queries=args.queries, groups=args.groups,
+            delete_prob=args.delete_prob, order=args.order)
+    except ValueError as err:
+        print(f"todx gen: {err}", file=sys.stderr)
+        return 2
     script = harness.gen_random_script(args.seed, params)
     text = harness.format_script(script)
     if args.out:

@@ -5,6 +5,8 @@ unique path to a node form a conjunction of term constraints.  Closing
 that conjunction under the transitivity axioms of a simplification
 order sometimes pins down the outcome of the node's own check before
 evaluating it; the node can then be bypassed for every future query.
+A forced outcome is the ``Label`` the check itself would answer, so it
+names the edge to bypass along.
 
 The closures are stored as term partial orderings: a fixed element
 sequence (top-level terms in order of first appearance) plus one fact
@@ -18,8 +20,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-from .ordering import Cmp3, TermOrder
-from .terms import LinearExpr, Sign3, Term
+from .ordering import TermOrder
+from .terms import Label, LinearExpr, Term
 
 # Facts known about an ordered element pair (i, j), one bit each: i > j,
 # i = j (stored in both orientations), and i !>= j.
@@ -52,40 +54,40 @@ class PartialOrdering:
         self._pos = {t: i for i, t in enumerate(elements)}
         self._cells = cells
 
-    def relation(self, s: Term, t: Term) -> Optional[Cmp3]:
-        """The known relation of s to t, if any."""
+    def relation(self, s: Term, t: Term) -> Optional[Label]:
+        """The known relation of s to t (GT, EQ or NGE), if any."""
         if s is t:
-            return Cmp3.EQUAL
+            return Label.EQ
         i = self._pos.get(s)
         j = self._pos.get(t)
         if i is None or j is None:
             return None
         m = self._cells[_cell(i, j)]
         if m & _GT:
-            return Cmp3.GREATER
+            return Label.GT
         if m & _EQ:
-            return Cmp3.EQUAL
+            return Label.EQ
         if m & _NGE:
-            return Cmp3.NOT_GREATER_EQUAL
+            return Label.NGE
         return None
 
     def facts(self):
-        """Yield the stored primitive facts as (s, Cmp3, t) triples."""
+        """Yield the stored primitive facts as (s, Label, t) triples."""
         n = len(self.elements)
         for j in range(n):
             for i in range(j):
                 ab, ba = self._cells[_cell(i, j)], self._cells[_cell(j, i)]
                 a, b = self.elements[i], self.elements[j]
                 if ab & _GT:
-                    yield (a, Cmp3.GREATER, b)
+                    yield (a, Label.GT, b)
                 if ba & _GT:
-                    yield (b, Cmp3.GREATER, a)
+                    yield (b, Label.GT, a)
                 if ab & _EQ:
-                    yield (a, Cmp3.EQUAL, b)
+                    yield (a, Label.EQ, b)
                 if ab & _NGE:
-                    yield (a, Cmp3.NOT_GREATER_EQUAL, b)
+                    yield (a, Label.NGE, b)
                 if ba & _NGE:
-                    yield (b, Cmp3.NOT_GREATER_EQUAL, a)
+                    yield (b, Label.NGE, a)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -197,11 +199,7 @@ class _Closure:
                 self.add(_NGE, k, b)
 
 
-_REL_BIT = {
-    Cmp3.GREATER: _GT,
-    Cmp3.EQUAL: _EQ,
-    Cmp3.NOT_GREATER_EQUAL: _NGE,
-}
+_REL_BIT = {Label.GT: _GT, Label.EQ: _EQ, Label.NGE: _NGE}
 
 
 class TpoStore:
@@ -231,7 +229,7 @@ class TpoStore:
                new_terms: Sequence[Term] = ()) -> PartialOrdering:
         """Extend a closed ordering with edge constraints and fresh terms.
 
-        ``constraints`` are (s, Cmp3, t) facts taken from a traversed
+        ``constraints`` are (s, Label, t) facts taken from a traversed
         edge; ``new_terms`` are top-level terms entering the path.  New
         elements bring along every statically known greater-than fact
         against existing elements; the store remembers each pair's
@@ -273,9 +271,9 @@ class TpoStore:
                 key = (v.tid, u.tid)
                 verdict = static.get(key)
                 if verdict is None:
-                    if compare(v, u) is Cmp3.GREATER:
+                    if compare(v, u) is Label.GT:
                         verdict = 1
-                    elif compare(u, v) is Cmp3.GREATER:
+                    elif compare(u, v) is Label.GT:
                         verdict = -1
                     else:
                         verdict = 0
@@ -289,8 +287,8 @@ class TpoStore:
         return self._intern(tuple(elements), bytes(cells))
 
 
-def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Cmp3]:
-    """Label forced for a term comparison s with t, if any.
+def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Label]:
+    """Label (GT, EQ or NGE) forced for a term comparison s with t, if any.
 
     ``tpo`` must be the closure for the path arriving at the node with
     s and t among its elements (``TpoStore.extend`` adds the statically
@@ -301,20 +299,19 @@ def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Cmp3]:
     return tpo.relation(s, t)
 
 
-def force_positivity_label(expr: LinearExpr, w0: int) -> Optional[Sign3]:
-    """Label forced for a positivity check, if any.
+def force_positivity_label(expr: LinearExpr, w0: int) -> Optional[Label]:
+    """Label (GT, GEQ or NGE) forced for a positivity check, if any.
 
     Only statically decided expressions force: strictly positive ones
-    evaluate > under every substitution, strictly negative ones evaluate
-    !>=, and the zero expression always evaluates >=.  A merely
-    non-negative expression with variables does not force >=, because a
-    substitution can push its minimum above zero and flip the verdict
-    to >.
+    answer GT under every substitution, strictly negative ones NGE, and
+    the zero expression always GEQ.  A merely non-negative expression
+    with variables does not force GEQ, because a substitution can push
+    its minimum above zero and flip the answer to GT.
     """
     if expr.is_zero:
-        return Sign3.NON_NEGATIVE
-    if expr.sign(w0) is Sign3.POSITIVE:
-        return Sign3.POSITIVE
-    if (-expr).sign(w0) is Sign3.POSITIVE:
-        return Sign3.NOT_NON_NEGATIVE
+        return Label.GEQ
+    if expr.sign(w0) is Label.GT:
+        return Label.GT
+    if (-expr).sign(w0) is Label.GT:
+        return Label.NGE
     return None

@@ -26,9 +26,10 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
-from .index import MalformedEqualityError, PostOrderingIndex, canonicalize_equality
-from .ordering import Cmp3, make_order
-from .terms import Signature, Substitution, Term, term_weight
+from .index import (DuplicateEqualityError, MalformedEqualityError,
+                    PostOrderingIndex, canonicalize_equality)
+from .ordering import make_order
+from .terms import Label, Signature, SignatureError, Substitution, Term, term_weight
 
 
 class ScriptError(ValueError):
@@ -91,6 +92,8 @@ Command = Union[SigDecl, OrderDecl, Insert, Delete, Query, Expect]
 class Script:
     commands: tuple
     warnings: tuple = field(default=(), compare=False)
+    # source line of each command; empty for generated scripts
+    lines: tuple = field(default=(), compare=False)
 
     @property
     def order_kind(self) -> str:
@@ -169,6 +172,7 @@ _SIG_RE = re.compile(
 
 def parse_script(text: str) -> Script:
     commands: list[Command] = []
+    lines: list[int] = []
     seen_term_command = False
     order_lines: list[int] = []
     eq_ids: set[str] = set()
@@ -287,6 +291,7 @@ def parse_script(text: str) -> Script:
 
         else:
             raise ScriptError(f"unknown command {word!r}", lineno)
+        lines.append(lineno)
 
     if len(order_lines) != 1:
         raise ScriptError("script must contain exactly one 'ord' line",
@@ -309,7 +314,7 @@ def parse_script(text: str) -> Script:
             isinstance(c, SigDecl) and c.weight_explicit for c in patched):
         warnings.append("lpo ignores symbol weights; w= attributes have no effect")
 
-    return Script(tuple(patched), tuple(warnings))
+    return Script(tuple(patched), tuple(warnings), tuple(lines))
 
 
 def format_script(script: Script) -> str:
@@ -376,12 +381,18 @@ def _resolve(sig: Signature, raw: RawTree, varmap: dict) -> Term:
     return sig.app(name, [_resolve(sig, a, varmap) for a in args])
 
 
+# errors a script that parses can still raise while it runs
+_RUN_ERRORS = (SignatureError, MalformedEqualityError, DuplicateEqualityError)
+
+
 def run(script: Script, mode: str = "shared", want: str = "all",
         order_override: Optional[str] = None,
         script_name: str = "script") -> RunReport:
     """Execute a script; ``crosscheck`` runs all three modes side by side.
 
-    Execution is deterministic.
+    Execution is deterministic.  A command that cannot run raises a
+    ``ScriptError`` on its source line; a script without source lines
+    (a generated one) raises the original error.
     """
     sig = _build_signature(script.commands)
     order_kind = order_override or script.order_kind
@@ -399,49 +410,54 @@ def run(script: Script, mode: str = "shared", want: str = "all",
     expect_failures: list[str] = []
     divergences: list[str] = []
 
-    for cmd in script.commands:
-        if isinstance(cmd, Insert):
-            varmap: dict[str, int] = {}
-            lhs = _resolve(sig, cmd.lhs, varmap)
-            rhs = _resolve(sig, cmd.rhs, varmap)
-            for idx in indexes.values():
-                eid = idx.insert(lhs, rhs)
-            eq_ids[cmd.eq_id] = eid
-            eq_names[eid] = cmd.eq_id
-            key, _, mapping = canonicalize_equality(sig, lhs, rhs)
-            if key not in group_names:
-                names_by_vid = sorted(varmap.items(), key=lambda kv: kv[1])
-                lhs_vid_count = len(mapping)
-                group_names[key] = [n for n, _ in names_by_vid[:lhs_vid_count]]
-                group_order.append(key)
-        elif isinstance(cmd, Delete):
-            for idx in indexes.values():
-                idx.remove(eq_ids[cmd.eq_id])
-        elif isinstance(cmd, Query):
-            bound = dict(cmd.bindings)
-            per_mode: dict[str, list] = {m: [] for m in modes}
-            for key in group_order:
-                names = group_names[key]
-                if any(n not in bound for n in names):
-                    continue
-                varmap = {n: i for i, n in enumerate(names)}
-                sigma = Substitution(
-                    {varmap[n]: _resolve(sig, bound[n], varmap) for n in names})
-                for m, idx in indexes.items():
-                    per_mode[m].extend(eq_names[i]
-                                       for i in idx.query(key, sigma, want))
-            first = per_mode[modes[0]]
-            for m in modes[1:]:
-                if per_mode[m] != first:
-                    divergences.append(
-                        f"{cmd.query_id}: {modes[0]}={first} {m}={per_mode[m]}")
-            query_results[cmd.query_id] = per_mode[modes[-1]]
-        elif isinstance(cmd, Expect):
-            got = set(query_results.get(cmd.query_id, []))
-            if got != set(cmd.eq_ids):
-                expect_failures.append(
-                    f"{cmd.query_id}: expected {sorted(cmd.eq_ids)}, "
-                    f"got {sorted(got)}")
+    try:
+        for pos, cmd in enumerate(script.commands):
+            if isinstance(cmd, Insert):
+                varmap: dict[str, int] = {}
+                lhs = _resolve(sig, cmd.lhs, varmap)
+                rhs = _resolve(sig, cmd.rhs, varmap)
+                for idx in indexes.values():
+                    eid = idx.insert(lhs, rhs)
+                eq_ids[cmd.eq_id] = eid
+                eq_names[eid] = cmd.eq_id
+                key, _, mapping = canonicalize_equality(sig, lhs, rhs)
+                if key not in group_names:
+                    names_by_vid = sorted(varmap.items(), key=lambda kv: kv[1])
+                    lhs_vid_count = len(mapping)
+                    group_names[key] = [n for n, _ in names_by_vid[:lhs_vid_count]]
+                    group_order.append(key)
+            elif isinstance(cmd, Delete):
+                for idx in indexes.values():
+                    idx.remove(eq_ids[cmd.eq_id])
+            elif isinstance(cmd, Query):
+                bound = dict(cmd.bindings)
+                per_mode: dict[str, list] = {m: [] for m in modes}
+                for key in group_order:
+                    names = group_names[key]
+                    if any(n not in bound for n in names):
+                        continue
+                    varmap = {n: i for i, n in enumerate(names)}
+                    sigma = Substitution(
+                        {varmap[n]: _resolve(sig, bound[n], varmap) for n in names})
+                    for m, idx in indexes.items():
+                        per_mode[m].extend(eq_names[i]
+                                           for i in idx.query(key, sigma, want))
+                first = per_mode[modes[0]]
+                for m in modes[1:]:
+                    if per_mode[m] != first:
+                        divergences.append(
+                            f"{cmd.query_id}: {modes[0]}={first} {m}={per_mode[m]}")
+                query_results[cmd.query_id] = per_mode[modes[-1]]
+            elif isinstance(cmd, Expect):
+                got = set(query_results.get(cmd.query_id, []))
+                if got != set(cmd.eq_ids):
+                    expect_failures.append(
+                        f"{cmd.query_id}: expected {sorted(cmd.eq_ids)}, "
+                        f"got {sorted(got)}")
+    except _RUN_ERRORS as err:
+        if not script.lines:
+            raise
+        raise ScriptError(str(err), script.lines[pos]) from err
 
     return RunReport(
         script_name=script_name,
@@ -473,14 +489,15 @@ class GenParams:
     ground_prob: float = 0.7
     order: str = "kbo"
 
-    _CAPS = (("symbols", 5), ("max_arity", 3), ("max_depth", 4),
-             ("equalities", 30), ("queries", 200))
+    _RANGES = (("symbols", 1, 5), ("max_arity", 0, 3), ("max_depth", 0, 4),
+               ("equalities", 0, 30), ("queries", 0, 200),
+               ("delete_prob", 0, 0.5))  # more can delete forever
 
     def __post_init__(self):
-        for name, cap in self._CAPS:
+        for name, lo, hi in self._RANGES:
             v = getattr(self, name)
-            if not 0 <= v <= cap:
-                raise ValueError(f"{name} must be in [0, {cap}], got {v}")
+            if not lo <= v <= hi:
+                raise ValueError(f"{name} must be in [{lo}, {hi}], got {v}")
         if self.order not in ("kbo", "lpo"):
             raise ValueError(f"order must be kbo or lpo, got {self.order!r}")
 
@@ -650,7 +667,7 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
         diff = term_weight(l) - term_weight(r)
         if not diff.coeffs:
             continue
-        if kbo.compare(l, r) is Cmp3.GREATER or kbo.compare(r, l) is Cmp3.GREATER:
+        if kbo.compare(l, r) is Label.GT or kbo.compare(r, l) is Label.GT:
             continue
         chosen.append(rhs_raw)
         commands.append(Insert(f"e{len(chosen)}", lhs_raw, rhs_raw))

@@ -26,9 +26,9 @@ from __future__ import annotations
 import enum
 from typing import Optional, Union
 
-from .ordering import Cmp3, TermOrder, make_order
+from .ordering import TermOrder, make_order
 from .stats import Stats
-from .terms import Signature, Substitution, Term
+from .terms import Label, Signature, Substitution, Term
 from .tod import DuplicateEqualityError, Equality, Tod, UnknownEqualityError
 
 
@@ -225,7 +225,7 @@ class PostOrderingIndex:
         finished = True
         for eq in group.eqs.values():
             if order.compare_closure(eq.lhs, sigma_c,
-                                     eq.rhs, sigma_c) is Cmp3.GREATER:
+                                     eq.rhs, sigma_c) is Label.GT:
                 results.append(eq.eq_id)
                 st.answers += 1
                 if first_only:

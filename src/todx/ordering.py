@@ -1,7 +1,7 @@
 """Three-valued KBO and LPO comparisons over plain and closure terms.
 
-Verdicts come from the set {greater, equal, not-greater-or-equal}; the
-last value deliberately merges "smaller" and "incomparable", which is
+A comparison answers with a ``Label``: GT, EQ or NGE (not greater or
+equal).  NGE deliberately merges "smaller" and "incomparable", which is
 all a post-ordering check needs.  A closure term is a (term,
 substitution) pair compared without materializing the instance: the
 substitution is consulted only when the traversal reaches a variable.
@@ -16,26 +16,9 @@ over-count it, but answers are not affected.
 
 from __future__ import annotations
 
-import enum
+from .terms import EMPTY_SUBST, Label, Signature, Substitution, Term, term_weight
 
-from .terms import (EMPTY_SUBST, LinearExpr, Sign3, Signature, Substitution,
-                    Term, term_weight)
-
-
-class Cmp3(enum.Enum):
-    """Result of a term comparison."""
-
-    GREATER = ">"
-    EQUAL = "="
-    NOT_GREATER_EQUAL = "!>="
-
-    def __repr__(self) -> str:
-        return self.value
-
-
-_GT = Cmp3.GREATER
-_EQ = Cmp3.EQUAL
-_NGE = Cmp3.NOT_GREATER_EQUAL
+_GT, _EQ, _GEQ, _NGE = Label.GT, Label.EQ, Label.GEQ, Label.NGE
 
 
 def _deref(s: Term, sigma: Substitution):
@@ -73,21 +56,6 @@ def closure_equal(s: Term, sigma: Substitution, t: Term, theta: Substitution) ->
     return True
 
 
-def closure_weight(s: Term, sigma: Substitution) -> LinearExpr:
-    """Weight of the instance s*sigma computed on the uninstantiated pair."""
-    s, sigma = _deref(s, sigma)
-    if sigma.is_empty:
-        return term_weight(s)
-    const = s.sym.weight
-    acc: dict[int, int] = {}
-    for a in s.args:
-        w = closure_weight(a, sigma)
-        const += w.constant
-        for v, c in w.coeffs.items():
-            acc[v] = acc.get(v, 0) + c
-    return LinearExpr(const, acc)
-
-
 class TermOrder:
     """Common surface of the two simplification orders."""
 
@@ -97,11 +65,11 @@ class TermOrder:
         self.signature = signature
         self.steps = 0
 
-    def compare(self, s: Term, t: Term) -> Cmp3:
+    def compare(self, s: Term, t: Term) -> Label:
         raise NotImplementedError
 
     def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution) -> Cmp3:
+                        t: Term, theta: Substitution) -> Label:
         raise NotImplementedError
 
 
@@ -116,16 +84,13 @@ class KboOrder(TermOrder):
 
     kind = "kbo"
 
-    def compare(self, s: Term, t: Term) -> Cmp3:
+    def compare(self, s: Term, t: Term) -> Label:
         self.steps += 1
         if s is t:
             return _EQ
-        e = term_weight(s) - term_weight(t)
-        sg = e.sign(self.signature.w0)
-        if sg is Sign3.POSITIVE:
-            return _GT
-        if sg is Sign3.NOT_NON_NEGATIVE:
-            return _NGE
+        sg = (term_weight(s) - term_weight(t)).sign(self.signature.w0)
+        if sg is not _GEQ:
+            return sg
         if s.sym is None or t.sym is None:
             return _NGE
         if s.sym.precedence > t.sym.precedence:
@@ -138,18 +103,17 @@ class KboOrder(TermOrder):
         return _EQ
 
     def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution) -> Cmp3:
+                        t: Term, theta: Substitution) -> Label:
         self.steps += 1
         s, sigma = _deref(s, sigma)
         t, theta = _deref(t, theta)
         if sigma.is_empty and theta.is_empty:
             return self.compare(s, t)
-        e = closure_weight(s, sigma) - closure_weight(t, theta)
+        # the weight of an instance needs only the variables of s
+        e = term_weight(s).subst(sigma) - term_weight(t).subst(theta)
         sg = e.sign(self.signature.w0)
-        if sg is Sign3.POSITIVE:
-            return _GT
-        if sg is Sign3.NOT_NON_NEGATIVE:
-            return _NGE
+        if sg is not _GEQ:
+            return sg
         if s.sym is None or t.sym is None:
             # Variable with empty substitution vs. a non-ground instance:
             # equal instances were ruled out above, greater is impossible.
@@ -170,7 +134,7 @@ class LpoOrder(TermOrder):
 
     kind = "lpo"
 
-    def compare(self, s: Term, t: Term) -> Cmp3:
+    def compare(self, s: Term, t: Term) -> Label:
         self.steps += 1
         if s is t:
             return _EQ
@@ -209,7 +173,7 @@ class LpoOrder(TermOrder):
         return _NGE
 
     def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution) -> Cmp3:
+                        t: Term, theta: Substitution) -> Label:
         self.steps += 1
         s, sigma = _deref(s, sigma)
         t, theta = _deref(t, theta)

@@ -212,12 +212,20 @@ class Substitution:
 EMPTY_SUBST = Substitution()
 
 
-class Sign3(enum.Enum):
-    """Verdict of a positivity check over all groundings."""
+class Label(enum.Enum):
+    """The answer of a check: the label of the edge the walk takes next.
 
-    POSITIVE = ">"
-    NON_NEGATIVE = ">="
-    NOT_NON_NEGATIVE = "!>="
+    A term comparison answers GT, EQ or NGE; NGE merges "smaller" and
+    "incomparable", which is all a post-ordering check needs.  A
+    positivity check answers GT, GEQ or NGE over all groundings.  NEXT
+    labels the one edge out of a root or success node.
+    """
+
+    GT = ">"
+    EQ = "="
+    GEQ = ">="
+    NGE = "!>="
+    NEXT = "."
 
     def __repr__(self) -> str:
         return self.value
@@ -287,22 +295,24 @@ class LinearExpr:
                     acc[v2] = acc.get(v2, 0) + c * c2
         return LinearExpr(const, acc)
 
-    def sign(self, w0: int) -> Sign3:
+    def sign(self, w0: int) -> Label:
         """Classify the expression over all groundings with |x| >= w0.
 
-        A negative coefficient admits arbitrarily negative values;
-        otherwise the minimum is attained with every variable at w0.
+        GT when it is positive for every grounding, GEQ when its minimum
+        is 0, NGE otherwise.  A negative coefficient admits arbitrarily
+        negative values; otherwise the minimum is attained with every
+        variable at w0.
         """
         total = self.constant
         for _, c in self._coeffs:
             if c < 0:
-                return Sign3.NOT_NON_NEGATIVE
+                return Label.NGE
             total += c * w0
         if total > 0:
-            return Sign3.POSITIVE
+            return Label.GT
         if total == 0:
-            return Sign3.NON_NEGATIVE
-        return Sign3.NOT_NON_NEGATIVE
+            return Label.GEQ
+        return Label.NGE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearExpr):

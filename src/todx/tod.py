@@ -9,6 +9,10 @@ bypassed, and multi-parent nodes are split so every processed node is
 reached by exactly one path.  The diagram after a retrieval accepts the
 same success sets as before, it is just faster to walk.
 
+Edges carry ``Label``s.  The answer of a check, evaluated or forced,
+is the label of the edge the walk takes next, and the label a walk
+arrives by is the fact its comparison adds to the path.
+
 A diagram is mutated during retrieval, so all operations on one diagram
 are single-threaded; distinct diagrams may be used concurrently.
 """
@@ -21,9 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .forcing import PartialOrdering, TpoStore, force_positivity_label, force_term_label
-from .ordering import Cmp3, TermOrder
+from .ordering import TermOrder
 from .stats import Stats
-from .terms import LinearExpr, Sign3, Substitution, Term, term_weight
+from .terms import Label, LinearExpr, Substitution, Term, term_weight
 
 STEP_CAP = 10 ** 6
 
@@ -57,34 +61,11 @@ class NodeKind(enum.Enum):
     SUCCESS = "success"
 
 
-class EdgeLabel(enum.Enum):
-    GT = ">"
-    EQ = "="
-    GEQ = ">="
-    NGE = "!>="
-    NEXT = "."
-
-    def __repr__(self) -> str:
-        return self.value
-
-
-_GT, _EQ, _GEQ, _NGE, _NEXT = (EdgeLabel.GT, EdgeLabel.EQ, EdgeLabel.GEQ,
-                               EdgeLabel.NGE, EdgeLabel.NEXT)
+_GT, _EQ, _GEQ, _NGE, _NEXT = (Label.GT, Label.EQ, Label.GEQ, Label.NGE,
+                               Label.NEXT)
 
 _TERM_LABELS = (_GT, _EQ, _NGE)
 _POS_LABELS = (_GT, _GEQ, _NGE)
-
-_CMP_EDGE = {
-    Cmp3.GREATER: _GT,
-    Cmp3.EQUAL: _EQ,
-    Cmp3.NOT_GREATER_EQUAL: _NGE,
-}
-_EDGE_CMP = {edge: c for c, edge in _CMP_EDGE.items()}
-_SIGN_EDGE = {
-    Sign3.POSITIVE: _GT,
-    Sign3.NON_NEGATIVE: _GEQ,
-    Sign3.NOT_NON_NEGATIVE: _NGE,
-}
 
 
 @dataclass
@@ -116,8 +97,8 @@ class TodNode:
         self.eq = eq
         self.visited = False
         self.tpo: Optional[PartialOrdering] = None
-        self.out: dict[EdgeLabel, TodNode] = {}
-        self.parents: list[tuple[TodNode, EdgeLabel]] = []
+        self.out: dict[Label, TodNode] = {}
+        self.parents: list[tuple[TodNode, Label]] = []
         self.nid = nid
 
     def label(self) -> str:
@@ -163,7 +144,7 @@ class Tod:
         self._next_nid += 1
         return n
 
-    def _link(self, src: TodNode, label: EdgeLabel, dst: TodNode) -> None:
+    def _link(self, src: TodNode, label: Label, dst: TodNode) -> None:
         src.out[label] = dst
         dst.parents.append((src, label))
 
@@ -242,29 +223,26 @@ class Tod:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate_node(self, node: TodNode, sigma: Substitution) -> EdgeLabel:
+    def evaluate_node(self, node: TodNode, sigma: Substitution) -> Label:
         """The edge a substitution takes out of an evaluation node."""
         if node.kind is NodeKind.TERM:
-            c = self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
-            return _CMP_EDGE[c]
+            return self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
         if node.kind is NodeKind.POS:
-            return _SIGN_EDGE[node.expr.subst(sigma).sign(self.order.signature.w0)]
+            return node.expr.subst(sigma).sign(self.order.signature.w0)
         raise TodStructureError(f"{node!r} is not an evaluation node")
 
-    def _tpo_at(self, prev: TodNode, arrival: EdgeLabel,
+    def _tpo_at(self, prev: TodNode, arrival: Label,
                 node: TodNode) -> PartialOrdering:
         """Closure of the path formula for the path arriving at ``node``."""
-        facts = ([(prev.lhs, _EDGE_CMP[arrival], prev.rhs)]
+        facts = ([(prev.lhs, arrival, prev.rhs)]
                  if prev.kind is NodeKind.TERM else [])
         new_terms = (node.lhs, node.rhs) if node.kind is NodeKind.TERM else ()
         return self.tpo_store.extend(prev.tpo, facts, new_terms)
 
-    def _forced(self, node: TodNode, tpo: PartialOrdering) -> Optional[EdgeLabel]:
+    def _forced(self, node: TodNode, tpo: PartialOrdering) -> Optional[Label]:
         if node.kind is NodeKind.TERM:
-            c = force_term_label(tpo, node.lhs, node.rhs)
-            return None if c is None else _CMP_EDGE[c]
-        sg = force_positivity_label(node.expr, self.order.signature.w0)
-        return None if sg is None else _SIGN_EDGE[sg]
+            return force_term_label(tpo, node.lhs, node.rhs)
+        return force_positivity_label(node.expr, self.order.signature.w0)
 
     # -- generic transformations ----------------------------------------------
 
@@ -308,7 +286,7 @@ class Tod:
         self._cleanup(old_targets)
         return target
 
-    def remove_forced(self, node: TodNode, label: EdgeLabel) -> TodNode:
+    def remove_forced(self, node: TodNode, label: Label) -> TodNode:
         """Bypass a node whose outcome is forced; prune what that orphans."""
         if node.visited:
             raise TodStructureError("forced removal applies to unvisited nodes")
@@ -479,7 +457,7 @@ class Tod:
         order = [self.root]
         while queue:
             n = queue.popleft()
-            for label in (_GT, _EQ, _GEQ, _NGE, _NEXT):
+            for label in Label:
                 m = n.out.get(label)
                 if m is not None and m.nid not in seen:
                     seen.add(m.nid)

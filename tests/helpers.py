@@ -9,7 +9,7 @@ from oracles import instantiate
 from todx import (MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, Term, canonicalize_equality,
                   make_order)
-from todx.ordering import Cmp3
+from todx.terms import Label
 
 SIG_SHAPES = {
     # name -> list of (symbol, arity); weights/precedences are randomized
@@ -131,7 +131,7 @@ class ScenarioChecker:
                     if l is key and i not in self.deleted
                     and self.order.compare(instantiate(self.sig, l, sigma),
                                            instantiate(self.sig, r, sigma))
-                    is Cmp3.GREATER]
+                    is Label.GT]
         if want == "all":
             for m, got in results.items():
                 assert got == expected, (

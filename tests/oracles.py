@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from todx import Cmp3, Sign3
+from todx import Label
 
 
 def ref_weight(t):
@@ -33,13 +33,13 @@ def ref_weight(t):
 
 def ref_sign(const, coeffs, w0):
     if any(c < 0 for c in coeffs.values()):
-        return Sign3.NOT_NON_NEGATIVE
+        return Label.NGE
     low = const + w0 * sum(coeffs.values())
     if low > 0:
-        return Sign3.POSITIVE
+        return Label.GT
     if low == 0:
-        return Sign3.NON_NEGATIVE
-    return Sign3.NOT_NON_NEGATIVE
+        return Label.GEQ
+    return Label.NGE
 
 
 def _ref_weight_diff_sign(s, t, w0):
@@ -54,20 +54,20 @@ def _ref_weight_diff_sign(s, t, w0):
 def ref_kbo(sig, s, t):
     """KBO verdict by literal application of the three defining cases."""
     if s is t:
-        return Cmp3.EQUAL
+        return Label.EQ
     sg = _ref_weight_diff_sign(s, t, sig.w0)
-    if sg is Sign3.POSITIVE:
-        return Cmp3.GREATER
-    if sg is Sign3.NON_NEGATIVE and s.sym is not None and t.sym is not None:
+    if sg is Label.GT:
+        return Label.GT
+    if sg is Label.GEQ and s.sym is not None and t.sym is not None:
         if s.sym.precedence > t.sym.precedence:
-            return Cmp3.GREATER
+            return Label.GT
         if s.sym is t.sym:
             n = len(s.args)
             for i in range(n):
                 if (all(s.args[j] is t.args[j] for j in range(i))
-                        and ref_kbo(sig, s.args[i], t.args[i]) is Cmp3.GREATER):
-                    return Cmp3.GREATER
-    return Cmp3.NOT_GREATER_EQUAL
+                        and ref_kbo(sig, s.args[i], t.args[i]) is Label.GT):
+                    return Label.GT
+    return Label.NGE
 
 
 def _ref_lpo_greater(s, t):
@@ -93,8 +93,8 @@ def _ref_lpo_greater(s, t):
 
 def ref_lpo(sig, s, t):
     if s is t:
-        return Cmp3.EQUAL
-    return Cmp3.GREATER if _ref_lpo_greater(s, t) else Cmp3.NOT_GREATER_EQUAL
+        return Label.EQ
+    return Label.GT if _ref_lpo_greater(s, t) else Label.NGE
 
 
 def ref_compare(sig, kind, s, t):
@@ -122,12 +122,12 @@ def brute_sign(expr, w0, span=6):
         if val < 0 and witness is None:
             witness = dict(zip(vids, combo))
     if any(c < 0 for c in coeffs.values()):
-        return Sign3.NOT_NON_NEGATIVE, witness
+        return Label.NGE, witness
     if all(v > 0 for v in values):
-        return Sign3.POSITIVE, witness
+        return Label.GT, witness
     if all(v >= 0 for v in values):
-        return Sign3.NON_NEGATIVE, witness
-    return Sign3.NOT_NON_NEGATIVE, witness
+        return Label.GEQ, witness
+    return Label.NGE, witness
 
 
 def instantiate(sig, t, sigma):
@@ -158,7 +158,7 @@ def instantiate(sig, t, sigma):
 def term_formula(order, steps, node_terms=()):
     """The constraint conjunction for a traversed path.
 
-    ``steps`` holds one (s, Cmp3, t) entry per term comparison followed
+    ``steps`` holds one (s, Label, t) entry per term comparison followed
     by the edge it took; positivity checks contribute nothing and are
     simply not listed.  ``node_terms`` are the label terms of the node
     under examination, which count as top-level terms but add no edge
@@ -180,8 +180,8 @@ def term_formula(order, steps, node_terms=()):
         note(v)
     for v in tops:
         for u in tops:
-            if u is not v and order.compare(v, u) is Cmp3.GREATER:
-                facts.append((v, Cmp3.GREATER, u))
+            if u is not v and order.compare(v, u) is Label.GT:
+                facts.append((v, Label.GT, u))
     return facts
 
 
@@ -190,7 +190,7 @@ class Contradiction(Exception):
 
 
 def ref_closure(n, facts):
-    """Close (i, Cmp3, j) facts over elements 0..n-1 by naive fixpoint.
+    """Close (i, Label, j) facts over elements 0..n-1 by naive fixpoint.
 
     Besides = being symmetric and a > b entailing b !>= a, the rules
     tr1-tr5 of a simplification order are applied to every triple of
@@ -198,7 +198,7 @@ def ref_closure(n, facts):
     on distinct pairs.  Raises ``Contradiction`` for a reflexive strict
     input fact or when a pair ends up with two different relations.
     """
-    G, E, N = Cmp3.GREATER, Cmp3.EQUAL, Cmp3.NOT_GREATER_EQUAL
+    G, E, N = Label.GT, Label.EQ, Label.NGE
     known = set()
     for i, r, j in facts:
         if i != j:

@@ -12,13 +12,13 @@ import sys
 
 from helpers import ScenarioChecker, random_signature, random_subst, random_term
 from oracles import instantiate
-from todx import (Cmp3, EdgeLabel, Equality, LinearExpr, NodeKind,
+from todx import (Equality, Label, LinearExpr, NodeKind,
                   Substitution, Tod, TpoStore, force_term_label, make_order)
 from todx.harness import bench
 
-G, E, N = Cmp3.GREATER, Cmp3.EQUAL, Cmp3.NOT_GREATER_EQUAL
-GT, EQ, GEQ, NGE, NEXT = (EdgeLabel.GT, EdgeLabel.EQ, EdgeLabel.GEQ,
-                          EdgeLabel.NGE, EdgeLabel.NEXT)
+G, E, N = Label.GT, Label.EQ, Label.NGE
+GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,
+                          Label.NGE, Label.NEXT)
 
 
 @contextlib.contextmanager

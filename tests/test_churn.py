@@ -11,7 +11,7 @@ import random
 
 from helpers import random_term
 from oracles import instantiate, ref_compare
-from todx import Cmp3, NodeKind, PostOrderingIndex, Signature, Substitution
+from todx import Label, NodeKind, PostOrderingIndex, Signature, Substitution
 
 LIVE = 8
 ROUNDS = 600
@@ -65,7 +65,7 @@ def test_churn_bounded_and_oracle_exact():
         ground_lhs = instantiate(sig, lhs, sigma)
         want = [i for i, r in live
                 if ref_compare(sig, "kbo", ground_lhs,
-                               instantiate(sig, r, sigma)) is Cmp3.GREATER]
+                               instantiate(sig, r, sigma)) is Label.GT]
         for mode, idx in indexes.items():
             assert idx.query(lhs, sigma) == want, (mode, rnd, sigma)
 

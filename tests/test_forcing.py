@@ -4,11 +4,11 @@ import pytest
 
 from helpers import random_term
 from oracles import Contradiction, ref_closure, term_formula
-from todx import (Cmp3, LinearExpr, Sign3, Substitution, TpoInconsistencyError,
+from todx import (Label, LinearExpr, Substitution, TpoInconsistencyError,
                   TpoStore, force_positivity_label, force_term_label,
                   make_order)
 
-G, E, N = Cmp3.GREATER, Cmp3.EQUAL, Cmp3.NOT_GREATER_EQUAL
+G, E, N = Label.GT, Label.EQ, Label.NGE
 
 
 @pytest.fixture
@@ -263,12 +263,12 @@ def test_one_shot_formula_closure_matches_incremental(sig, store):
 
 
 def test_positivity_forcing():
-    assert force_positivity_label(LinearExpr.of_const(0), 1) is Sign3.NON_NEGATIVE
-    assert force_positivity_label(LinearExpr(1, {0: 1}), 1) is Sign3.POSITIVE
+    assert force_positivity_label(LinearExpr.of_const(0), 1) is Label.GEQ
+    assert force_positivity_label(LinearExpr(1, {0: 1}), 1) is Label.GT
     assert force_positivity_label(LinearExpr.of_const(-2), 1) \
-        is Sign3.NOT_NON_NEGATIVE
+        is Label.NGE
     assert force_positivity_label(LinearExpr(0, {0: -1}), 1) \
-        is Sign3.NOT_NON_NEGATIVE
+        is Label.NGE
     # not decided for every substitution: no label
     assert force_positivity_label(LinearExpr(0, {1: 1, 0: -1}), 1) is None
     assert force_positivity_label(LinearExpr(-1, {0: 1}), 1) is None
@@ -279,9 +279,9 @@ def test_positivity_nonconstant_nonnegative_is_not_forced(sig):
     # x - 1 is >= 0 for every grounding but a substitution can make it
     # strictly positive, so no single edge is forced
     e = LinearExpr(-1, {0: 1})
-    assert e.sign(sig.w0) is Sign3.NON_NEGATIVE
+    assert e.sign(sig.w0) is Label.GEQ
     assert force_positivity_label(e, sig.w0) is None
     faa = sig.app("f", [sig.app("a"), sig.app("a")])
-    assert e.subst(Substitution({0: faa})).sign(sig.w0) is Sign3.POSITIVE
+    assert e.subst(Substitution({0: faa})).sign(sig.w0) is Label.GT
     assert e.subst(Substitution({0: sig.app("a")})).sign(sig.w0) \
-        is Sign3.NON_NEGATIVE
+        is Label.GEQ

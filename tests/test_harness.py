@@ -1,7 +1,7 @@
 import pytest
 
-from todx import IndexMode, PostOrderingIndex, harness
-from todx.harness import (Delete, GenParams, Insert, Query,
+from todx import IndexMode, PostOrderingIndex, UnknownSymbolError, harness
+from todx.harness import (Delete, GenParams, Insert, OrderDecl, Query, Script,
                           ScriptError, SigDecl, bench, emit_stats_csv,
                           format_script, gen_random_script, parse_script, run)
 
@@ -158,6 +158,21 @@ def test_gen_params_cap_validation():
         GenParams(order="rpo")
 
 
+@pytest.mark.parametrize("name, value", [("delete_prob", 0.6), ("symbols", 0)])
+def test_gen_params_rejects_out_of_range(name, value):
+    # delete_prob > 0.5 can pick deletes forever; no symbol leaves no constant
+    with pytest.raises(ValueError, match=name):
+        GenParams(**{name: value})
+
+
+@pytest.mark.parametrize("option, value", [("--symbols", "9"), ("--symbols", "0")])
+def test_cli_gen_rejects_out_of_range_params(capsys, option, value):
+    from todx.cli import main
+    assert main(["gen", "--seed", "1", option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("todx gen: symbols must be in [1, 5]")
+
+
 def test_crosscheck_generated_scripts():
     for order in ("kbo", "lpo"):
         params = GenParams(order=order, equalities=8, queries=10)
@@ -203,19 +218,27 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(broken)]) == 2
 
 
-@pytest.mark.parametrize("eqs, message", [
-    ("eq e1: f(x,y) = f(z,z)", "variables not in the left-hand side"),
-    ("eq e1: f(x,y) = f(y,x)\neq e2: f(u,v) = f(v,u)", "already live"),
-    ("eq e1: f(a) = a", "expects 2 arguments"),
-    ("eq e1: f(x,y) = g(x)", "unknown symbol 'g'"),
+@pytest.mark.parametrize("eqs, message, line", [
+    ("eq e1: f(x,y) = f(z,z)", "variables not in the left-hand side", 4),
+    ("eq e1: f(x,y) = f(y,x)\neq e2: f(u,v) = f(v,u)", "already live", 5),
+    ("eq e1: f(a) = a", "expects 2 arguments", 4),
+    ("eq e1: f(x,y) = g(x)", "unknown symbol 'g'", 4),
 ], ids=["malformed", "duplicate", "arity", "unknown-symbol"])
-def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, eqs, message):
+def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, eqs, message, line):
     from todx.cli import main
     path = tmp_path / "invalid.tod"
     path.write_text(f"sig a/0\nsig f/2\nord kbo\n{eqs}\n")
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: ") and message in err
+    assert f"line {line}:" in err
+
+
+def test_script_without_source_lines_raises_the_original_error():
+    script = Script((SigDecl("a", 0, 1, 0), OrderDecl("kbo"),
+                     Insert("e1", ("g", ("x",)), "a")))
+    with pytest.raises(UnknownSymbolError):
+        run(script)
 
 
 @pytest.mark.parametrize("distort", [lambda ids: ids[::-1],

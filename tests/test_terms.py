@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import random_signature, random_subst, random_term
 from oracles import brute_sign, instantiate
-from todx import (ArityError, LinearExpr, Sign3, Signature, SignatureError,
+from todx import (ArityError, Label, LinearExpr, Signature, SignatureError,
                   Substitution, UnknownSymbolError, term_weight)
 
 
@@ -126,11 +126,11 @@ def test_subst_linear_cancellation(sig):
 
 
 def test_sign_examples():
-    assert LinearExpr.of_const(0).sign(1) is Sign3.NON_NEGATIVE
+    assert LinearExpr.of_const(0).sign(1) is Label.GEQ
     y_minus_x = LinearExpr(0, {1: 1, 0: -1})
-    assert y_minus_x.sign(1) is Sign3.NOT_NON_NEGATIVE
-    assert LinearExpr(1, {0: 1}).sign(1) is Sign3.POSITIVE
-    assert LinearExpr(0, {0: -1}).sign(1) is Sign3.NOT_NON_NEGATIVE
+    assert y_minus_x.sign(1) is Label.NGE
+    assert LinearExpr(1, {0: 1}).sign(1) is Label.GT
+    assert LinearExpr(0, {0: -1}).sign(1) is Label.NGE
 
 
 def test_sign_against_brute_force_grid():
@@ -143,7 +143,7 @@ def test_sign_against_brute_force_grid():
         verdict = e.sign(w0)
         brute, witness = brute_sign(e, w0)
         assert verdict is brute
-        if verdict is Sign3.NOT_NON_NEGATIVE:
+        if verdict is Label.NGE:
             assert witness is not None or any(
                 c < 0 for c in e.coeffs.values())
 

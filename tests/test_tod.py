@@ -3,12 +3,12 @@ import random
 import pytest
 
 from helpers import ScenarioChecker, run_scenario
-from todx import (EdgeLabel, Equality, LinearExpr, NodeKind, Signature,
+from todx import (Equality, Label, LinearExpr, NodeKind, Signature,
                   Substitution, Tod, TodStructureError, make_order)
 from todx.tod import DuplicateEqualityError, UnknownEqualityError
 
-GT, EQ, GEQ, NGE, NEXT = (EdgeLabel.GT, EdgeLabel.EQ, EdgeLabel.GEQ,
-                          EdgeLabel.NGE, EdgeLabel.NEXT)
+GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,
+                          Label.NGE, Label.NEXT)
 
 
 def swap_terms(sig):
@@ -496,7 +496,7 @@ def test_replicate_node(sig, kbo_tod):
             if n.kind is NodeKind.EXIT:
                 acc.append(tuple(trail))
                 return
-            for label in EdgeLabel:
+            for label in Label:
                 dst = n.out.get(label)
                 if dst is not None:
                     walk(dst, trail + [(n.label(), label.value)])
