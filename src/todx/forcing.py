@@ -299,6 +299,9 @@ def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Label]:
     return tpo.relation(s, t)
 
 
+_ZERO = LinearExpr()
+
+
 def force_positivity_label(expr: LinearExpr, w0: int) -> Optional[Label]:
     """Label (GT, GEQ or NGE) forced for a positivity check, if any.
 
@@ -312,6 +315,6 @@ def force_positivity_label(expr: LinearExpr, w0: int) -> Optional[Label]:
         return Label.GEQ
     if expr.sign(w0) is Label.GT:
         return Label.GT
-    if (-expr).sign(w0) is Label.GT:
+    if _ZERO.sign(w0, minus=expr) is Label.GT:
         return Label.NGE
     return None

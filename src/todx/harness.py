@@ -203,6 +203,9 @@ def parse_script(text: str) -> Script:
                 key, val = attr.split("=")
                 if key == "w":
                     weight, w_exp = int(val), True
+                    if weight < 1:
+                        raise ScriptError(f"symbol {name} has weight {weight}; "
+                                          "weights must be >= 1", lineno)
                 else:
                     prec, p_exp = int(val), True
             if p_exp:
@@ -490,8 +493,9 @@ class GenParams:
     order: str = "kbo"
 
     _RANGES = (("symbols", 1, 5), ("max_arity", 0, 3), ("max_depth", 0, 4),
-               ("equalities", 0, 30), ("queries", 0, 200),
-               ("delete_prob", 0, 0.5))  # more can delete forever
+               ("equalities", 0, 30), ("queries", 0, 200), ("groups", 1, 30),
+               ("delete_prob", 0, 0.5),  # more can delete forever
+               ("ground_prob", 0, 1))
 
     def __post_init__(self):
         for name, lo, hi in self._RANGES:
@@ -546,7 +550,7 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
     group_lhs: list[RawTree] = []
     group_keys: set = set()
     if funcs:
-        for _ in range(max(1, params.groups)):
+        for _ in range(params.groups):
             name, arity = rng.choice(funcs)
             args = tuple(rng.choice(var_names) for _ in range(arity))
             lhs = (name, args)

@@ -16,7 +16,10 @@ equalities outnumber its live ones; the diagram is then rebuilt from
 the live equalities in insertion order.  So after every operation a
 diagram holds at most as many removed equalities as live ones
 (dead <= live, hence at most 2 * live in all), and each rebuild's
-inserts are paid for by the removals before it.
+inserts are paid for by the removals before it.  A group whose last
+live equality goes is dropped with its diagram, so the groups, like
+the diagrams, are bounded by the live equalities, not by every
+left-hand side ever inserted.
 
 One index is single-threaded; independent indexes may run in parallel.
 """
@@ -159,7 +162,8 @@ class PostOrderingIndex:
         The equality is forgotten at once: ``equality`` no longer
         finds it.  In ``on`` mode its diagram goes with it; in
         ``shared`` mode the group's diagram may be rebuilt (see the
-        module docstring).  Raises ``UnknownEqualityError`` for an id
+        module docstring).  The last live member takes its group, and
+        the group's diagram, along.  Raises ``UnknownEqualityError`` for an id
         this index never assigned.
         """
         group = self._eq_group.pop(eq_id, None)
@@ -170,13 +174,17 @@ class PostOrderingIndex:
         eq = group.eqs.pop(eq_id)
         del group.rhs_ids[eq.rhs]
         self.stats.demodulators -= 1
-        if self.mode is IndexMode.SHARED_BY_LHS:
+        if self.mode is IndexMode.PER_EQUALITY:
+            del group.tods[eq_id]
+            self.stats.tods -= 1
+        if not group.eqs:
+            del self._groups[group.key]
+            if group.tod is not None:
+                self.stats.tods -= 1
+        elif self.mode is IndexMode.SHARED_BY_LHS:
             group.tod.mark_deleted(eq_id)
             if group.tod.dead > len(group.eqs):
                 group.tod = self._build_tod(group.eqs.values())
-        elif self.mode is IndexMode.PER_EQUALITY:
-            del group.tods[eq_id]
-            self.stats.tods -= 1
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""

@@ -88,7 +88,7 @@ class KboOrder(TermOrder):
         self.steps += 1
         if s is t:
             return _EQ
-        sg = (term_weight(s) - term_weight(t)).sign(self.signature.w0)
+        sg = term_weight(s).sign(self.signature.w0, minus=term_weight(t))
         if sg is not _GEQ:
             return sg
         if s.sym is None or t.sym is None:
@@ -110,8 +110,8 @@ class KboOrder(TermOrder):
         if sigma.is_empty and theta.is_empty:
             return self.compare(s, t)
         # the weight of an instance needs only the variables of s
-        e = term_weight(s).subst(sigma) - term_weight(t).subst(theta)
-        sg = e.sign(self.signature.w0)
+        sg = term_weight(s).sign(self.signature.w0, sigma,
+                                 term_weight(t), theta)
         if sg is not _GEQ:
             return sg
         if s.sym is None or t.sym is None:

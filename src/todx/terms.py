@@ -227,6 +227,10 @@ class Label(enum.Enum):
     NGE = "!>="
     NEXT = "."
 
+    # Every walk step looks up ``node.out[label]``; Enum's own __hash__
+    # is a Python-level call that hashes the member name, identity is not.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:
         return self.value
 
@@ -241,8 +245,8 @@ class LinearExpr:
 
     __slots__ = ("constant", "_coeffs", "_hash")
 
-    def __init__(self, constant: int = 0, coeffs: Union[Mapping[int, int], Iterable[tuple]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, constant: int = 0, coeffs: Union[dict, Iterable[tuple]] = ()):
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         self.constant = constant
         self._coeffs = tuple(sorted((v, c) for v, c in items if c != 0))
         self._hash = hash((constant, self._coeffs))
@@ -282,29 +286,32 @@ class LinearExpr:
         """Replace every variable by the weight of its image under sigma."""
         if sigma.is_empty or not self._coeffs:
             return self
-        const = self.constant
         acc: dict[int, int] = {}
-        for v, c in self._coeffs:
-            img = sigma.get(v)
-            if img is None:
-                acc[v] = acc.get(v, 0) + c
-            else:
-                w = term_weight(img)
-                const += c * w.constant
-                for v2, c2 in w._coeffs:
-                    acc[v2] = acc.get(v2, 0) + c * c2
-        return LinearExpr(const, acc)
+        return LinearExpr(_fold(acc, self, 1, sigma), acc)
 
-    def sign(self, w0: int) -> Label:
-        """Classify the expression over all groundings with |x| >= w0.
+    def sign(self, w0: int, sigma: Optional[Substitution] = None,
+             minus: Optional["LinearExpr"] = None,
+             theta: Optional[Substitution] = None) -> Label:
+        """Classify self*sigma - minus*theta over all groundings with |x| >= w0.
 
         GT when it is positive for every grounding, GEQ when its minimum
         is 0, NGE otherwise.  A negative coefficient admits arbitrarily
         negative values; otherwise the minimum is attained with every
-        variable at w0.
+        variable at w0.  ``e*sigma`` is ``e.subst(sigma)``; an absent
+        substitution is the empty one and an absent ``minus`` is 0.  The
+        difference is summed in one pass over the coefficients and the
+        images' cached weights, without building it as an expression.
         """
-        total = self.constant
-        for _, c in self._coeffs:
+        if sigma is None and minus is None:
+            total = self.constant
+            coeffs = self._coeffs
+        else:
+            acc: dict[int, int] = {}
+            total = _fold(acc, self, 1, sigma)
+            if minus is not None:
+                total += _fold(acc, minus, -1, theta)
+            coeffs = acc.items()
+        for _, c in coeffs:
             if c < 0:
                 return Label.NGE
             total += c * w0
@@ -362,3 +369,23 @@ def term_weight(t: Term) -> LinearExpr:
         w = LinearExpr(const, acc)
     t._weight = w
     return w
+
+
+def _fold(acc: dict, e: LinearExpr, k: int,
+          sigma: Optional[Substitution]) -> int:
+    """Add k * e.subst(sigma)'s coefficients into acc; return its constant."""
+    m = None if sigma is None else sigma._m
+    const = k * e.constant
+    for v, c in e._coeffs:
+        img = m.get(v) if m else None
+        if img is None:
+            acc[v] = acc.get(v, 0) + k * c
+        else:
+            w = img._weight
+            if w is None:
+                w = term_weight(img)
+            kc = k * c
+            const += kc * w.constant
+            for v2, c2 in w._coeffs:
+                acc[v2] = acc.get(v2, 0) + kc * c2
+    return const

@@ -228,7 +228,7 @@ class Tod:
         if node.kind is NodeKind.TERM:
             return self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
         if node.kind is NodeKind.POS:
-            return node.expr.subst(sigma).sign(self.order.signature.w0)
+            return node.expr.sign(self.order.signature.w0, sigma)
         raise TodStructureError(f"{node!r} is not an evaluation node")
 
     def _tpo_at(self, prev: TodNode, arrival: Label,

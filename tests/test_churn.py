@@ -81,3 +81,36 @@ def test_churn_bounded_and_oracle_exact():
         if rnd % VALIDATE_EVERY == 0:
             for tod in [shared] + per_eq:
                 tod.validate()
+
+
+def test_emptied_groups_are_dropped():
+    # 2000 distinct left-hand sides inserted and removed leave nothing
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("h", 1, 1, 2),
+                     ("f", 2, 1, 3)])
+    x, a = sig.var(0), sig.app("a")
+
+    def lhs(i):
+        # f(x, n) with n spelling i in binary: a distinct lhs per i
+        n = a
+        while i:
+            n = sig.app("g" if i & 1 else "h", [n])
+            i >>= 1
+        return sig.app("f", [x, n])
+
+    to_a = Substitution({0: a})
+    for mode in ("off", "on", "shared"):
+        idx = PostOrderingIndex(sig, "kbo", mode)
+        ids = [idx.insert(lhs(i), x) for i in range(2000)]
+        assert len(idx.groups()) == 2000
+        for i in range(0, 2000, 97):
+            assert idx.query(lhs(i), to_a) == [ids[i]]
+        for eq_id in ids:
+            idx.remove(eq_id)
+        assert idx.groups() == [], mode
+        assert idx.tods() == [], mode
+        assert idx.stats.tods == 0, mode
+        assert idx.query(lhs(5), to_a) == []
+        # a dropped group comes back on the next insert of its lhs
+        again = idx.insert(lhs(5), x)
+        assert idx.query(lhs(5), to_a) == [again]
+        assert len(idx.groups()) == 1

@@ -273,6 +273,14 @@ def test_positivity_forcing():
     assert force_positivity_label(LinearExpr(0, {1: 1, 0: -1}), 1) is None
     assert force_positivity_label(LinearExpr(-1, {0: 1}), 1) is None
     assert force_positivity_label(LinearExpr(1, {0: -1}), 1) is None
+    rng = random.Random(5)
+    for _ in range(500):
+        e = LinearExpr(rng.randint(-4, 4),
+                       {v: rng.randint(-2, 2) for v in range(rng.randint(0, 2))})
+        w0 = rng.randint(1, 3)
+        old = (Label.GEQ if e.is_zero else Label.GT if e.sign(w0) is Label.GT
+               else Label.NGE if (-e).sign(w0) is Label.GT else None)
+        assert force_positivity_label(e, w0) is old
 
 
 def test_positivity_nonconstant_nonnegative_is_not_forced(sig):

@@ -158,19 +158,23 @@ def test_gen_params_cap_validation():
         GenParams(order="rpo")
 
 
-@pytest.mark.parametrize("name, value", [("delete_prob", 0.6), ("symbols", 0)])
+@pytest.mark.parametrize("name, value", [("delete_prob", 0.6), ("symbols", 0),
+                                         ("groups", -3), ("ground_prob", 1.5)])
 def test_gen_params_rejects_out_of_range(name, value):
     # delete_prob > 0.5 can pick deletes forever; no symbol leaves no constant
     with pytest.raises(ValueError, match=name):
         GenParams(**{name: value})
 
 
-@pytest.mark.parametrize("option, value", [("--symbols", "9"), ("--symbols", "0")])
+@pytest.mark.parametrize("option, value", [("--symbols", "9"), ("--symbols", "0"),
+                                           ("--groups", "-3")])
 def test_cli_gen_rejects_out_of_range_params(capsys, option, value):
     from todx.cli import main
     assert main(["gen", "--seed", "1", option, value]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("todx gen: symbols must be in [1, 5]")
+    bounds = {"--symbols": "symbols must be in [1, 5]",
+              "--groups": "groups must be in [1, 30]"}
+    assert err.startswith(f"todx gen: {bounds[option]}")
 
 
 def test_crosscheck_generated_scripts():
@@ -218,16 +222,21 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", str(broken)]) == 2
 
 
-@pytest.mark.parametrize("eqs, message, line", [
-    ("eq e1: f(x,y) = f(z,z)", "variables not in the left-hand side", 4),
-    ("eq e1: f(x,y) = f(y,x)\neq e2: f(u,v) = f(v,u)", "already live", 5),
-    ("eq e1: f(a) = a", "expects 2 arguments", 4),
-    ("eq e1: f(x,y) = g(x)", "unknown symbol 'g'", 4),
-], ids=["malformed", "duplicate", "arity", "unknown-symbol"])
-def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, eqs, message, line):
+_HEAD = "sig a/0\nsig f/2\nord kbo\n"
+
+
+@pytest.mark.parametrize("text, message, line", [
+    (_HEAD + "eq e1: f(x,y) = f(z,z)", "variables not in the left-hand side", 4),
+    (_HEAD + "eq e1: f(x,y) = f(y,x)\neq e2: f(u,v) = f(v,u)", "already live", 5),
+    (_HEAD + "eq e1: f(a) = a", "expects 2 arguments", 4),
+    (_HEAD + "eq e1: f(x,y) = g(x)", "unknown symbol 'g'", 4),
+    ("sig a/0 w=0\nsig f/2\nord kbo\neq e1: f(x,y) = x",
+     "weights must be >= 1", 1),
+], ids=["malformed", "duplicate", "arity", "unknown-symbol", "zero-weight"])
+def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, line):
     from todx.cli import main
     path = tmp_path / "invalid.tod"
-    path.write_text(f"sig a/0\nsig f/2\nord kbo\n{eqs}\n")
+    path.write_text(text + "\n")
     assert main(["run", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: ") and message in err

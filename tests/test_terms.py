@@ -135,13 +135,34 @@ def test_sign_examples():
 
 def test_sign_against_brute_force_grid():
     rng = random.Random(11)
-    for _ in range(3000):
-        w0 = rng.randint(1, 3)
+    sig = random_signature(rng, "mixed", max_weight=3)
+
+    def draw_expr():
         nvars = rng.randint(0, 3)
-        e = LinearExpr(rng.randint(-6, 6),
-                       {v: rng.randint(-3, 3) for v in range(nvars)})
-        verdict = e.sign(w0)
-        brute, witness = brute_sign(e, w0)
+        return LinearExpr(rng.randint(-6, 6),
+                          {v: rng.randint(-3, 3) for v in range(nvars)})
+
+    def draw_subst():
+        if rng.random() < 0.2:
+            return None
+        return random_subst(rng, sig, rng.sample(range(3), rng.randint(0, 3)),
+                            max_depth=2)
+
+    for i in range(3000):
+        w0 = rng.randint(1, 3)
+        e = draw_expr()
+        if i % 2 == 0:
+            verdict = e.sign(w0)
+            span = 6
+        else:
+            # the one-pass sign of e*sigma - minus*theta
+            sigma, minus, theta = draw_subst(), draw_expr(), draw_subst()
+            verdict = e.sign(w0, sigma, minus, theta)
+            e = (e.subst(sigma or Substitution())
+                 - minus.subst(theta or Substitution()))
+            assert verdict is e.sign(w0)
+            span = 3        # images may add variables 100 and 101
+        brute, witness = brute_sign(e, w0, span)
         assert verdict is brute
         if verdict is Label.NGE:
             assert witness is not None or any(
