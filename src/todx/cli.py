@@ -9,13 +9,15 @@ from pathlib import Path
 from . import harness
 from .terms import SignatureError
 
-# a script that does not parse, cannot be run, or declares a bad signature
-_INVALID_SCRIPT = (harness.ScriptError, SignatureError)
+# a script that cannot be read as UTF-8, does not parse, cannot be run,
+# or declares a bad signature
+_INVALID_SCRIPT = (OSError, UnicodeDecodeError, harness.ScriptError,
+                   SignatureError)
 
 
 def _cmd_run(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
     try:
+        text = Path(args.file).read_text(encoding="utf-8")
         script = harness.parse_script(text)
         for w in script.warnings:
             print(f"warning: {w}", file=sys.stderr)
@@ -58,8 +60,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    report = harness.bench(args.family, args.n, order=args.order,
-                           want=args.want, seed=args.seed, mode=args.mode)
+    try:
+        report = harness.bench(args.family, args.n, order=args.order,
+                               want=args.want, seed=args.seed, mode=args.mode)
+    except ValueError as err:
+        print(f"todx bench: {err}", file=sys.stderr)
+        return 2
     csv = harness.emit_stats_csv([report])
     if args.stats:
         Path(args.stats).write_text(csv, encoding="utf-8")

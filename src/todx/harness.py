@@ -201,6 +201,8 @@ def parse_script(text: str) -> Script:
             w_exp = p_exp = False
             for attr in m.group("attrs").split():
                 key, val = attr.split("=")
+                if (w_exp if key == "w" else p_exp):
+                    raise ScriptError(f"symbol {name} repeats {key}=", lineno)
                 if key == "w":
                     weight, w_exp = int(val), True
                     if weight < 1:
@@ -688,6 +690,8 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
 def bench(family: str, n: int, order: str = "kbo", want: str = "all",
           seed: int = 0, mode: str = "crosscheck") -> RunReport:
     """Run a benchmark family and return its report (one Stats per mode)."""
+    if n < 0:
+        raise ValueError(f"bench size must be >= 0, got {n}")
     if family == "swap":
         script = _argswap_script(n, seed, order)
     elif family == "poly":

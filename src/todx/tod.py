@@ -5,9 +5,11 @@ positivity checks) and success nodes.  Retrieving with a query
 substitution walks the diagram, and on the way rewrites the parts it
 touches into cheaper equivalents: comparisons expand by the order's
 definition, nodes whose outcome the path already determines are
-bypassed, and multi-parent nodes are split so every processed node is
-reached by exactly one path.  The diagram after a retrieval accepts the
-same success sets as before, it is just faster to walk.
+bypassed, and a node reached by several edges is split first: the edge
+the walk arrives by gets a fresh copy, so every processed node is
+reached by exactly one path.  Nodes count their incoming edges and keep
+no list of them.  The diagram after a retrieval accepts the same
+success sets as before, it is just faster to walk.
 
 Edges carry ``Label``s.  The answer of a check, evaluated or forced,
 is the label of the edge the walk takes next, and the label a walk
@@ -85,7 +87,7 @@ class Equality:
 
 class TodNode:
     __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "visited", "tpo",
-                 "out", "parents", "nid")
+                 "out", "refs", "nid")
 
     def __init__(self, kind: NodeKind, nid: int, lhs: Optional[Term] = None,
                  rhs: Optional[Term] = None, expr: Optional[LinearExpr] = None,
@@ -98,7 +100,7 @@ class TodNode:
         self.visited = False
         self.tpo: Optional[PartialOrdering] = None
         self.out: dict[Label, TodNode] = {}
-        self.parents: list[tuple[TodNode, Label]] = []
+        self.refs = 0       # incoming edges
         self.nid = nid
 
     def label(self) -> str:
@@ -146,14 +148,13 @@ class Tod:
 
     def _link(self, src: TodNode, label: Label, dst: TodNode) -> None:
         src.out[label] = dst
-        dst.parents.append((src, label))
+        dst.refs += 1
 
     def _unlink_out(self, src: TodNode) -> list:
         """Remove all outgoing edges of ``src``; return the old targets."""
-        old = []
-        for label, dst in src.out.items():
-            dst.parents.remove((src, label))
-            old.append(dst)
+        old = list(src.out.values())
+        for dst in old:
+            dst.refs -= 1
         src.out = {}
         return old
 
@@ -177,10 +178,10 @@ class Tod:
 
     def _cleanup(self, candidates) -> None:
         """Drop nodes left without incoming edges, cascading; exit stays."""
-        stack = [n for n in candidates if not n.parents and n.kind is not NodeKind.EXIT]
+        stack = [n for n in candidates if not n.refs and n.kind is not NodeKind.EXIT]
         while stack:
             n = stack.pop()
-            if n.parents or n.kind is NodeKind.EXIT:
+            if n.refs or n.kind is NodeKind.EXIT:
                 continue
             stack.extend(self._unlink_out(n))
 
@@ -246,27 +247,30 @@ class Tod:
 
     # -- generic transformations ----------------------------------------------
 
-    def replicate_node(self, node: TodNode, via: tuple) -> TodNode:
-        """Split off a copy that takes every incoming edge except ``via``.
+    @staticmethod
+    def _check_via(node: TodNode, via: tuple) -> None:
+        src, label = via
+        if src.out.get(label) is not node:
+            raise TodStructureError("traversal edge does not lead to the node")
 
-        The copy shares the outgoing edge targets; the original keeps
-        only the traversal edge, restoring the single-path property.
+    def replicate_node(self, node: TodNode, via: tuple) -> TodNode:
+        """Give the traversal edge ``via`` a copy of ``node``; return it.
+
+        The copy shares the outgoing edge targets and has ``via`` as its
+        only incoming edge, so the walk continues on a node reached by
+        one path; the original keeps every other incoming edge.
         """
         if node.kind is NodeKind.EXIT:
             raise TodStructureError("cannot replicate the exit node")
-        if len(node.parents) < 2:
+        if node.refs < 2:
             raise TodStructureError("replication needs multiple incoming edges")
-        if via not in node.parents:
-            raise TodStructureError("traversal edge is not incoming")
+        self._check_via(node, via)
         copy = self._node(node.kind, lhs=node.lhs, rhs=node.rhs,
                           expr=node.expr, eq=node.eq)
-        copy.parents = [p for p in node.parents if p != via]
-        node.parents = [via]
-        for src, label in copy.parents:
-            src.out[label] = copy
+        node.refs -= 1
+        self._link(*via, copy)
         for label, dst in node.out.items():
-            copy.out[label] = dst
-            dst.parents.append((copy, label))
+            self._link(copy, label, dst)
         created = self.stats.nodes_created
         if node.kind is NodeKind.TERM:
             created.term += 1
@@ -276,25 +280,28 @@ class Tod:
             created.success += 1
         return copy
 
-    def _replace_with(self, node: TodNode, target: TodNode) -> TodNode:
-        """Send ``node``'s one incoming edge to ``target``; prune orphans."""
-        (src, in_label), = node.parents
-        node.parents = []
+    def _replace_with(self, node: TodNode, target: TodNode,
+                      via: tuple) -> TodNode:
+        """Send ``via``, ``node``'s one incoming edge, to ``target``;
+        prune orphans."""
+        self._check_via(node, via)
+        node.refs = 0
         old_targets = self._unlink_out(node)
-        src.out[in_label] = target
-        target.parents.append((src, in_label))
+        self._link(*via, target)
         self._cleanup(old_targets)
         return target
 
-    def remove_forced(self, node: TodNode, label: Label) -> TodNode:
-        """Bypass a node whose outcome is forced; prune what that orphans."""
+    def remove_forced(self, node: TodNode, label: Label,
+                      via: tuple) -> TodNode:
+        """Bypass a node whose outcome is forced: send its one incoming
+        edge ``via`` to its ``label`` target; prune what that orphans."""
         if node.visited:
             raise TodStructureError("forced removal applies to unvisited nodes")
-        if len(node.parents) != 1:
+        if node.refs != 1:
             raise TodStructureError("forced removal needs a single incoming edge")
         if label not in node.out:
             raise TodStructureError(f"node has no {label!r} edge")
-        return self._replace_with(node, node.out[label])
+        return self._replace_with(node, node.out[label], via)
 
     # -- order-specific transformations -----------------------------------------
 
@@ -303,7 +310,7 @@ class Tod:
             raise TodStructureError("only term comparisons expand")
         if node.visited:
             raise TodStructureError("expansion applies to unvisited nodes")
-        if len(node.parents) != 1:
+        if node.refs != 1:
             raise TodStructureError("expansion needs a single incoming edge")
         if node.lhs.sym is None or node.rhs.sym is None:
             raise TodStructureError("both comparison sides must be applications")
@@ -334,7 +341,7 @@ class Tod:
         self.stats.nodes_created.pos += 1
         return self._rewire(node, {_GT: gt, _GEQ: geq, _NGE: nge})
 
-    def transform_lpo(self, node: TodNode) -> TodNode:
+    def transform_lpo(self, node: TodNode, via: tuple) -> TodNode:
         """Expand a comparison of two applications by the LPO definition.
 
         Two side conditions become chains of comparisons.  "s beats
@@ -346,17 +353,18 @@ class Tod:
         there continues in the first chain over the remaining arguments
         of t (left column), a !>= in the second chain over the remaining
         arguments of s (right column).  The original node becomes the
-        head of the expansion, or, with no arguments to compare, gives
-        way to its old >, !>= or = target respectively.
+        head of the expansion, or, with no arguments to compare, its
+        incoming edge ``via`` goes to its old >, !>= or = target
+        respectively.
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
         gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
         ps, pt = s.sym.precedence, t.sym.precedence
         if ps > pt and not t.args:
-            return self._replace_with(node, gt)
+            return self._replace_with(node, gt, via)
         if ps <= pt and not s.args:
-            return self._replace_with(node, nge if ps < pt else eq)
+            return self._replace_with(node, nge if ps < pt else eq, via)
         # left[i]: s beats each of t.args[i+1:]; right[i]: some of
         # s.args[i+1:] reaches t
         left, right = [gt], [nge]
@@ -378,10 +386,10 @@ class Tod:
         node.lhs, node.rhs = s.args[0], t.args[0]
         return self._rewire(node, {_GT: left[0], _EQ: mid, _NGE: right[0]})
 
-    def _transform(self, node: TodNode) -> TodNode:
+    def _transform(self, node: TodNode, via: tuple) -> TodNode:
         if self.order.kind == "kbo":
             return self.transform_kbo(node)
-        return self.transform_lpo(node)
+        return self.transform_lpo(node, via)
 
     # -- retrieval ---------------------------------------------------------------
 
@@ -407,8 +415,8 @@ class Tod:
                 return results
             if kind is NodeKind.SUCCESS:
                 if not node.visited:
-                    if len(node.parents) > 1:
-                        self.replicate_node(node, (prev, arrival))
+                    if node.refs > 1:
+                        node = self.replicate_node(node, (prev, arrival))
                     node.visited = True
                     node.tpo = self._tpo_at(prev, arrival, node)
                     st.nodes_processed.success += 1
@@ -422,13 +430,14 @@ class Tod:
                 prev, arrival, node = node, _NEXT, node.out[_NEXT]
                 continue
             if not node.visited:
-                if len(node.parents) > 1:
-                    self.replicate_node(node, (prev, arrival))
+                via = (prev, arrival)
+                if node.refs > 1:
+                    node = self.replicate_node(node, via)
                 tpo = self._tpo_at(prev, arrival, node)
                 forced = self._forced(node, tpo)
                 if (forced is None and kind is NodeKind.TERM
                         and node.lhs.sym is not None and node.rhs.sym is not None):
-                    node = self._transform(node)
+                    node = self._transform(node, via)
                     continue
                 if kind is NodeKind.TERM:
                     st.nodes_processed.term += 1
@@ -437,7 +446,7 @@ class Tod:
                 if forced is not None:
                     if self.forcing_audit is not None:
                         self.forcing_audit(node, sigma, forced)
-                    node = self.remove_forced(node, forced)
+                    node = self.remove_forced(node, forced, via)
                     continue
                 node.visited = True
                 node.tpo = tpo
@@ -479,9 +488,6 @@ class Tod:
     def validate(self) -> None:
         """Check the structural diagram invariants; raise on violation."""
         nodes = self.nodes()
-        ids = {id(n) for n in nodes}
-        if self.exit not in nodes:
-            raise TodStructureError("exit not reachable from root")
         expected = {
             NodeKind.ROOT: {_NEXT},
             NodeKind.SUCCESS: {_NEXT},
@@ -493,57 +499,37 @@ class Tod:
         exits = [n for n in nodes if n.kind is NodeKind.EXIT]
         if roots != [self.root] or exits != [self.exit]:
             raise TodStructureError("diagram must have one root and one exit")
-        edges = set()
+        indeg = dict.fromkeys(nodes, 0)
+        for n in nodes:
+            for dst in n.out.values():
+                indeg[dst] += 1
+        for n in nodes:
+            if n.refs != indeg[n]:
+                raise TodStructureError(
+                    f"{n!r} counts {n.refs} incoming edges, has {indeg[n]}")
+        # Kahn's order: a node follows every node with an edge into it
+        order = [n for n in nodes if not indeg[n]]
+        for n in order:
+            for dst in n.out.values():
+                indeg[dst] -= 1
+                if not indeg[dst]:
+                    order.append(dst)
+        if len(order) != len(nodes):
+            raise TodStructureError("cycle detected")
+        reaches_exit = {self.exit}
+        for n in reversed(order):
+            if any(dst in reaches_exit for dst in n.out.values()):
+                reaches_exit.add(n)
+            elif n is not self.exit:
+                raise TodStructureError(f"exit unreachable from {n!r}")
         for n in nodes:
             if set(n.out) != expected[n.kind]:
                 raise TodStructureError(
                     f"{n!r} has edges {set(n.out)}, wants {expected[n.kind]}")
-            for label, dst in n.out.items():
-                if id(dst) not in ids:
-                    raise TodStructureError(f"{n!r} targets unreachable node")
-                if (n, label) not in dst.parents:
-                    raise TodStructureError(f"missing parent entry for {dst!r}")
-                edges.add((id(n), label))
-            if n.visited and n.kind is not NodeKind.ROOT:
-                if len(n.parents) != 1:
-                    raise TodStructureError(f"visited {n!r} has multiple parents")
-                if not n.parents[0][0].visited:
-                    raise TodStructureError(f"visited {n!r} under unvisited parent")
-        for n in nodes:
-            for src, label in n.parents:
-                if id(src) not in ids or src.out.get(label) is not n:
-                    raise TodStructureError(f"stale parent entry on {n!r}")
-        # acyclicity and exit reachability
-        color: dict[int, int] = {}
-        order: list[TodNode] = []
-
-        def visit(start: TodNode) -> None:
-            stack = [(start, iter(start.out.values()))]
-            color[id(start)] = 1
-            while stack:
-                n, it = stack[-1]
-                advanced = False
-                for m in it:
-                    c = color.get(id(m), 0)
-                    if c == 1:
-                        raise TodStructureError("cycle detected")
-                    if c == 0:
-                        color[id(m)] = 1
-                        stack.append((m, iter(m.out.values())))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[id(n)] = 2
-                    order.append(n)
-                    stack.pop()
-
-        visit(self.root)
-        reaches_exit = {id(self.exit)}
-        for n in order:
-            if n is self.exit:
-                continue
-            if any(id(dst) in reaches_exit for dst in n.out.values()):
-                reaches_exit.add(id(n))
-        for n in nodes:
-            if id(n) not in reaches_exit:
-                raise TodStructureError(f"exit unreachable from {n!r}")
+            if n.visited and n.kind is not NodeKind.ROOT and n.refs != 1:
+                raise TodStructureError(
+                    f"visited {n!r} has {n.refs} incoming edges")
+            for dst in n.out.values():
+                if dst.visited and not n.visited:
+                    raise TodStructureError(
+                        f"visited {dst!r} under unvisited {n!r}")

@@ -174,12 +174,13 @@ class ScenarioChecker:
         for m in ("on", "shared"):
             for tod in self.indexes[m].tods():
                 tod.validate()
+                into = in_edges(tod)
                 for node in tod.nodes():
                     if not node.visited or node.kind.value in ("root", "exit"):
                         continue
                     # keyed by the diagram itself: a removal can free a
                     # diagram, and a later one may reuse its id()
-                    path = root_path(node)
+                    path = root_path(node, into)
                     prior = self._paths.get((m, tod, node.nid))
                     if prior is not None:
                         assert prior == path, (
@@ -187,11 +188,20 @@ class ScenarioChecker:
                     self._paths[(m, tod, node.nid)] = path
 
 
-def root_path(node) -> list:
+def in_edges(tod) -> dict:
+    """Node -> its incoming edges (src, label), read off the out-edges."""
+    into = {node: [] for node in tod.nodes()}
+    for src in into:
+        for label, dst in src.out.items():
+            into[dst].append((src, label))
+    return into
+
+
+def root_path(node, into: dict) -> list:
     """The unique path root -> node of a visited node, as (nid, label)."""
     path = []
     while node.kind is not NodeKind.ROOT:
-        (src, label), = node.parents
+        (src, label), = into[node]
         path.append((src.nid, label))
         node = src
     path.reverse()

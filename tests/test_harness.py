@@ -232,7 +232,12 @@ _HEAD = "sig a/0\nsig f/2\nord kbo\n"
     (_HEAD + "eq e1: f(x,y) = g(x)", "unknown symbol 'g'", 4),
     ("sig a/0 w=0\nsig f/2\nord kbo\neq e1: f(x,y) = x",
      "weights must be >= 1", 1),
-], ids=["malformed", "duplicate", "arity", "unknown-symbol", "zero-weight"])
+    ("sig a/0 p=1 p=7\nsig f/2 p=1\nord kbo\neq e1: f(x,y) = x",
+     "symbol a repeats p=", 1),
+    ("sig a/0 w=1 w=5 p=1 p=7\nsig f/2 p=7\nord kbo\neq e1: f(x,y) = x",
+     "symbol a repeats w=", 1),
+], ids=["malformed", "duplicate", "arity", "unknown-symbol", "zero-weight",
+        "repeated-p", "repeated-w"])
 def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, line):
     from todx.cli import main
     path = tmp_path / "invalid.tod"
@@ -241,6 +246,25 @@ def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, lin
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: ") and message in err
     assert f"line {line}:" in err
+
+
+@pytest.mark.parametrize("content", [None, b"sig a/0\n\xff\n"],
+                         ids=["missing", "not-utf8"])
+def test_cli_unreadable_script_exits_2(tmp_path, capsys, content):
+    from todx.cli import main
+    path = tmp_path / "script.tod"
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"{path}: ")
+
+
+def test_bench_rejects_negative_size(capsys):
+    from todx.cli import main
+    with pytest.raises(ValueError, match="-3"):
+        bench("swap", -3)
+    assert main(["bench", "--family", "swap", "--n", "-3"]) == 2
+    assert capsys.readouterr().err.startswith("todx bench: ")
 
 
 def test_script_without_source_lines_raises_the_original_error():

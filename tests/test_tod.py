@@ -340,7 +340,7 @@ def test_transform_lpo_higher_head_chain(sig):
     tod.insert(Equality(1, l, r))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert out is node
     assert (node.lhs, node.rhs) == (l, x)
@@ -355,7 +355,7 @@ def test_transform_lpo_higher_head_no_args(sig):
     tod.insert(Equality(1, l, sig.app("a")))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert out is succ
     assert tod.root.out[NEXT] is succ
@@ -371,7 +371,7 @@ def test_transform_lpo_higher_head_two_arg_chain(sig_gf):
     tod.insert(Equality(1, l, r))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    tod.transform_lpo(node)
+    tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert (node.lhs, node.rhs) == (l, sig_gf.app("a"))
     nxt = node.out[GT]
@@ -390,7 +390,7 @@ def test_transform_lpo_lower_head_chain(sig_gf):
     tod.insert(Equality(1, l, r))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert out is node
     assert (node.lhs, node.rhs) == (x, r)
@@ -408,7 +408,7 @@ def test_transform_lpo_constant_below_application(sig):
     r = sig.app("f", [sig.var(0), sig.var(1)])
     tod.insert(Equality(1, sig.app("a"), r))
     node = tod.root.out[NEXT]
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert out is tod.exit
     assert tod.root.out[NEXT] is tod.exit
@@ -422,7 +422,7 @@ def test_transform_lpo_equal_heads_grid(sig):
     tod.insert(Equality(1, l, r1))
     node = tod.root.out[NEXT]
     succ, ex = node.out[GT], tod.exit
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     x, y = sig.var(0), sig.var(1)
     assert out is node and (node.lhs, node.rhs) == (x, y)
@@ -443,7 +443,7 @@ def test_transform_lpo_three_argument_grid():
     s, t = node.lhs, node.rhs
     succ, ex = node.out[GT], tod.exit
     created = tod.stats.nodes_created.term
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert out is node and (node.lhs, node.rhs) == (x, y)
     assert tod.stats.nodes_created.term - created == 6  # two levels of 3
@@ -473,7 +473,7 @@ def test_transform_lpo_equal_constants_collapse(sig):
     a = sig.app("a")
     tod.insert(Equality(1, a, a))
     node = tod.root.out[NEXT]
-    out = tod.transform_lpo(node)
+    out = tod.transform_lpo(node, (tod.root, NEXT))
     tod.validate()
     assert out is tod.exit  # the = target of the original node
 
@@ -487,7 +487,8 @@ def test_replicate_node(sig, kbo_tod):
     kbo_tod.insert(Equality(2, l, r2))
     first = kbo_tod.root.out[NEXT]
     second = first.out[EQ]
-    assert len(second.parents) == 3
+    succ = first.out[GT]
+    assert second.refs == 3
 
     def paths(tod):
         acc = []
@@ -507,9 +508,12 @@ def test_replicate_node(sig, kbo_tod):
     before = paths(kbo_tod)
     copy = kbo_tod.replicate_node(second, (first, EQ))
     kbo_tod.validate()
-    assert second.parents == [(first, EQ)]
-    assert sorted((src.label(), lbl.value) for src, lbl in copy.parents) == \
-        sorted([(first.label(), NGE.value), ("eq 1", NEXT.value)])
+    # the traversal edge now leads to the copy, its only incoming edge;
+    # the original keeps the other two
+    assert copy is not second
+    assert first.out[EQ] is copy and copy.refs == 1
+    assert first.out[NGE] is second and succ.out[NEXT] is second
+    assert second.refs == 2
     # shallow copy: same outgoing targets, same label
     assert copy.out == second.out
     assert copy.label() == second.label()
@@ -517,13 +521,16 @@ def test_replicate_node(sig, kbo_tod):
 
 
 def test_replicate_preconditions(sig, kbo_tod):
-    l, r1, _ = swap_terms(sig)
+    l, r1, r2 = swap_terms(sig)
     kbo_tod.insert(Equality(1, l, r1))
+    kbo_tod.insert(Equality(2, l, r2))
     node = kbo_tod.root.out[NEXT]
     with pytest.raises(TodStructureError):
         kbo_tod.replicate_node(node, (kbo_tod.root, NEXT))
     with pytest.raises(TodStructureError):
-        kbo_tod.replicate_node(kbo_tod.exit, (node, EQ))
+        kbo_tod.replicate_node(kbo_tod.exit, (node.out[EQ], EQ))
+    with pytest.raises(TodStructureError, match="traversal edge"):
+        kbo_tod.replicate_node(node.out[EQ], (node, GT))
 
 
 def test_remove_forced_cascades_success(sig):
@@ -542,7 +549,7 @@ def test_remove_forced_direct(sig, kbo_tod):
     kbo_tod.insert(Equality(1, l, r1))
     node = kbo_tod.root.out[NEXT]
     succ = node.out[GT]
-    target = kbo_tod.remove_forced(node, GT)
+    target = kbo_tod.remove_forced(node, GT, (kbo_tod.root, NEXT))
     kbo_tod.validate()
     assert target is succ
     assert kbo_tod.root.out[NEXT] is succ
@@ -552,13 +559,72 @@ def test_remove_forced_preconditions(sig, kbo_tod):
     l, r1, r2 = swap_terms(sig)
     kbo_tod.insert(Equality(1, l, r1))
     kbo_tod.insert(Equality(2, l, r2))
-    second = kbo_tod.root.out[NEXT].out[EQ]
-    with pytest.raises(TodStructureError):
-        kbo_tod.remove_forced(second, EQ)  # multiple parents
     first = kbo_tod.root.out[NEXT]
+    second = first.out[EQ]
+    with pytest.raises(TodStructureError):
+        kbo_tod.remove_forced(second, EQ, (first, EQ))  # multiple parents
+    with pytest.raises(TodStructureError, match="traversal edge"):
+        kbo_tod.remove_forced(first, EQ, (kbo_tod.root, GT))
     first.visited = True
     with pytest.raises(TodStructureError):
-        kbo_tod.remove_forced(first, EQ)
+        kbo_tod.remove_forced(first, EQ, (kbo_tod.root, NEXT))
+
+
+# -- validation ------------------------------------------------------------------------
+
+
+def relink(src, label, dst):
+    """Redirect one edge, keeping every incoming-edge count right."""
+    src.out[label].refs -= 1
+    src.out[label] = dst
+    dst.refs += 1
+
+
+@pytest.fixture
+def one_eq(sig, kbo_tod):
+    """root -> cmp -(>)-> succ -> exit, cmp -(=, !>=)-> exit."""
+    l, r1, _ = swap_terms(sig)
+    kbo_tod.insert(Equality(1, l, r1))
+    kbo_tod.validate()
+    cmp = kbo_tod.root.out[NEXT]
+    return kbo_tod, cmp, cmp.out[GT]
+
+
+def test_validate_rejects_wrong_refs(one_eq):
+    tod, cmp, _ = one_eq
+    cmp.refs += 1
+    with pytest.raises(TodStructureError, match="incoming edges, has"):
+        tod.validate()
+
+
+def test_validate_rejects_cycle(one_eq):
+    tod, cmp, succ = one_eq
+    relink(succ, NEXT, cmp)
+    with pytest.raises(TodStructureError, match="cycle"):
+        tod.validate()
+
+
+def test_validate_rejects_second_edge_into_visited(one_eq):
+    tod, cmp, succ = one_eq
+    cmp.visited = succ.visited = True
+    tod.validate()
+    relink(cmp, EQ, succ)
+    with pytest.raises(TodStructureError, match="visited .* has 2 incoming"):
+        tod.validate()
+
+
+def test_validate_rejects_visited_under_unvisited(one_eq):
+    tod, _, succ = one_eq
+    succ.visited = True
+    with pytest.raises(TodStructureError, match="under unvisited"):
+        tod.validate()
+
+
+def test_validate_rejects_node_that_cannot_reach_exit(one_eq):
+    tod, _, succ = one_eq
+    succ.out.pop(NEXT).refs -= 1
+    with pytest.raises(TodStructureError, match="exit unreachable"):
+        tod.validate()
 
 
 # -- randomized equivalence, determinism, laziness -------------------------------------
