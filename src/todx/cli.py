@@ -122,7 +122,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as err:      # output that cannot be written
+        print(f"todx {args.command}: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

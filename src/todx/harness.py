@@ -12,8 +12,9 @@ A script is line-based::
     expect q1: {e1}
 
 Terms are written in prefix notation; identifiers not declared as
-symbols are variables.  ``w=`` and ``p=`` are optional (weight defaults
-to 1, precedence to declaration order).  A query binds variables by the
+symbols are variables.  ``w=`` and ``p=`` are optional: the weight
+defaults to 1, and a symbol without ``p=`` takes the lowest precedence
+left free, in declaration order.  A query binds variables by the
 names used in the equalities; it runs against every group whose
 left-hand side variables are all bound.
 """
@@ -21,6 +22,7 @@ left-hand side variables are all bound.
 from __future__ import annotations
 
 import io
+import itertools
 import random
 import re
 from dataclasses import dataclass, field
@@ -48,12 +50,12 @@ RawTree = Union[str, tuple]
 
 @dataclass(frozen=True)
 class SigDecl:
+    """A symbol declaration; ``None`` leaves weight or precedence unset."""
+
     name: str
     arity: int
-    weight: int = 1
-    precedence: int = -1
-    weight_explicit: bool = field(default=False, compare=False)
-    precedence_explicit: bool = field(default=False, compare=False)
+    weight: Optional[int] = None
+    precedence: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -177,7 +179,6 @@ def parse_script(text: str) -> Script:
     order_lines: list[int] = []
     eq_ids: set[str] = set()
     query_ids: set[str] = set()
-    auto_prec: list[int] = []  # indexes of sig decls without explicit p=
     used_precs: set[int] = set()
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
@@ -197,27 +198,21 @@ def parse_script(text: str) -> Script:
             name = m.group("name")
             if any(isinstance(c, SigDecl) and c.name == name for c in commands):
                 raise ScriptError(f"duplicate symbol {name!r}", lineno)
-            weight, prec = 1, -1
-            w_exp = p_exp = False
+            attrs = {}
             for attr in m.group("attrs").split():
                 key, val = attr.split("=")
-                if (w_exp if key == "w" else p_exp):
+                if key in attrs:
                     raise ScriptError(f"symbol {name} repeats {key}=", lineno)
-                if key == "w":
-                    weight, w_exp = int(val), True
-                    if weight < 1:
-                        raise ScriptError(f"symbol {name} has weight {weight}; "
-                                          "weights must be >= 1", lineno)
-                else:
-                    prec, p_exp = int(val), True
-            if p_exp:
+                attrs[key] = int(val)
+            weight, prec = attrs.get("w"), attrs.get("p")
+            if weight is not None and weight < 1:
+                raise ScriptError(f"symbol {name} has weight {weight}; "
+                                  "weights must be >= 1", lineno)
+            if prec is not None:
                 if prec in used_precs:
                     raise ScriptError(f"duplicate precedence {prec}", lineno)
                 used_precs.add(prec)
-            else:
-                auto_prec.append(len(commands))
-            commands.append(SigDecl(name, int(m.group("arity")), weight, prec,
-                                    w_exp, p_exp))
+            commands.append(SigDecl(name, int(m.group("arity")), weight, prec))
 
         elif word == "ord":
             parts = line.split()
@@ -302,24 +297,13 @@ def parse_script(text: str) -> Script:
         raise ScriptError("script must contain exactly one 'ord' line",
                           order_lines[1] if order_lines else 0)
 
-    # assign precedences left open, avoiding the explicit ones
-    next_p = 0
-    patched = list(commands)
-    for idx in auto_prec:
-        while next_p in used_precs:
-            next_p += 1
-        used_precs.add(next_p)
-        c = patched[idx]
-        patched[idx] = SigDecl(c.name, c.arity, c.weight, next_p,
-                               c.weight_explicit, False)
-
     warnings = []
-    order_kind = next(c.kind for c in patched if isinstance(c, OrderDecl))
+    order_kind = next(c.kind for c in commands if isinstance(c, OrderDecl))
     if order_kind == "lpo" and any(
-            isinstance(c, SigDecl) and c.weight_explicit for c in patched):
+            isinstance(c, SigDecl) and c.weight is not None for c in commands):
         warnings.append("lpo ignores symbol weights; w= attributes have no effect")
 
-    return Script(tuple(patched), tuple(warnings), tuple(lines))
+    return Script(tuple(commands), tuple(warnings), tuple(lines))
 
 
 def format_script(script: Script) -> str:
@@ -327,9 +311,9 @@ def format_script(script: Script) -> str:
     for c in script.commands:
         if isinstance(c, SigDecl):
             attrs = ""
-            if c.weight_explicit:
+            if c.weight is not None:
                 attrs += f" w={c.weight}"
-            if c.precedence_explicit:
+            if c.precedence is not None:
                 attrs += f" p={c.precedence}"
             out.append(f"sig {c.name}/{c.arity}{attrs}")
         elif isinstance(c, OrderDecl):
@@ -369,8 +353,14 @@ class RunReport:
 
 
 def _build_signature(commands: Iterable[Command]) -> Signature:
-    return Signature((c.name, c.arity, c.weight, c.precedence)
-                     for c in commands if isinstance(c, SigDecl))
+    """The declared symbols; unset weights are 1, unset precedences the
+    lowest values left free, in declaration order."""
+    decls = [c for c in commands if isinstance(c, SigDecl)]
+    used = {c.precedence for c in decls}
+    free = (p for p in itertools.count() if p not in used)
+    return Signature((c.name, c.arity, 1 if c.weight is None else c.weight,
+                      next(free) if c.precedence is None else c.precedence)
+                     for c in decls)
 
 
 def _resolve(sig: Signature, raw: RawTree, varmap: dict) -> Term:
@@ -409,7 +399,6 @@ def run(script: Script, mode: str = "shared", want: str = "all",
     eq_names: dict[int, str] = {}
     # group key -> canonical variable names, from the first group member
     group_names: dict[Term, list] = {}
-    group_order: list[Term] = []
 
     query_results: dict[str, list] = {}
     expect_failures: list[str] = []
@@ -425,20 +414,16 @@ def run(script: Script, mode: str = "shared", want: str = "all",
                     eid = idx.insert(lhs, rhs)
                 eq_ids[cmd.eq_id] = eid
                 eq_names[eid] = cmd.eq_id
-                key, _, mapping = canonicalize_equality(sig, lhs, rhs)
-                if key not in group_names:
-                    names_by_vid = sorted(varmap.items(), key=lambda kv: kv[1])
-                    lhs_vid_count = len(mapping)
-                    group_names[key] = [n for n, _ in names_by_vid[:lhs_vid_count]]
-                    group_order.append(key)
+                # the lhs numbers its variables by first occurrence, as
+                # its canonical form does, and the rhs adds none
+                group_names.setdefault(idx.equality(eid).lhs, list(varmap))
             elif isinstance(cmd, Delete):
                 for idx in indexes.values():
                     idx.remove(eq_ids[cmd.eq_id])
             elif isinstance(cmd, Query):
                 bound = dict(cmd.bindings)
                 per_mode: dict[str, list] = {m: [] for m in modes}
-                for key in group_order:
-                    names = group_names[key]
+                for key, names in group_names.items():
                     if any(n not in bound for n in names):
                         continue
                     varmap = {n: i for i, n in enumerate(names)}
@@ -536,9 +521,8 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
     rng.shuffle(precs)
     commands: list[Command] = []
     for (name, arity), p in zip(pool, precs):
-        w = rng.randint(1, 3) if params.order == "kbo" else 1
-        commands.append(SigDecl(name, arity, w, p,
-                                params.order == "kbo", True))
+        w = rng.randint(1, 3) if params.order == "kbo" else None
+        commands.append(SigDecl(name, arity, w, p))
     commands.append(OrderDecl(params.order))
 
     consts = [n for n, a in pool if a == 0]
@@ -627,9 +611,9 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
 
 def _argswap_script(n: int, seed: int, order: str) -> Script:
     commands: list[Command] = [
-        SigDecl("a", 0, 1, 0, True, True),
-        SigDecl("b", 0, 1, 1, True, True),
-        SigDecl("f", 2, 1, 2, True, True),
+        SigDecl("a", 0, 1, 0),
+        SigDecl("b", 0, 1, 1),
+        SigDecl("f", 2, 1, 2),
         OrderDecl(order),
         Insert("e1", ("f", ("x", "y")), ("f", ("y", "x"))),
         Insert("e2", ("f", ("x", "y")), ("f", ("x", "x"))),
@@ -646,11 +630,11 @@ def _argswap_script(n: int, seed: int, order: str) -> Script:
 def _poly_script(n: int, seed: int, order: str) -> Script:
     rng = random.Random(seed)
     commands: list[Command] = [
-        SigDecl("a", 0, 1, 0, True, True),
-        SigDecl("b", 0, 2, 1, True, True),
-        SigDecl("g", 1, 2, 2, True, True),
-        SigDecl("h", 1, 3, 3, True, True),
-        SigDecl("f", 2, 1, 4, True, True),
+        SigDecl("a", 0, 1, 0),
+        SigDecl("b", 0, 2, 1),
+        SigDecl("g", 1, 2, 2),
+        SigDecl("h", 1, 3, 3),
+        SigDecl("f", 2, 1, 4),
         OrderDecl(order),
     ]
     sig = _build_signature(commands)

@@ -92,13 +92,17 @@ def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
     return lhs_c, rhs_c, mapping
 
 
-class _Group:
-    __slots__ = ("key", "eqs", "rhs_ids", "tod", "tods")
+def _check_id(eq_id) -> None:
+    # True == 1.0 == 1 as dict keys: only a plain int names an equality
+    if type(eq_id) is not int:
+        raise UnknownEqualityError(eq_id)
 
-    def __init__(self, key: Term):
-        self.key = key
-        self.eqs: dict[int, Equality] = {}      # live, in insertion order
-        self.rhs_ids: dict[Term, int] = {}      # live rhs -> id
+
+class _Group:
+    __slots__ = ("eqs", "tod", "tods")
+
+    def __init__(self):
+        self.eqs: dict[Term, Equality] = {}     # rhs -> live, in insertion order
         self.tod: Optional[Tod] = None          # shared mode
         self.tods: dict[int, Tod] = {}          # per-equality mode
 
@@ -112,8 +116,8 @@ class PostOrderingIndex:
         self.order = make_order(order, signature) if isinstance(order, str) else order
         self.mode = IndexMode(mode)
         self.stats = Stats()
-        self._groups: dict[Term, _Group] = {}
-        self._eq_group: dict[int, _Group] = {}   # live ids only
+        self._groups: dict[Term, _Group] = {}    # canonical lhs -> group
+        self._live: dict[int, Equality] = {}
         self._next_id = 1
 
     # -- maintenance -----------------------------------------------------------
@@ -133,21 +137,20 @@ class PostOrderingIndex:
         lhs_c, rhs_c, _ = canonicalize_equality(self.signature, lhs, rhs)
         group = self._groups.get(lhs_c)
         if group is None:
-            group = _Group(lhs_c)
+            group = _Group()
             self._groups[lhs_c] = group
             if self.mode is IndexMode.SHARED_BY_LHS:
                 group.tod = self._build_tod(())
                 self.stats.tods += 1
-        other = group.rhs_ids.get(rhs_c)
+        other = group.eqs.get(rhs_c)
         if other is not None:
             raise DuplicateEqualityError(
-                f"equality {lhs_c!r} = {rhs_c!r} already live as {other}")
+                f"equality {lhs_c!r} = {rhs_c!r} already live as {other.eq_id}")
         eq_id = self._next_id
         self._next_id += 1
         eq = Equality(eq_id, lhs_c, rhs_c)
-        group.eqs[eq_id] = eq
-        group.rhs_ids[rhs_c] = eq_id
-        self._eq_group[eq_id] = group
+        group.eqs[rhs_c] = eq
+        self._live[eq_id] = eq
         if self.mode is IndexMode.SHARED_BY_LHS:
             group.tod.insert(eq)
         elif self.mode is IndexMode.PER_EQUALITY:
@@ -164,21 +167,22 @@ class PostOrderingIndex:
         ``shared`` mode the group's diagram may be rebuilt (see the
         module docstring).  The last live member takes its group, and
         the group's diagram, along.  Raises ``UnknownEqualityError`` for an id
-        this index never assigned.
+        this index never assigned, and for any id that is not an ``int``.
         """
-        group = self._eq_group.pop(eq_id, None)
-        if group is None:
-            if isinstance(eq_id, int) and 0 < eq_id < self._next_id:
+        _check_id(eq_id)
+        eq = self._live.pop(eq_id, None)
+        if eq is None:
+            if 0 < eq_id < self._next_id:
                 return
             raise UnknownEqualityError(eq_id)
-        eq = group.eqs.pop(eq_id)
-        del group.rhs_ids[eq.rhs]
+        group = self._groups[eq.lhs]
+        del group.eqs[eq.rhs]
         self.stats.demodulators -= 1
         if self.mode is IndexMode.PER_EQUALITY:
             del group.tods[eq_id]
             self.stats.tods -= 1
         if not group.eqs:
-            del self._groups[group.key]
+            del self._groups[eq.lhs]
             if group.tod is not None:
                 self.stats.tods -= 1
         elif self.mode is IndexMode.SHARED_BY_LHS:
@@ -188,10 +192,11 @@ class PostOrderingIndex:
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""
-        group = self._eq_group.get(eq_id)
-        if group is None:
+        _check_id(eq_id)
+        eq = self._live.get(eq_id)
+        if eq is None:
             raise UnknownEqualityError(eq_id)
-        return group.eqs[eq_id]
+        return eq
 
     # -- retrieval ---------------------------------------------------------------
 
@@ -252,7 +257,7 @@ class PostOrderingIndex:
 
     def groups(self):
         """(canonical lhs, live member count) pairs, in creation order."""
-        return [(g.key, len(g.eqs)) for g in self._groups.values()]
+        return [(key, len(g.eqs)) for key, g in self._groups.items()]
 
     def tods(self):
         """All diagrams owned by the index (for validation in tests)."""

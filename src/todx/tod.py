@@ -4,11 +4,12 @@ A diagram is a rooted dag of evaluation nodes (term comparisons and
 positivity checks) and success nodes.  Retrieving with a query
 substitution walks the diagram, and on the way rewrites the parts it
 touches into cheaper equivalents: comparisons expand by the order's
-definition, nodes whose outcome the path already determines are
-bypassed, and a node reached by several edges is split first: the edge
-the walk arrives by gets a fresh copy, so every processed node is
-reached by exactly one path.  Nodes count their incoming edges and keep
-no list of them.  The diagram after a retrieval accepts the same
+definition, and a node whose outcome the path already determines is
+bypassed by moving the edge the walk arrives by to its outcome.  A node
+reached by several edges is split only before the walk visits or
+expands it: the arriving edge gets a fresh copy, so every visited node
+is reached by exactly one path.  Nodes count their incoming edges and
+keep no list of them.  The diagram after a retrieval accepts the same
 success sets as before, it is just faster to walk.
 
 Edges carry ``Label``s.  The answer of a check, evaluated or forced,
@@ -22,7 +23,6 @@ are single-threaded; distinct diagrams may be used concurrently.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -86,10 +86,12 @@ class Equality:
 
 
 class TodNode:
-    __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "visited", "tpo",
-                 "out", "refs", "nid")
+    """A diagram node.  It is visited exactly when it has ``tpo``, the
+    closure of its path formula, which the walk sets on the first visit."""
 
-    def __init__(self, kind: NodeKind, nid: int, lhs: Optional[Term] = None,
+    __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "tpo", "out", "refs")
+
+    def __init__(self, kind: NodeKind, lhs: Optional[Term] = None,
                  rhs: Optional[Term] = None, expr: Optional[LinearExpr] = None,
                  eq: Optional[Equality] = None):
         self.kind = kind
@@ -97,11 +99,13 @@ class TodNode:
         self.rhs = rhs
         self.expr = expr
         self.eq = eq
-        self.visited = False
         self.tpo: Optional[PartialOrdering] = None
         self.out: dict[Label, TodNode] = {}
         self.refs = 0       # incoming edges
-        self.nid = nid
+
+    @property
+    def visited(self) -> bool:
+        return self.tpo is not None
 
     def label(self) -> str:
         k = self.kind
@@ -115,7 +119,7 @@ class TodNode:
 
     def __repr__(self) -> str:
         flag = "*" if self.visited else ""
-        return f"<{self.nid}{flag} {self.label()}>"
+        return f"<{self.label()}{flag}>"
 
 
 class Tod:
@@ -127,24 +131,14 @@ class Tod:
         # the store, and every ordering and comparison it keeps, dies
         # with the diagram
         self.tpo_store = TpoStore(order)
-        # audit hook: called as (node, sigma, label) whenever a label is
-        # forced during retrieval, before the node is bypassed
-        self.forcing_audit = None
-        self._next_nid = 0
         self._eqs: dict[int, Equality] = {}
         self.dead = 0       # deleted equalities still in the diagram
-        self.root = self._node(NodeKind.ROOT)
-        self.exit = self._node(NodeKind.EXIT)
-        self.root.visited = True
+        self.root = TodNode(NodeKind.ROOT)
+        self.exit = TodNode(NodeKind.EXIT)
         self.root.tpo = self.tpo_store.empty
         self._link(self.root, _NEXT, self.exit)
 
     # -- construction helpers -------------------------------------------------
-
-    def _node(self, kind: NodeKind, **kw) -> TodNode:
-        n = TodNode(kind, self._next_nid, **kw)
-        self._next_nid += 1
-        return n
 
     def _link(self, src: TodNode, label: Label, dst: TodNode) -> None:
         src.out[label] = dst
@@ -161,7 +155,7 @@ class Tod:
     def _term(self, lhs: Term, rhs: Term, gt: TodNode, eq: TodNode,
               nge: TodNode) -> TodNode:
         """A new comparison node lhs vs rhs with its three edges."""
-        c = self._node(NodeKind.TERM, lhs=lhs, rhs=rhs)
+        c = TodNode(NodeKind.TERM, lhs=lhs, rhs=rhs)
         self.stats.nodes_created.term += 1
         self._link(c, _GT, gt)
         self._link(c, _EQ, eq)
@@ -178,7 +172,7 @@ class Tod:
 
     def _cleanup(self, candidates) -> None:
         """Drop nodes left without incoming edges, cascading; exit stays."""
-        stack = [n for n in candidates if not n.refs and n.kind is not NodeKind.EXIT]
+        stack = list(candidates)
         while stack:
             n = stack.pop()
             if n.refs or n.kind is NodeKind.EXIT:
@@ -200,8 +194,8 @@ class Tod:
         cmp_node.kind = NodeKind.TERM
         cmp_node.lhs = eq.lhs
         cmp_node.rhs = eq.rhs
-        succ = self._node(NodeKind.SUCCESS, eq=eq)
-        new_exit = self._node(NodeKind.EXIT)
+        succ = TodNode(NodeKind.SUCCESS, eq=eq)
+        new_exit = TodNode(NodeKind.EXIT)
         self.exit = new_exit
         self._link(cmp_node, _GT, succ)
         self._link(cmp_node, _EQ, new_exit)
@@ -264,11 +258,9 @@ class Tod:
             raise TodStructureError("cannot replicate the exit node")
         if node.refs < 2:
             raise TodStructureError("replication needs multiple incoming edges")
-        self._check_via(node, via)
-        copy = self._node(node.kind, lhs=node.lhs, rhs=node.rhs,
-                          expr=node.expr, eq=node.eq)
-        node.refs -= 1
-        self._link(*via, copy)
+        copy = TodNode(node.kind, lhs=node.lhs, rhs=node.rhs,
+                       expr=node.expr, eq=node.eq)
+        self._move_edge(node, via, copy)
         for label, dst in node.out.items():
             self._link(copy, label, dst)
         created = self.stats.nodes_created
@@ -280,28 +272,26 @@ class Tod:
             created.success += 1
         return copy
 
-    def _replace_with(self, node: TodNode, target: TodNode,
-                      via: tuple) -> TodNode:
-        """Send ``via``, ``node``'s one incoming edge, to ``target``;
-        prune orphans."""
+    def _move_edge(self, node: TodNode, via: tuple,
+                   target: TodNode) -> TodNode:
+        """Send the edge ``via`` from ``node`` to ``target``; prune
+        ``node`` and what that orphans once no edge reaches it."""
         self._check_via(node, via)
-        node.refs = 0
-        old_targets = self._unlink_out(node)
         self._link(*via, target)
-        self._cleanup(old_targets)
+        node.refs -= 1
+        self._cleanup((node,))
         return target
 
     def remove_forced(self, node: TodNode, label: Label,
                       via: tuple) -> TodNode:
-        """Bypass a node whose outcome is forced: send its one incoming
-        edge ``via`` to its ``label`` target; prune what that orphans."""
+        """Bypass a node whose outcome is forced on the path of ``via``:
+        move only that edge to the ``label`` target.  The node stays for
+        its other incoming edges and is pruned once it has none."""
         if node.visited:
             raise TodStructureError("forced removal applies to unvisited nodes")
-        if node.refs != 1:
-            raise TodStructureError("forced removal needs a single incoming edge")
         if label not in node.out:
             raise TodStructureError(f"node has no {label!r} edge")
-        return self._replace_with(node, node.out[label], via)
+        return self._move_edge(node, via, node.out[label])
 
     # -- order-specific transformations -----------------------------------------
 
@@ -362,9 +352,9 @@ class Tod:
         gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
         ps, pt = s.sym.precedence, t.sym.precedence
         if ps > pt and not t.args:
-            return self._replace_with(node, gt, via)
+            return self._move_edge(node, via, gt)
         if ps <= pt and not s.args:
-            return self._replace_with(node, nge if ps < pt else eq, via)
+            return self._move_edge(node, via, nge if ps < pt else eq)
         # left[i]: s beats each of t.args[i+1:]; right[i]: some of
         # s.args[i+1:] reaches t
         left, right = [gt], [nge]
@@ -414,10 +404,9 @@ class Tod:
                 st.answers += 1
                 return results
             if kind is NodeKind.SUCCESS:
-                if not node.visited:
+                if node.tpo is None:    # unvisited; the property costs a call here
                     if node.refs > 1:
                         node = self.replicate_node(node, (prev, arrival))
-                    node.visited = True
                     node.tpo = self._tpo_at(prev, arrival, node)
                     st.nodes_processed.success += 1
                 st.nodes_traversed.success += 1
@@ -429,26 +418,25 @@ class Tod:
                         return results
                 prev, arrival, node = node, _NEXT, node.out[_NEXT]
                 continue
-            if not node.visited:
+            if node.tpo is None:
                 via = (prev, arrival)
-                if node.refs > 1:
-                    node = self.replicate_node(node, via)
                 tpo = self._tpo_at(prev, arrival, node)
                 forced = self._forced(node, tpo)
-                if (forced is None and kind is NodeKind.TERM
-                        and node.lhs.sym is not None and node.rhs.sym is not None):
-                    node = self._transform(node, via)
-                    continue
+                if forced is None:
+                    # visited or expanded: the walk needs its own copy
+                    if node.refs > 1:
+                        node = self.replicate_node(node, via)
+                    if (kind is NodeKind.TERM and node.lhs.sym is not None
+                            and node.rhs.sym is not None):
+                        node = self._transform(node, via)
+                        continue
                 if kind is NodeKind.TERM:
                     st.nodes_processed.term += 1
                 else:
                     st.nodes_processed.pos += 1
                 if forced is not None:
-                    if self.forcing_audit is not None:
-                        self.forcing_audit(node, sigma, forced)
                     node = self.remove_forced(node, forced, via)
                     continue
-                node.visited = True
                 node.tpo = tpo
             if node.kind is NodeKind.TERM:
                 st.nodes_traversed.term += 1
@@ -461,26 +449,23 @@ class Tod:
 
     def nodes(self) -> list:
         """All nodes reachable from the root, in a stable order."""
-        seen = {self.root.nid}
-        queue = deque([self.root])
+        seen = {self.root}
         order = [self.root]
-        while queue:
-            n = queue.popleft()
+        for n in order:     # breadth first: the list grows as it is read
             for label in Label:
                 m = n.out.get(label)
-                if m is not None and m.nid not in seen:
-                    seen.add(m.nid)
+                if m is not None and m not in seen:
+                    seen.add(m)
                     order.append(m)
-                    queue.append(m)
         return order
 
     def structure(self) -> list:
         """A canonical serialization for golden tests and determinism checks."""
         nodes = self.nodes()
-        index = {n.nid: i for i, n in enumerate(nodes)}
+        index = {n: i for i, n in enumerate(nodes)}
         out = []
         for n in nodes:
-            edges = tuple(sorted((label.value, index[dst.nid])
+            edges = tuple(sorted((label.value, index[dst])
                                  for label, dst in n.out.items()))
             out.append((n.kind.value, n.label(), n.visited, edges))
         return out

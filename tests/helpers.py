@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import random
 
 from oracles import instantiate
@@ -158,17 +157,31 @@ class ScenarioChecker:
     # -- invariant tracking ---------------------------------------------------
 
     @staticmethod
-    def _audit_forced(tod, node, sigma, label) -> None:
-        # a forced label must match what evaluating the node would give
-        # for the substitution that reached it
-        assert tod.evaluate_node(node, sigma) is label, (
-            f"forced {label} but evaluation disagrees at {node!r}")
+    def _audit_forcing(tod) -> None:
+        """Wrap ``tod``'s retrieval on the instance: a forced label must
+        match what evaluating the node gives for the substitution that
+        reached it, checked before the node is bypassed."""
+        retrieve, remove_forced = tod.retrieve, tod.remove_forced
+        sigma = None
+
+        def audited_retrieve(s, first_only=False):
+            nonlocal sigma
+            sigma = s
+            return retrieve(s, first_only)
+
+        def audited_remove_forced(node, label, via):
+            assert tod.evaluate_node(node, sigma) is label, (
+                f"forced {label} but evaluation disagrees at {node!r}")
+            return remove_forced(node, label, via)
+
+        tod.retrieve = audited_retrieve
+        tod.remove_forced = audited_remove_forced
 
     def _after_op(self) -> None:
         for m in ("on", "shared"):
             for tod in self.indexes[m].tods():
-                if tod.forcing_audit is None:
-                    tod.forcing_audit = functools.partial(self._audit_forced, tod)
+                if "remove_forced" not in vars(tod):
+                    self._audit_forcing(tod)
         if not self.validate:
             return
         for m in ("on", "shared"):
@@ -178,14 +191,14 @@ class ScenarioChecker:
                 for node in tod.nodes():
                     if not node.visited or node.kind.value in ("root", "exit"):
                         continue
-                    # keyed by the diagram itself: a removal can free a
-                    # diagram, and a later one may reuse its id()
+                    # keyed by the objects themselves: a removal can free
+                    # a diagram or a node, and a later one may reuse its id()
                     path = root_path(node, into)
-                    prior = self._paths.get((m, tod, node.nid))
+                    prior = self._paths.get((m, tod, node))
                     if prior is not None:
                         assert prior == path, (
                             f"root path of visited node changed: {prior} -> {path}")
-                    self._paths[(m, tod, node.nid)] = path
+                    self._paths[(m, tod, node)] = path
 
 
 def in_edges(tod) -> dict:
@@ -198,11 +211,11 @@ def in_edges(tod) -> dict:
 
 
 def root_path(node, into: dict) -> list:
-    """The unique path root -> node of a visited node, as (nid, label)."""
+    """The unique path root -> node of a visited node, as (node, label)."""
     path = []
     while node.kind is not NodeKind.ROOT:
         (src, label), = into[node]
-        path.append((src.nid, label))
+        path.append((src, label))
         node = src
     path.reverse()
     return path

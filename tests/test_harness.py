@@ -1,6 +1,7 @@
 import pytest
 
-from todx import IndexMode, PostOrderingIndex, UnknownSymbolError, harness
+from todx import (IndexMode, PostOrderingIndex, SignatureError,
+                  UnknownSymbolError, harness)
 from todx.harness import (Delete, GenParams, Insert, OrderDecl, Query, Script,
                           ScriptError, SigDecl, bench, emit_stats_csv,
                           format_script, gen_random_script, parse_script, run)
@@ -61,7 +62,9 @@ def test_lpo_weight_warning():
 def test_auto_precedence_avoids_explicit_values():
     sc = parse_script("sig a/0 p=1\nsig b/0\nsig c/0\nord kbo\n")
     precs = [c.precedence for c in sc.commands if isinstance(c, SigDecl)]
-    assert precs == [1, 0, 2]
+    assert precs == [1, None, None]
+    sig = harness._build_signature(sc.commands)
+    assert [sig.symbol(n).precedence for n in "abc"] == [1, 0, 2]
 
 
 def test_undeclared_arity0_identifiers_are_variables():
@@ -259,12 +262,36 @@ def test_cli_unreadable_script_exits_2(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("command", ["gen", "run", "bench"])
+def test_cli_unwritable_output_exits_2(tmp_path, capsys, command):
+    from todx.cli import main
+    script = tmp_path / "script.tod"
+    script.write_text(FIG_SCRIPT)
+    out = str(tmp_path / "missing" / "out")
+    argv = {"gen": ["gen", "--seed", "1", "--out", out],
+            "run": ["run", str(script), "--stats", out],
+            "bench": ["bench", "--family", "swap", "--n", "3", "--stats", out],
+            }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"todx {command}: ") and out in err
+    assert err.count("\n") == 1
+
+
 def test_bench_rejects_negative_size(capsys):
     from todx.cli import main
     with pytest.raises(ValueError, match="-3"):
         bench("swap", -3)
     assert main(["bench", "--family", "swap", "--n", "-3"]) == 2
     assert capsys.readouterr().err.startswith("todx bench: ")
+
+
+def test_sig_decl_built_in_code_keeps_weight_zero():
+    # weight 0 is not "unset": it must reach the signature and fail there
+    script = Script((SigDecl("a", 0, 0), OrderDecl("kbo")))
+    with pytest.raises(SignatureError, match="weight 0"):
+        run(script)
+    assert SigDecl("a", 0).weight is None
 
 
 def test_script_without_source_lines_raises_the_original_error():

@@ -139,6 +139,22 @@ def test_equality_of_removed_id_is_unknown(sig, swap_setup, mode):
         idx.equality(e1)
 
 
+@pytest.mark.parametrize("bad_id", [True, 1.0, "1", None, [1]],
+                         ids=["bool", "float", "str", "none", "list"])
+def test_only_int_ids_name_equalities(sig, swap_setup, bad_id):
+    # True == 1.0 == 1 as dict keys; none of them may alias equality 1
+    l, r1, _ = swap_setup
+    idx = make_index(sig, "shared")
+    e1 = idx.insert(l, r1)
+    assert e1 == 1
+    with pytest.raises(UnknownEqualityError):
+        idx.equality(bad_id)
+    with pytest.raises(UnknownEqualityError):
+        idx.remove(bad_id)
+    assert idx.equality(e1).rhs is r1
+    assert idx.snapshot_stats().demodulators == 1
+
+
 def test_one_class_per_equality_error(sig, swap_setup):
     # the diagram and the index raise the same exported classes
     tod = Tod(make_order("kbo", sig))

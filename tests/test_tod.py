@@ -119,7 +119,7 @@ def test_delete_then_reinsert_fresh_id(sig, kbo_tod):
 def test_evaluate_term_node(sig, kbo_tod):
     from todx.tod import TodNode
     x, y = sig.var(0), sig.var(1)
-    node = TodNode(NodeKind.TERM, 0, lhs=x, rhs=y)
+    node = TodNode(NodeKind.TERM, lhs=x, rhs=y)
     a = sig.app("a")
     assert kbo_tod.evaluate_node(node, subst(sig, a, a)) is EQ
     faa = sig.app("f", [a, a])
@@ -129,7 +129,7 @@ def test_evaluate_term_node(sig, kbo_tod):
 
 def test_evaluate_positivity_node(sig, kbo_tod):
     from todx.tod import TodNode
-    node = TodNode(NodeKind.POS, 0, expr=LinearExpr(0, {1: 1, 0: -1}))
+    node = TodNode(NodeKind.POS, expr=LinearExpr(0, {1: 1, 0: -1}))
     a = sig.app("a")
     faa = sig.app("f", [a, a])
     assert kbo_tod.evaluate_node(node, subst(sig, a, faa)) is GT   # value 2
@@ -315,10 +315,10 @@ def test_transform_preconditions(sig, kbo_tod):
     l, r1, _ = swap_terms(sig)
     kbo_tod.insert(Equality(1, l, r1))
     node = kbo_tod.root.out[NEXT]
-    node.visited = True
+    node.tpo = kbo_tod.tpo_store.empty      # visited
     with pytest.raises(TodStructureError):
         kbo_tod.transform_kbo(node)
-    node.visited = False
+    node.tpo = None
     kbo_tod.insert(Equality(2, l, sig.var(0)))
     var_node = node.out[EQ]
     assert var_node.rhs is sig.var(0)
@@ -555,17 +555,30 @@ def test_remove_forced_direct(sig, kbo_tod):
     assert kbo_tod.root.out[NEXT] is succ
 
 
-def test_remove_forced_preconditions(sig, kbo_tod):
+def test_remove_forced_moves_only_via(sig, kbo_tod):
     l, r1, r2 = swap_terms(sig)
     kbo_tod.insert(Equality(1, l, r1))
     kbo_tod.insert(Equality(2, l, r2))
     first = kbo_tod.root.out[NEXT]
     second = first.out[EQ]
-    with pytest.raises(TodStructureError):
-        kbo_tod.remove_forced(second, EQ, (first, EQ))  # multiple parents
+    # the success node's edge gets a copy; first's = and !>= edges stay
+    kbo_tod.replicate_node(second, (first.out[GT], NEXT))
+    assert first.out[NGE] is second and second.refs == 2
+    out = dict(second.out)
+    target = kbo_tod.remove_forced(second, GT, (first, EQ))
+    assert target is out[GT] and first.out[EQ] is target
+    assert first.out[NGE] is second and second.refs == 1
+    assert second.out == out
+    kbo_tod.validate()
+
+
+def test_remove_forced_preconditions(sig, kbo_tod):
+    l, r1, _ = swap_terms(sig)
+    kbo_tod.insert(Equality(1, l, r1))
+    first = kbo_tod.root.out[NEXT]
     with pytest.raises(TodStructureError, match="traversal edge"):
         kbo_tod.remove_forced(first, EQ, (kbo_tod.root, GT))
-    first.visited = True
+    first.tpo = kbo_tod.tpo_store.empty     # visited
     with pytest.raises(TodStructureError):
         kbo_tod.remove_forced(first, EQ, (kbo_tod.root, NEXT))
 
@@ -606,7 +619,7 @@ def test_validate_rejects_cycle(one_eq):
 
 def test_validate_rejects_second_edge_into_visited(one_eq):
     tod, cmp, succ = one_eq
-    cmp.visited = succ.visited = True
+    cmp.tpo = succ.tpo = tod.tpo_store.empty       # visited
     tod.validate()
     relink(cmp, EQ, succ)
     with pytest.raises(TodStructureError, match="visited .* has 2 incoming"):
@@ -615,7 +628,7 @@ def test_validate_rejects_second_edge_into_visited(one_eq):
 
 def test_validate_rejects_visited_under_unvisited(one_eq):
     tod, _, succ = one_eq
-    succ.visited = True
+    succ.tpo = tod.tpo_store.empty      # visited
     with pytest.raises(TodStructureError, match="under unvisited"):
         tod.validate()
 
