@@ -18,15 +18,14 @@ _INVALID_SCRIPT = (OSError, UnicodeDecodeError, harness.ScriptError,
 def _cmd_run(args) -> int:
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-        script = harness.parse_script(text)
-        for w in script.warnings:
-            print(f"warning: {w}", file=sys.stderr)
-        report = harness.run(script, mode=args.mode, want=args.want,
-                             order_override=args.order_override,
+        report = harness.run(harness.parse_script(text), mode=args.mode,
+                             want=args.want, order_override=args.order_override,
                              script_name=Path(args.file).stem)
     except _INVALID_SCRIPT as err:
         print(f"{args.file}: {err}", file=sys.stderr)
         return 2
+    for w in report.warnings:
+        print(f"warning: {w}", file=sys.stderr)
     for qid, ids in report.query_results.items():
         print(f"{qid}: {{{','.join(ids)}}}")
     for fail in report.expect_failures:

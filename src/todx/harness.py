@@ -93,7 +93,6 @@ Command = Union[SigDecl, OrderDecl, Insert, Delete, Query, Expect]
 @dataclass(frozen=True)
 class Script:
     commands: tuple
-    warnings: tuple = field(default=(), compare=False)
     # source line of each command; empty for generated scripts
     lines: tuple = field(default=(), compare=False)
 
@@ -297,13 +296,7 @@ def parse_script(text: str) -> Script:
         raise ScriptError("script must contain exactly one 'ord' line",
                           order_lines[1] if order_lines else 0)
 
-    warnings = []
-    order_kind = next(c.kind for c in commands if isinstance(c, OrderDecl))
-    if order_kind == "lpo" and any(
-            isinstance(c, SigDecl) and c.weight is not None for c in commands):
-        warnings.append("lpo ignores symbol weights; w= attributes have no effect")
-
-    return Script(tuple(commands), tuple(warnings), tuple(lines))
+    return Script(tuple(commands), tuple(lines))
 
 
 def format_script(script: Script) -> str:
@@ -391,6 +384,10 @@ def run(script: Script, mode: str = "shared", want: str = "all",
     """
     sig = _build_signature(script.commands)
     order_kind = order_override or script.order_kind
+    warnings = ()
+    if order_kind == "lpo" and any(isinstance(c, SigDecl) and c.weight is not None
+                                   for c in script.commands):
+        warnings = ("lpo ignores symbol weights; w= attributes have no effect",)
     modes = (["off", "on", "shared"] if mode == "crosscheck" else [mode])
     indexes = {m: PostOrderingIndex(sig, order_kind, m) for m in modes}
 
@@ -458,7 +455,7 @@ def run(script: Script, mode: str = "shared", want: str = "all",
         mode_stats={m: idx.snapshot_stats() for m, idx in indexes.items()},
         expect_failures=expect_failures,
         divergences=divergences,
-        warnings=script.warnings,
+        warnings=warnings,
     )
 
 

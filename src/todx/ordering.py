@@ -1,17 +1,19 @@
-"""Three-valued KBO and LPO comparisons over plain and closure terms.
+"""Three-valued KBO and LPO comparisons of closure terms.
 
 A comparison answers with a ``Label``: GT, EQ or NGE (not greater or
 equal).  NGE deliberately merges "smaller" and "incomparable", which is
 all a post-ordering check needs.  A closure term is a (term,
 substitution) pair compared without materializing the instance: the
 substitution is consulted only when the traversal reaches a variable.
+Each order has one comparison, ``compare_closure``; ``compare(s, t)``
+is that comparison under empty substitutions.
 
 All comparisons are pure functions over immutable terms.  The weight
 memoization cache lives in the shared terms and follows the same
 single-writer contract as the interner.  An order's one mutable field
-is ``steps``, which counts the entries into ``compare`` and
-``compare_closure``; an order that indexes share across threads can
-over-count it, but answers are not affected.
+is ``steps``, which counts the entries into ``compare_closure``; an
+order that indexes share across threads can over-count it, but answers
+are not affected.
 """
 
 from __future__ import annotations
@@ -25,13 +27,16 @@ def _deref(s: Term, sigma: Substitution):
     """Resolve a closure-term pair to its effective (term, substitution).
 
     Variables look up their image once (simultaneous application:
-    variables inside the image stay free).  Ground terms drop the
-    substitution so shared fast paths apply.
+    variables inside the image stay free).  Every pair whose effective
+    substitution is empty (a ground term, a variable, or an empty
+    substitution) gets ``EMPTY_SUBST`` itself, so identical effective
+    pairs are identical objects.
     """
-    if sigma.is_empty:
-        return s, sigma
+    m = sigma._m
+    if not m:
+        return s, EMPTY_SUBST
     if s.sym is None:
-        img = sigma.get(s.vid)
+        img = m.get(s.vid)
         return (s, EMPTY_SUBST) if img is None else (img, EMPTY_SUBST)
     if s.ground:
         return s, EMPTY_SUBST
@@ -40,9 +45,11 @@ def _deref(s: Term, sigma: Substitution):
 
 def closure_equal(s: Term, sigma: Substitution, t: Term, theta: Substitution) -> bool:
     """Whether s*sigma and t*theta denote the same term, without building it."""
+    if s is t and sigma is theta:
+        return True
     s, sigma = _deref(s, sigma)
     t, theta = _deref(t, theta)
-    if sigma.is_empty and theta.is_empty:
+    if sigma is EMPTY_SUBST and theta is EMPTY_SUBST:
         return s is t
     if s.sym is None or t.sym is None:
         # A variable survived deref with an empty substitution while the
@@ -85,37 +92,22 @@ class KboOrder(TermOrder):
     kind = "kbo"
 
     def compare(self, s: Term, t: Term) -> Label:
-        self.steps += 1
-        if s is t:
-            return _EQ
-        sg = term_weight(s).sign(self.signature.w0, minus=term_weight(t))
-        if sg is not _GEQ:
-            return sg
-        if s.sym is None or t.sym is None:
-            return _NGE
-        if s.sym.precedence > t.sym.precedence:
-            return _GT
-        if s.sym is not t.sym:
-            return _NGE
-        for a, b in zip(s.args, t.args):
-            if a is not b:
-                return _GT if self.compare(a, b) is _GT else _NGE
-        return _EQ
+        return self.compare_closure(s, EMPTY_SUBST, t, EMPTY_SUBST)
 
     def compare_closure(self, s: Term, sigma: Substitution,
                         t: Term, theta: Substitution) -> Label:
         self.steps += 1
         s, sigma = _deref(s, sigma)
         t, theta = _deref(t, theta)
-        if sigma.is_empty and theta.is_empty:
-            return self.compare(s, t)
+        if s is t and sigma is theta:
+            return _EQ
         # the weight of an instance needs only the variables of s
         sg = term_weight(s).sign(self.signature.w0, sigma,
                                  term_weight(t), theta)
         if sg is not _GEQ:
             return sg
         if s.sym is None or t.sym is None:
-            # Variable with empty substitution vs. a non-ground instance:
+            # A variable left by deref vs. a term of the same weight:
             # equal instances were ruled out above, greater is impossible.
             return _NGE
         if s.sym.precedence > t.sym.precedence:
@@ -135,50 +127,15 @@ class LpoOrder(TermOrder):
     kind = "lpo"
 
     def compare(self, s: Term, t: Term) -> Label:
-        self.steps += 1
-        if s is t:
-            return _EQ
-        if s.sym is None:
-            return _NGE
-        if t.sym is None:
-            for a in s.args:
-                if self.compare(a, t) is not _NGE:
-                    return _GT
-            return _NGE
-        if s.sym is t.sym:
-            args_s, args_t = s.args, t.args
-            k = len(args_s)
-            i = 0
-            while i < k and args_s[i] is args_t[i]:
-                i += 1
-            if i == k:
-                return _EQ
-            if self.compare(args_s[i], args_t[i]) is _GT:
-                for l in range(i + 1, k):
-                    if self.compare(s, args_t[l]) is not _GT:
-                        return _NGE
-                return _GT
-            for j in range(i + 1, k):
-                if self.compare(args_s[j], t) is not _NGE:
-                    return _GT
-            return _NGE
-        if s.sym.precedence > t.sym.precedence:
-            for b in t.args:
-                if self.compare(s, b) is not _GT:
-                    return _NGE
-            return _GT
-        for a in s.args:
-            if self.compare(a, t) is not _NGE:
-                return _GT
-        return _NGE
+        return self.compare_closure(s, EMPTY_SUBST, t, EMPTY_SUBST)
 
     def compare_closure(self, s: Term, sigma: Substitution,
                         t: Term, theta: Substitution) -> Label:
         self.steps += 1
         s, sigma = _deref(s, sigma)
         t, theta = _deref(t, theta)
-        if sigma.is_empty and theta.is_empty:
-            return self.compare(s, t)
+        if s is t and sigma is theta:
+            return _EQ
         if s.sym is None:
             return _NGE
         if t.sym is not None:

@@ -11,7 +11,7 @@ import random
 import sys
 
 from helpers import ScenarioChecker, random_signature, random_subst, random_term
-from oracles import instantiate
+from oracles import instantiate, ref_compare
 from todx import (Equality, Label, LinearExpr, NodeKind,
                   Substitution, Tod, TpoStore, force_term_label, make_order)
 from todx.harness import bench
@@ -101,8 +101,8 @@ def test_criterion_3_closure_term_agreement():
                 t = random_term(rng, sig, [0, 1, 2], 3)
                 sigma = random_subst(rng, sig, [0, 1], 2, ground_prob=0.6)
                 theta = random_subst(rng, sig, [1, 2], 2, ground_prob=0.6)
-                want = order.compare(instantiate(sig, s, sigma),
-                                     instantiate(sig, t, theta))
+                want = ref_compare(sig, kind, instantiate(sig, s, sigma),
+                                   instantiate(sig, t, theta))
                 assert order.compare_closure(s, sigma, t, theta) is want
 
 

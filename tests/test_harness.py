@@ -53,10 +53,16 @@ def test_sig_lines_must_come_first():
 
 
 def test_lpo_weight_warning():
-    sc = parse_script("sig a/0 w=3\nsig g/1\nord lpo\neq e1: g(x) = a\n")
-    assert sc.warnings and "weight" in sc.warnings[0]
-    sc2 = parse_script("sig a/0\nsig g/1\nord lpo\neq e1: g(x) = a\n")
-    assert not sc2.warnings
+    rep = run(parse_script("sig a/0 w=3\nsig g/1\nord lpo\neq e1: g(x) = a\n"))
+    assert rep.warnings and "weight" in rep.warnings[0]
+    assert not run(parse_script("sig a/0\nsig g/1\nord lpo\neq e1: g(x) = a\n")).warnings
+    # the warning follows the order that runs, not the one the script names
+    lpo = parse_script("sig a/0 w=2\nsig f/2\nord lpo\neq e1: f(x,y) = f(y,x)\n")
+    assert not run(lpo, order_override="kbo").warnings
+    kbo = parse_script("sig a/0 w=2\nsig f/2\nord kbo\neq e1: f(x,y) = f(y,x)\n")
+    assert not run(kbo).warnings
+    rep = run(kbo, order_override="lpo")
+    assert rep.warnings and "weight" in rep.warnings[0]
 
 
 def test_auto_precedence_avoids_explicit_values():
@@ -343,9 +349,9 @@ def test_bench_families_run_clean():
 
 
 @pytest.mark.parametrize("family, order, steps", [
-    ("swap", "kbo", 8614), ("swap", "lpo", 19713),
-    ("poly", "kbo", 12000), ("poly", "lpo", 74910)])
+    ("swap", "kbo", 6489), ("swap", "lpo", 15049),
+    ("poly", "kbo", 12000), ("poly", "lpo", 63793)])
 def test_naive_comparisons_are_pinned(family, order, steps):
-    # one count per entry into compare or compare_closure on the off path
+    # one count per entry into compare_closure on the off path
     rep = bench(family, 2000, order=order, seed=0, mode="off")
     assert rep.mode_stats["off"].naive_comparisons == steps

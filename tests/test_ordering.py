@@ -113,6 +113,20 @@ def test_closure_kbo_cases(sig):
 
 
 @pytest.mark.parametrize("kind", ["kbo", "lpo"])
+def test_empty_substitutions_of_any_identity_compare_equal(sig, kind):
+    # same term, equal effective substitutions, distinct substitution objects
+    order = make_order(kind, sig)
+    x = sig.var(0)
+    t = sig.app("f", [x, sig.var(1)])
+    for s, sigma, theta in ((x, Substitution(), Substitution({1: sig.app("a")})),
+                            (t, Substitution(), EMPTY_SUBST)):
+        assert order.compare_closure(s, sigma, s, theta) is E
+        assert order.compare_closure(s, theta, s, sigma) is E
+        assert closure_equal(s, sigma, s, theta)
+        assert closure_equal(s, theta, s, sigma)
+
+
+@pytest.mark.parametrize("kind", ["kbo", "lpo"])
 def test_closure_agrees_with_instantiate_then_compare(kind):
     rng = random.Random(17)
     for _ in range(4000):
@@ -122,8 +136,8 @@ def test_closure_agrees_with_instantiate_then_compare(kind):
         t = random_term(rng, sig, [0, 1, 2], 3)
         sigma = random_subst(rng, sig, [0, 1], 2, ground_prob=0.6)
         theta = random_subst(rng, sig, [1, 2], 2, ground_prob=0.6)
-        want = order.compare(instantiate(sig, s, sigma),
-                             instantiate(sig, t, theta))
+        want = ref_compare(sig, kind, instantiate(sig, s, sigma),
+                           instantiate(sig, t, theta))
         assert order.compare_closure(s, sigma, t, theta) is want
         assert closure_equal(s, sigma, t, theta) == (want is E)
 
@@ -214,14 +228,13 @@ def test_steps_count_each_comparison_entry(sig):
     theta = Substitution({0: b, 1: b})
     kbo = make_order("kbo", sig)
     # KBO: f(b,a) vs f(b,b) have equal weights, heads and first arguments;
-    # after the top-level step, a vs b is entered as a closure and then
-    # as plain terms
+    # after the top-level step, a vs b is one step decided by precedence
     assert kbo.compare_closure(t, sigma, t, theta) is N
-    assert kbo.steps == 3
+    assert kbo.steps == 2
     lpo = make_order("lpo", sig)
-    # LPO: f(b,a) vs f(a,b): after the top-level step, b vs a (closure,
-    # then plain) decides >, then f(b,a) must beat the remaining argument
-    # b (one closure step, decided by precedence)
+    # LPO: f(b,a) vs f(a,b): after the top-level step, b vs a (one step,
+    # decided by precedence) gives >, then f(b,a) must beat the remaining
+    # argument b (one step, decided by precedence)
     swapped = Substitution({0: a, 1: b})
     assert lpo.compare_closure(t, sigma, t, swapped) is G
-    assert lpo.steps == 4
+    assert lpo.steps == 3
