@@ -211,6 +211,10 @@ class TpoStore:
         # (v.tid, u.tid) -> 1 if v > u, -1 if u > v, else 0.  Terms are
         # interned and immutable, so a verdict never goes stale.
         self._static: dict[tuple, int] = {}
+        # (parent, constraints, new_terms) -> extension.  Replicated
+        # copies of a node arrive with the same inputs; a call that
+        # raises caches nothing.
+        self._extended: dict[tuple, PartialOrdering] = {}
         self.empty = self._intern((), b"")
 
     def _intern(self, elements: tuple, cells: bytes) -> PartialOrdering:
@@ -235,8 +239,14 @@ class TpoStore:
         against existing elements; the store remembers each pair's
         verdict.  Transitivity only needs to be re-run from the added
         facts.  Extending with nothing returns the parent unchanged.
+        Repeated inputs return the ordering built the first time.
         """
-        constraints = list(constraints)
+        constraints = tuple(constraints)
+        new_terms = tuple(new_terms)
+        memo_key = (parent, constraints, new_terms)
+        found = self._extended.get(memo_key)
+        if found is not None:
+            return found
         elements = list(parent.elements)
         pos = dict(parent._pos)
         fresh: list[Term] = []
@@ -253,6 +263,7 @@ class TpoStore:
         for v in new_terms:
             ensure(v)
         if not constraints and not fresh:
+            self._extended[memo_key] = parent
             return parent
 
         n = len(elements)
@@ -284,7 +295,9 @@ class TpoStore:
                 elif verdict < 0:
                     cl.add(_GT, pos[u], i)
         cl.run()
-        return self._intern(tuple(elements), bytes(cells))
+        found = self._intern(tuple(elements), bytes(cells))
+        self._extended[memo_key] = found
+        return found
 
 
 def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Label]:

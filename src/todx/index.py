@@ -2,7 +2,9 @@
 
 Groups key on the canonical form of the left-hand side (variables
 renumbered by first occurrence), so alpha-renamed copies land in one
-group.  Three retrieval modes answer the same queries identically:
+group.  That form is computed once per interned term and cached in it,
+so a repeated query pays one slot read for it.  Three retrieval modes
+answer the same queries identically:
 
 * ``off``     checks each equality with one closure comparison (the
               baseline),
@@ -45,6 +47,10 @@ class IndexMode(enum.Enum):
     SHARED_BY_LHS = "shared"
 
 
+# Stack marker in canonicalize_term: build the term below it.
+_BUILD = object()
+
+
 def canonicalize_term(sig: Signature, t: Term,
                       mapping: dict) -> Term:
     """Rebuild ``t`` with variables renumbered by first occurrence.
@@ -52,26 +58,50 @@ def canonicalize_term(sig: Signature, t: Term,
     ``mapping`` (old vid -> new vid) is extended in place, so a second
     call continues the numbering.  Repeated shared subterms are rebuilt
     once: by the time a subterm recurs, its variables are all mapped,
-    so its canonical form is fixed.
+    so its canonical form is fixed.  The walk keeps its own stack, so
+    any depth the interner can build is fine.
     """
-    memo: dict[int, Term] = {}
-
-    def go(u: Term) -> Term:
-        if u.ground:
-            return u
-        if u.sym is None:
+    if t.ground:
+        return t
+    done: dict[int, Term] = {}      # non-ground tid -> canonical form
+    stack = [t]
+    pop, push = stack.pop, stack.append
+    while stack:
+        u = pop()
+        if u is _BUILD:
+            # every non-ground argument below is done; ground ones stay
+            u = pop()
+            done[u.tid] = sig.app(u.sym, [done.get(a.tid, a) for a in u.args])
+        elif u.tid in done:
+            continue
+        elif u.sym is None:
             new = mapping.get(u.vid)
             if new is None:
                 new = len(mapping)
                 mapping[u.vid] = new
-            return sig.var(new)
-        r = memo.get(u.tid)
-        if r is None:
-            r = sig.app(u.sym, [go(a) for a in u.args])
-            memo[u.tid] = r
-        return r
+            done[u.tid] = sig.var(new)
+        else:
+            push(u)
+            push(_BUILD)
+            # leftmost argument on top: variables are met in order
+            for a in reversed(u.args):
+                if not a.ground:
+                    push(a)
+    return done[t.tid]
 
-    return go(t)
+
+def _canonical_lhs(sig: Signature, lhs: Term) -> tuple:
+    """(canonical lhs, lhs vids in canonical order), cached in the term.
+
+    Canonical vid ``i`` renames ``lhs``'s vid at position ``i``.  The
+    pair is a pure function of the interned term, so ``lhs._canon`` is
+    filled on the first call and read from then on.
+    """
+    c = lhs._canon
+    if c is None:
+        mapping: dict[int, int] = {}
+        c = lhs._canon = (canonicalize_term(sig, lhs, mapping), tuple(mapping))
+    return c
 
 
 def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
@@ -82,11 +112,10 @@ def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
     satisfy the ordering condition, and the demodulation workflow never
     produces one.
     """
-    mapping: dict[int, int] = {}
-    lhs_c = canonicalize_term(sig, lhs, mapping)
-    n_lhs = len(mapping)
+    lhs_c, vids = _canonical_lhs(sig, lhs)
+    mapping = {old: new for new, old in enumerate(vids)}
     rhs_c = canonicalize_term(sig, rhs, mapping)
-    if len(mapping) != n_lhs:
+    if len(mapping) != len(vids):
         raise MalformedEqualityError(
             "right-hand side uses variables not in the left-hand side")
     return lhs_c, rhs_c, mapping
@@ -204,22 +233,27 @@ class PostOrderingIndex:
               want: str = "all") -> list:
         """Ids of live group members ordered under ``sigma``.
 
-        ``lhs`` is canonicalized before lookup and ``sigma`` is carried
-        along into the canonical variable numbering; bindings for
-        variables outside the lhs are ignored.  An unknown lhs yields an
-        empty result.  ``want`` is "all" or "first".
+        ``lhs`` is looked up by its canonical form (cached in the term)
+        and ``sigma`` is carried along into the canonical variable
+        numbering; bindings for variables outside the lhs are ignored.
+        An unknown lhs yields an empty result.  ``want`` is "all" or
+        "first".
         """
         if want not in ("all", "first"):
             raise ValueError(f"want must be 'all' or 'first', not {want!r}")
         first_only = want == "first"
-        mapping: dict[int, int] = {}
-        key = canonicalize_term(self.signature, lhs, mapping)
+        key, vids = lhs._canon or _canonical_lhs(self.signature, lhs)
         group = self._groups.get(key)
         if group is None:
             return []
-        sigma_c = Substitution(
-            {new: img for old, new in mapping.items()
-             if (img := sigma.get(old)) is not None})
+        m = sigma._m
+        renamed = {}
+        for new, old in enumerate(vids):
+            img = m.get(old)
+            # a binding renamed onto its own image is an identity: drop it
+            if img is not None and not (img.sym is None and img.vid == new):
+                renamed[new] = img
+        sigma_c = Substitution._trusted(renamed)
         self.stats.queries += 1
         if self.mode is IndexMode.SHARED_BY_LHS:
             return group.tod.retrieve(sigma_c, first_only)

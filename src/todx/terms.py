@@ -46,10 +46,13 @@ class Term:
 
     Never construct directly; use ``Signature.var`` / ``Signature.app``.
     Equality and hashing are by identity, which coincides with
-    structural equality thanks to interning.
+    structural equality thanks to interning.  ``_weight`` and ``_canon``
+    cache pure functions of the term (its weight, and the index's
+    canonical form of it as a left-hand side), filled on first use;
+    they live and die with the term and never go stale.
     """
 
-    __slots__ = ("sym", "args", "vid", "ground", "tid", "_weight")
+    __slots__ = ("sym", "args", "vid", "ground", "tid", "_weight", "_canon")
 
     def __init__(self, sym: Optional[Symbol], args: tuple, vid: int,
                  ground: bool, tid: int):
@@ -59,6 +62,7 @@ class Term:
         self.ground = ground
         self.tid = tid
         self._weight: Optional[LinearExpr] = None
+        self._canon: Optional[tuple] = None
 
     def __repr__(self) -> str:
         if self.sym is None:
@@ -182,6 +186,13 @@ class Substitution:
     def __init__(self, bindings: Union[Mapping[int, Term], Iterable[tuple]] = ()):
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
         self._m = {v: t for v, t in items if not (t.sym is None and t.vid == v)}
+
+    @classmethod
+    def _trusted(cls, m: dict) -> "Substitution":
+        """Wrap a ready dict that already holds no identity bindings."""
+        s = object.__new__(cls)
+        s._m = m
+        return s
 
     @property
     def is_empty(self) -> bool:

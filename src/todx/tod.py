@@ -229,8 +229,8 @@ class Tod:
     def _tpo_at(self, prev: TodNode, arrival: Label,
                 node: TodNode) -> PartialOrdering:
         """Closure of the path formula for the path arriving at ``node``."""
-        facts = ([(prev.lhs, arrival, prev.rhs)]
-                 if prev.kind is NodeKind.TERM else [])
+        facts = (((prev.lhs, arrival, prev.rhs),)
+                 if prev.kind is NodeKind.TERM else ())
         new_terms = (node.lhs, node.rhs) if node.kind is NodeKind.TERM else ()
         return self.tpo_store.extend(prev.tpo, facts, new_terms)
 

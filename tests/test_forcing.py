@@ -4,6 +4,7 @@ import pytest
 
 from helpers import random_term
 from oracles import Contradiction, ref_closure, term_formula
+from todx import forcing
 from todx import (Label, LinearExpr, Substitution, TpoInconsistencyError,
                   TpoStore, force_positivity_label, force_term_label,
                   make_order)
@@ -217,6 +218,29 @@ def test_inconsistent_facts_raise(sig, store):
         store.extend(tpo, [(x, E, y)])
     with pytest.raises(TpoInconsistencyError):
         store.extend(tpo, [(y, G, x)])
+
+
+def test_repeated_extension_is_not_closed_again(sig, store, monkeypatch):
+    # a replicated node asks for the same extension as its original
+    runs = []
+    run = forcing._Closure.run
+    monkeypatch.setattr(forcing._Closure, "run",
+                        lambda cl: runs.append(cl) or run(cl))
+    x, y, gx = sig.var(0), sig.var(1), sig.app("g", [sig.var(0)])
+    tpo = store.extend(store.empty, [(x, G, y)], (gx,))
+    assert len(runs) == 1
+    assert store.extend(store.empty, [(x, G, y)], [gx]) is tpo
+    assert store.extend(store.empty, iter([(x, G, y)]), (gx,)) is tpo
+    assert len(runs) == 1
+    assert store.extend(tpo) is tpo and store.extend(tpo) is tpo
+
+
+def test_inconsistent_extension_is_not_cached(sig, store):
+    x, y = sig.var(0), sig.var(1)
+    tpo = store.extend(store.empty, [(x, G, y)])
+    for _ in range(2):
+        with pytest.raises(TpoInconsistencyError):
+            store.extend(tpo, [(y, G, x)])
 
 
 def test_incomparable_pairs(sig, store):

@@ -1,11 +1,15 @@
 import random
+import sys
 
 import pytest
 
 from helpers import ScenarioChecker
 from todx import (DuplicateEqualityError, Equality, IndexMode,
-                  MalformedEqualityError, PostOrderingIndex, Substitution, Tod,
-                  UnknownEqualityError, canonicalize_equality, make_order)
+                  MalformedEqualityError, PostOrderingIndex, Signature,
+                  Substitution, Tod, UnknownEqualityError,
+                  canonicalize_equality, make_order)
+
+MODES = ("off", "on", "shared")
 
 
 @pytest.fixture
@@ -343,3 +347,122 @@ def test_index_mode_parse(sig):
     assert index.mode is IndexMode.SHARED_BY_LHS
     with pytest.raises(ValueError):
         PostOrderingIndex(sig, "kbo", "both")
+
+
+# -- the cached canonical lhs -------------------------------------------------
+
+def spy_substitutions(idx):
+    """Record the canonical substitutions ``idx`` passes on to its checks."""
+    seen = []
+    if idx.mode is IndexMode.OFF:
+        compare = idx.order.compare_closure
+
+        def spy(s, sigma, t, theta):
+            seen.append(sigma)
+            return compare(s, sigma, t, theta)
+
+        idx.order.compare_closure = spy
+    else:
+        for tod in idx.tods():
+            def spy(sigma, first_only=False, _retrieve=tod.retrieve):
+                seen.append(sigma)
+                return _retrieve(sigma, first_only)
+
+            tod.retrieve = spy
+    return seen
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_alpha_renamed_query_lhs_answers_alike(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    idx.insert(l, r1)
+    idx.insert(l, r2)
+    renamed = sig.app("f", [sig.var(5), sig.var(3)])
+    a, b = sig.app("a"), sig.app("b")
+    images = [a, b, sig.app("g", [a]), sig.app("f", [a, b]), sig.var(0),
+              sig.var(2), sig.app("g", [sig.var(1)])]
+    rng = random.Random(0)
+    for _ in range(60):
+        s, t = rng.choice(images), rng.choice(images)
+        want = idx.query(l, Substitution({0: s, 1: t}))
+        assert idx.query(renamed, Substitution({5: s, 3: t})) == want
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_binding_renamed_onto_itself_is_dropped(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    idx.insert(l, r1)
+    idx.insert(l, r2)
+    seen = spy_substitutions(idx)
+    # x5 -> x0 and x3 -> x1 are identities once x5, x3 become x0, x1
+    sigma = Substitution({5: sig.var(0), 3: sig.var(1)})
+    assert len(sigma) == 2
+    got = idx.query(sig.app("f", [sig.var(5), sig.var(3)]), sigma)
+    assert got == idx.query(l, Substitution())
+    assert seen and all(len(s) == 0 and not s._m for s in seen)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bindings_outside_the_lhs_are_ignored(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    idx.insert(l, r1)
+    idx.insert(l, r2)
+    a, b = sig.app("a"), sig.app("b")
+    faa = sig.app("f", [a, a])
+    want = idx.query(l, Substitution({0: faa, 1: a}))
+    seen = spy_substitutions(idx)
+    got = idx.query(l, Substitution({0: faa, 1: a, 2: b, 9: sig.var(4)}))
+    assert got == want
+    assert seen and all(dict(s.items()) == {0: faa, 1: a} for s in seen)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dropped_group_recreated_answers_from_the_new_one(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    a = sig.app("a")
+    faa = sig.app("f", [a, a])
+    sigma = Substitution({0: faa, 1: a})
+    renamed = sig.app("f", [sig.var(7), sig.var(6)])
+    e1 = idx.insert(l, r1)
+    assert idx.query(renamed, Substitution({7: faa, 6: a})) == [e1]
+    idx.remove(e1)
+    assert idx.groups() == []
+    assert idx.query(l, sigma) == []
+    assert idx.query(renamed, Substitution({7: faa, 6: a})) == []
+    e2 = idx.insert(renamed, sig.app("f", [sig.var(7), sig.var(7)]))
+    assert idx.query(l, Substitution({0: a, 1: faa})) == [e2]
+    assert idx.query(renamed, Substitution({7: a, 6: faa})) == [e2]
+    assert idx.query(l, sigma) == []
+
+
+def test_canonical_lhs_is_cached_in_the_term(sig, swap_setup):
+    l, r1, _ = swap_setup
+    idx = make_index(sig, "shared")
+    idx.insert(l, r1)
+    renamed = sig.app("f", [sig.var(5), sig.var(3)])
+    assert renamed._canon is None
+    sigma = Substitution({5: sig.app("a")})
+    idx.query(renamed, sigma)
+    cached = renamed._canon
+    assert cached == (l, (5, 3))
+    idx.query(renamed, sigma)
+    assert renamed._canon is cached
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_lhs_query_and_insert(mode):
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("f", 2, 1, 2)])
+    assert sys.getrecursionlimit() < 10 ** 4
+    x = sig.var(0)
+    deep = x
+    for _ in range(10 ** 4):
+        deep = sig.app("g", [deep])
+    idx = PostOrderingIndex(sig, "lpo", mode)
+    idx.insert(sig.app("f", [x, sig.var(1)]), sig.app("f", [sig.var(1), x]))
+    assert idx.query(deep, Substitution({0: sig.app("a")})) == []
+    eq_id = idx.insert(deep, x)
+    assert idx.equality(eq_id).lhs is deep
