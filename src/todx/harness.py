@@ -124,6 +124,12 @@ class _TermScanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def term(self) -> RawTree:
+        try:
+            return self._term()
+        except RecursionError:
+            raise self.error("term nested too deeply") from None
+
+    def _term(self) -> RawTree:
         self.skip_ws()
         m = _IDENT.match(self.text, self.pos)
         if not m:
@@ -134,11 +140,11 @@ class _TermScanner:
         if self.peek() != "(":
             return name
         self.pos += 1
-        args = [self.term()]
+        args = [self._term()]
         self.skip_ws()
         while self.peek() == ",":
             self.pos += 1
-            args.append(self.term())
+            args.append(self._term())
             self.skip_ws()
         if self.peek() != ")":
             raise self.error("expected ',' or ')'")
@@ -370,7 +376,8 @@ def _resolve(sig: Signature, raw: RawTree, varmap: dict) -> Term:
 
 
 # errors a script that parses can still raise while it runs
-_RUN_ERRORS = (SignatureError, MalformedEqualityError, DuplicateEqualityError)
+_RUN_ERRORS = (SignatureError, MalformedEqualityError, DuplicateEqualityError,
+               RecursionError)
 
 
 def run(script: Script, mode: str = "shared", want: str = "all",

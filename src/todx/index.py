@@ -11,8 +11,11 @@ answer the same queries identically:
 * ``on``      keeps one diagram per equality,
 * ``shared``  keeps one diagram per group.
 
-Only live equalities are kept.  ``remove`` forgets the equality and, in
-``on`` mode, drops its diagram.  A ``shared`` diagram keeps a removed
+The index alone knows which equalities exist: it mints their ids,
+rejects a live duplicate by its canonical (lhs, rhs) pair, and counts
+the live equalities and diagrams off its own maps.  Only live
+equalities are kept.  ``remove`` forgets the equality and, in ``on``
+mode, drops its diagram.  A ``shared`` diagram keeps a removed
 equality's nodes (its walk skips them) until the group's removed
 equalities outnumber its live ones; the diagram is then rebuilt from
 the live equalities in insertion order.  So after every operation a
@@ -29,16 +32,25 @@ One index is single-threaded; independent indexes may run in parallel.
 from __future__ import annotations
 
 import enum
+from dataclasses import replace
 from typing import Optional, Union
 
-from .ordering import TermOrder, make_order
+from .ordering import make_order
 from .stats import Stats
 from .terms import Label, Signature, Substitution, Term
-from .tod import DuplicateEqualityError, Equality, Tod, UnknownEqualityError
+from .tod import Equality, Tod
 
 
 class MalformedEqualityError(ValueError):
     """The right-hand side uses variables the left-hand side lacks."""
+
+
+class DuplicateEqualityError(ValueError):
+    """An equality with the same canonical (lhs, rhs) pair is live."""
+
+
+class UnknownEqualityError(KeyError):
+    """No equality with the given id."""
 
 
 class IndexMode(enum.Enum):
@@ -137,12 +149,13 @@ class _Group:
 
 
 class PostOrderingIndex:
-    """Retrieves the equalities a query substitution orders."""
+    """Retrieves the equalities a query substitution orders under the
+    ``order`` ("kbo" or "lpo") it builds over ``signature``."""
 
-    def __init__(self, signature: Signature, order: Union[str, TermOrder],
+    def __init__(self, signature: Signature, order: str,
                  mode: Union[str, IndexMode] = IndexMode.SHARED_BY_LHS):
         self.signature = signature
-        self.order = make_order(order, signature) if isinstance(order, str) else order
+        self.order = make_order(order, signature)
         self.mode = IndexMode(mode)
         self.stats = Stats()
         self._groups: dict[Term, _Group] = {}    # canonical lhs -> group
@@ -170,7 +183,6 @@ class PostOrderingIndex:
             self._groups[lhs_c] = group
             if self.mode is IndexMode.SHARED_BY_LHS:
                 group.tod = self._build_tod(())
-                self.stats.tods += 1
         other = group.eqs.get(rhs_c)
         if other is not None:
             raise DuplicateEqualityError(
@@ -184,8 +196,6 @@ class PostOrderingIndex:
             group.tod.insert(eq)
         elif self.mode is IndexMode.PER_EQUALITY:
             group.tods[eq_id] = self._build_tod((eq,))
-            self.stats.tods += 1
-        self.stats.demodulators += 1
         return eq_id
 
     def remove(self, eq_id: int) -> None:
@@ -206,16 +216,12 @@ class PostOrderingIndex:
             raise UnknownEqualityError(eq_id)
         group = self._groups[eq.lhs]
         del group.eqs[eq.rhs]
-        self.stats.demodulators -= 1
         if self.mode is IndexMode.PER_EQUALITY:
             del group.tods[eq_id]
-            self.stats.tods -= 1
         if not group.eqs:
             del self._groups[eq.lhs]
-            if group.tod is not None:
-                self.stats.tods -= 1
         elif self.mode is IndexMode.SHARED_BY_LHS:
-            group.tod.mark_deleted(eq_id)
+            group.tod.mark_deleted(eq)
             if group.tod.dead > len(group.eqs):
                 group.tod = self._build_tod(group.eqs.values())
 
@@ -286,15 +292,19 @@ class PostOrderingIndex:
     # -- introspection ------------------------------------------------------------
 
     def snapshot_stats(self) -> Stats:
-        """A consistent copy of the counters."""
-        return self.stats.snapshot()
+        """A copy of the counters; the live counts are read off the index."""
+        st = self.stats
+        return replace(st, demodulators=len(self._live), tods=len(self.tods()),
+                       nodes_created=replace(st.nodes_created),
+                       nodes_processed=replace(st.nodes_processed),
+                       nodes_traversed=replace(st.nodes_traversed))
 
     def groups(self):
         """(canonical lhs, live member count) pairs, in creation order."""
         return [(key, len(g.eqs)) for key, g in self._groups.items()]
 
     def tods(self):
-        """All diagrams owned by the index (for validation in tests)."""
+        """All diagrams owned by the index."""
         out = []
         for g in self._groups.values():
             if g.tod is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -20,9 +20,10 @@ class NodeCounters:
 class Stats:
     """Counters for index activity and diagram node traffic.
 
-    ``demodulators`` counts the live equalities and ``tods`` the
-    diagrams the index holds; both can drop on removal.  Everything
-    else is monotone.
+    ``demodulators`` (live equalities) and ``tods`` (diagrams held)
+    are read off the index when ``PostOrderingIndex.snapshot_stats``
+    copies the counters, and stay 0 in the live ones.  Everything else
+    is monotone.
     """
 
     queries: int = 0
@@ -33,11 +34,3 @@ class Stats:
     nodes_processed: NodeCounters = field(default_factory=NodeCounters)
     nodes_traversed: NodeCounters = field(default_factory=NodeCounters)
     naive_comparisons: int = 0
-
-    def snapshot(self) -> "Stats":
-        return replace(
-            self,
-            nodes_created=replace(self.nodes_created),
-            nodes_processed=replace(self.nodes_processed),
-            nodes_traversed=replace(self.nodes_traversed),
-        )

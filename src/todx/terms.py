@@ -361,25 +361,30 @@ class LinearExpr:
 def term_weight(t: Term) -> LinearExpr:
     """The weight |t|: symbol weights summed plus one unit per variable.
 
-    The result is cached in the shared term; weights are signature
-    constants, so cached values never need invalidation.
+    The result is cached in the shared term and its subterms; weights
+    are signature constants, so cached values never need invalidation.
+    The walk keeps its own stack, so any depth is fine.
     """
     w = t._weight
     if w is not None:
         return w
-    if t.sym is None:
-        w = LinearExpr.of_var(t.vid)
-    else:
-        const = t.sym.weight
-        acc: dict[int, int] = {}
-        for a in t.args:
-            wa = term_weight(a)
-            const += wa.constant
-            for v, c in wa._coeffs:
-                acc[v] = acc.get(v, 0) + c
-        w = LinearExpr(const, acc)
-    t._weight = w
-    return w
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        todo = [a for a in u.args if a._weight is None]
+        if todo:
+            stack.append(u)             # again once its arguments are done
+            stack.extend(todo)
+        elif u._weight is None:         # a shared subterm may come twice
+            const, acc = ((0, {u.vid: 1}) if u.sym is None
+                          else (u.sym.weight, {}))
+            for a in u.args:
+                wa = a._weight
+                const += wa.constant
+                for v, c in wa._coeffs:
+                    acc[v] = acc.get(v, 0) + c
+            u._weight = LinearExpr(const, acc)
+    return t._weight
 
 
 def _fold(acc: dict, e: LinearExpr, k: int,

@@ -46,15 +46,6 @@ class TodStructureError(RuntimeError):
     """A structural precondition or invariant does not hold."""
 
 
-class DuplicateEqualityError(ValueError):
-    """The equality is already live: its id in a diagram, or its
-    canonical (lhs, rhs) pair in an index."""
-
-
-class UnknownEqualityError(KeyError):
-    """No equality with the given id."""
-
-
 class NodeKind(enum.Enum):
     ROOT = "root"
     EXIT = "exit"
@@ -72,7 +63,7 @@ _POS_LABELS = (_GT, _GEQ, _NGE)
 
 @dataclass
 class Equality:
-    """An indexed equality.
+    """An indexed equality; the index mints its id.
 
     Deletion sets the flag; the walk skips a deleted equality's success
     nodes.  When a shared diagram is rebuilt without them is decided in
@@ -123,7 +114,9 @@ class TodNode:
 
 
 class Tod:
-    """One term ordering diagram over a fixed order."""
+    """One term ordering diagram over a fixed order.  It takes the
+    equalities the index gives it unchecked, and counts in ``dead``
+    those marked deleted but still in it."""
 
     def __init__(self, order: TermOrder, stats: Optional[Stats] = None):
         self.order = order
@@ -131,7 +124,6 @@ class Tod:
         # the store, and every ordering and comparison it keeps, dies
         # with the diagram
         self.tpo_store = TpoStore(order)
-        self._eqs: dict[int, Equality] = {}
         self.dead = 0       # deleted equalities still in the diagram
         self.root = TodNode(NodeKind.ROOT)
         self.exit = TodNode(NodeKind.EXIT)
@@ -187,9 +179,6 @@ class Tod:
         The old exit object becomes the new comparison node, so the
         rewiring cost does not depend on the diagram size.
         """
-        if eq.eq_id in self._eqs:
-            raise DuplicateEqualityError(f"equality {eq.eq_id} already inserted")
-        self._eqs[eq.eq_id] = eq
         cmp_node = self.exit
         cmp_node.kind = NodeKind.TERM
         cmp_node.lhs = eq.lhs
@@ -204,17 +193,12 @@ class Tod:
         self.stats.nodes_created.term += 1
         self.stats.nodes_created.success += 1
 
-    def mark_deleted(self, eq_id: int) -> None:
-        eq = self.equality(eq_id)
+    def mark_deleted(self, eq: Equality) -> None:
+        """Flag ``eq``, which must have been inserted here, as deleted;
+        its nodes stay.  Marking it again does nothing."""
         if not eq.deleted:
             eq.deleted = True
             self.dead += 1
-
-    def equality(self, eq_id: int) -> Equality:
-        try:
-            return self._eqs[eq_id]
-        except KeyError:
-            raise UnknownEqualityError(eq_id) from None
 
     # -- evaluation ------------------------------------------------------------
 

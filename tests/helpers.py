@@ -66,8 +66,8 @@ class ScenarioChecker:
                  validate: bool = False, max_depth: int = 3):
         self.rng = rng
         self.sig = sig or random_signature(rng, rng.choice(list(SIG_SHAPES)))
-        self.order = make_order(order_kind, self.sig)
-        self.indexes = {m: PostOrderingIndex(self.sig, self.order, m)
+        self.order = make_order(order_kind, self.sig)    # the oracle's own
+        self.indexes = {m: PostOrderingIndex(self.sig, order_kind, m)
                         for m in ("off", "on", "shared")}
         self.model: list = []  # (eq_id, canonical lhs, canonical rhs)
         self.deleted: set[int] = set()
@@ -177,7 +177,17 @@ class ScenarioChecker:
         tod.retrieve = audited_retrieve
         tod.remove_forced = audited_remove_forced
 
+    def _check_gauges(self) -> None:
+        """The live counts the index reports agree with the model."""
+        live = [l for i, l, _ in self.model if i not in self.deleted]
+        want_tods = {"off": 0, "on": len(live), "shared": len(set(live))}
+        for m, idx in self.indexes.items():
+            st = idx.snapshot_stats()
+            assert st.demodulators == len(live), (m, st.demodulators, live)
+            assert st.tods == want_tods[m], (m, st.tods, want_tods[m])
+
     def _after_op(self) -> None:
+        self._check_gauges()
         for m in ("on", "shared"):
             for tod in self.indexes[m].tods():
                 if "remove_forced" not in vars(tod):

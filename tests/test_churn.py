@@ -108,7 +108,7 @@ def test_emptied_groups_are_dropped():
             idx.remove(eq_id)
         assert idx.groups() == [], mode
         assert idx.tods() == [], mode
-        assert idx.stats.tods == 0, mode
+        assert idx.snapshot_stats().tods == 0, mode
         assert idx.query(lhs(5), to_a) == []
         # a dropped group comes back on the next insert of its lhs
         again = idx.insert(lhs(5), x)

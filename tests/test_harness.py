@@ -234,6 +234,11 @@ def test_cli_exit_codes(tmp_path):
 _HEAD = "sig a/0\nsig f/2\nord kbo\n"
 
 
+def _deep_rhs(depth):
+    return ("sig a/0\nsig g/1\nsig f/2\nord kbo\neq e1: f(x,y) = "
+            + "g(" * depth + "a" + ")" * depth)
+
+
 @pytest.mark.parametrize("text, message, line", [
     (_HEAD + "eq e1: f(x,y) = f(z,z)", "variables not in the left-hand side", 4),
     (_HEAD + "eq e1: f(x,y) = f(y,x)\neq e2: f(u,v) = f(v,u)", "already live", 5),
@@ -245,8 +250,11 @@ _HEAD = "sig a/0\nsig f/2\nord kbo\n"
      "symbol a repeats p=", 1),
     ("sig a/0 w=1 w=5 p=1 p=7\nsig f/2 p=7\nord kbo\neq e1: f(x,y) = x",
      "symbol a repeats w=", 1),
+    # deep enough for the recursive term resolution, then for the parser
+    (_deep_rhs(600), "maximum recursion depth", 5),
+    (_deep_rhs(3000), "term nested too deeply", 5),
 ], ids=["malformed", "duplicate", "arity", "unknown-symbol", "zero-weight",
-        "repeated-p", "repeated-w"])
+        "repeated-p", "repeated-w", "deep-600", "deep-3000"])
 def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, line):
     from todx.cli import main
     path = tmp_path / "invalid.tod"

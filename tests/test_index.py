@@ -4,10 +4,9 @@ import sys
 import pytest
 
 from helpers import ScenarioChecker
-from todx import (DuplicateEqualityError, Equality, IndexMode,
-                  MalformedEqualityError, PostOrderingIndex, Signature,
-                  Substitution, Tod, UnknownEqualityError,
-                  canonicalize_equality, make_order)
+from todx import (DuplicateEqualityError, IndexMode, MalformedEqualityError,
+                  PostOrderingIndex, Signature, Substitution,
+                  UnknownEqualityError, canonicalize_equality, make_order)
 
 MODES = ("off", "on", "shared")
 
@@ -157,19 +156,6 @@ def test_only_int_ids_name_equalities(sig, swap_setup, bad_id):
         idx.remove(bad_id)
     assert idx.equality(e1).rhs is r1
     assert idx.snapshot_stats().demodulators == 1
-
-
-def test_one_class_per_equality_error(sig, swap_setup):
-    # the diagram and the index raise the same exported classes
-    tod = Tod(make_order("kbo", sig))
-    with pytest.raises(UnknownEqualityError):
-        tod.mark_deleted(99)
-    with pytest.raises(UnknownEqualityError):
-        tod.equality(99)
-    l, r1, _ = swap_setup
-    tod.insert(Equality(1, l, r1))
-    with pytest.raises(DuplicateEqualityError):
-        tod.insert(Equality(1, l, r1))
 
 
 def test_per_equality_mode_drops_removed_diagram(sig, swap_setup):
@@ -349,6 +335,13 @@ def test_index_mode_parse(sig):
         PostOrderingIndex(sig, "kbo", "both")
 
 
+def test_order_is_built_over_the_index_signature(sig):
+    # a prebuilt order could weigh symbols by another signature
+    with pytest.raises(ValueError):
+        PostOrderingIndex(sig, make_order("kbo", sig))
+    assert PostOrderingIndex(sig, "lpo").order.signature is sig
+
+
 # -- the cached canonical lhs -------------------------------------------------
 
 def spy_substitutions(idx):
@@ -466,3 +459,17 @@ def test_deep_lhs_query_and_insert(mode):
     assert idx.query(deep, Substitution({0: sig.app("a")})) == []
     eq_id = idx.insert(deep, x)
     assert idx.equality(eq_id).lhs is deep
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_lhs_retrieved_under_kbo(mode):
+    # the lhs weight is summed over 10^4 nested subterms
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1)])
+    assert sys.getrecursionlimit() < 10 ** 4
+    x = sig.var(0)
+    deep = x
+    for _ in range(10 ** 4):
+        deep = sig.app("g", [deep])
+    idx = PostOrderingIndex(sig, "kbo", mode)
+    eq_id = idx.insert(deep, x)
+    assert idx.query(deep, Substitution({0: sig.app("a")})) == [eq_id]

@@ -5,7 +5,6 @@ import pytest
 from helpers import ScenarioChecker, run_scenario
 from todx import (Equality, Label, LinearExpr, NodeKind, Signature,
                   Substitution, Tod, TodStructureError, make_order)
-from todx.tod import DuplicateEqualityError, UnknownEqualityError
 
 GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,
                           Label.NGE, Label.NEXT)
@@ -65,13 +64,6 @@ def test_insert_is_constant_time_in_tod_size(sig, kbo_tod):
     assert old_exit.kind is NodeKind.TERM
 
 
-def test_insert_duplicate_id_rejected(sig, kbo_tod):
-    l, r1, r2 = swap_terms(sig)
-    kbo_tod.insert(Equality(1, l, r1))
-    with pytest.raises(DuplicateEqualityError):
-        kbo_tod.insert(Equality(1, l, r2))
-
-
 def test_preordered_equality_simplifies_on_first_retrieval(sig, kbo_tod):
     # f(x,x) beats x statically, so the comparison node is forced away
     x = sig.var(0)
@@ -92,21 +84,21 @@ def test_retrieve_from_empty_tod(sig, kbo_tod):
 
 def test_delete_filters_results(sig, kbo_tod):
     l, r1, _ = swap_terms(sig)
-    kbo_tod.insert(Equality(1, l, r1))
+    eq = Equality(1, l, r1)
+    kbo_tod.insert(eq)
     sigma = subst(sig, sig.app("f", [sig.app("a"), sig.app("a")]), sig.app("a"))
     assert kbo_tod.retrieve(sigma) == [1]
-    kbo_tod.mark_deleted(1)
+    kbo_tod.mark_deleted(eq)
     assert kbo_tod.retrieve(sigma) == []
-    kbo_tod.mark_deleted(1)  # idempotent
+    kbo_tod.mark_deleted(eq)  # idempotent
     assert kbo_tod.retrieve(sigma) == []
-    with pytest.raises(UnknownEqualityError):
-        kbo_tod.mark_deleted(99)
 
 
 def test_delete_then_reinsert_fresh_id(sig, kbo_tod):
     l, r1, _ = swap_terms(sig)
-    kbo_tod.insert(Equality(1, l, r1))
-    kbo_tod.mark_deleted(1)
+    eq = Equality(1, l, r1)
+    kbo_tod.insert(eq)
+    kbo_tod.mark_deleted(eq)
     kbo_tod.insert(Equality(2, l, r1))
     sigma = subst(sig, sig.app("f", [sig.app("a"), sig.app("a")]), sig.app("a"))
     assert kbo_tod.retrieve(sigma) == [2]
@@ -659,13 +651,14 @@ def test_determinism(sig):
     def build():
         tod = Tod(make_order("kbo", sig))
         l, r1, r2 = swap_terms(sig)
-        tod.insert(Equality(1, l, r1))
+        eq = Equality(1, l, r1)
+        tod.insert(eq)
         a, b = sig.app("a"), sig.app("b")
         tod.retrieve(subst(sig, a, a))
         tod.insert(Equality(2, l, r2))
         tod.retrieve(subst(sig, sig.app("f", [a, a]), a))
         tod.retrieve(subst(sig, a, b))
-        tod.mark_deleted(1)
+        tod.mark_deleted(eq)
         tod.retrieve(subst(sig, b, a))
         return tod
 
