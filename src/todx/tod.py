@@ -10,7 +10,9 @@ reached by several edges is split only before the walk visits or
 expands it: the arriving edge gets a fresh copy, so every visited node
 is reached by exactly one path.  Nodes count their incoming edges and
 keep no list of them.  The diagram after a retrieval accepts the same
-success sets as before, it is just faster to walk.
+success sets as before, it is just faster to walk.  Once the path of a
+substitution has settled, a walk along it rewrites nothing and only
+evaluates the checks it passes.
 
 Edges carry ``Label``s.  The answer of a check, evaluated or forced,
 is the label of the edge the walk takes next, and the label a walk
@@ -32,13 +34,16 @@ from .stats import Stats
 from .terms import Label, LinearExpr, Substitution, Term, term_weight
 
 STEP_CAP = 10 ** 6
+"""Rewrite steps (arrivals at unvisited nodes) one retrieval may take."""
 
 
 class StepCapExceededError(RuntimeError):
-    """A retrieval exceeded the diagnostic step budget.
+    """A retrieval took more than ``STEP_CAP`` rewrite steps.
 
     Transformations strictly shrink the diagram measure, so hitting the
-    cap indicates a transformation loop bug, never a big input.
+    cap indicates a transformation loop bug, never a big input.  The
+    walk over visited nodes is not capped: the diagram is acyclic
+    (``Tod.validate`` checks it), so that walk ends.
     """
 
 
@@ -56,6 +61,7 @@ class NodeKind(enum.Enum):
 
 _GT, _EQ, _GEQ, _NGE, _NEXT = (Label.GT, Label.EQ, Label.GEQ, Label.NGE,
                                Label.NEXT)
+_TERM, _POS = NodeKind.TERM, NodeKind.POS
 
 _TERM_LABELS = (_GT, _EQ, _NGE)
 _POS_LABELS = (_GT, _GEQ, _NGE)
@@ -203,7 +209,11 @@ class Tod:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate_node(self, node: TodNode, sigma: Substitution) -> Label:
-        """The edge a substitution takes out of an evaluation node."""
+        """The edge a substitution takes out of an evaluation node.
+
+        This is the definition of a node's label; ``retrieve`` inlines
+        the same two cases for the visited nodes it walks.
+        """
         if node.kind is NodeKind.TERM:
             return self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
         if node.kind is NodeKind.POS:
@@ -374,60 +384,74 @@ class Tod:
         diagram is insertion order.
         """
         st = self.stats
+        compare = self.order.compare_closure
+        w0 = self.order.signature.w0
         results: list[int] = []
         prev = self.root
         arrival = _NEXT
         node = self.root.out[_NEXT]
+        term = pos = success = 0    # nodes traversed, added to st on exit
         steps = 0
         while True:
-            steps += 1
-            if steps > STEP_CAP:
-                raise StepCapExceededError(f"retrieval exceeded {STEP_CAP} steps")
+            if node.tpo is not None:
+                # visited: evaluate as evaluate_node does, without re-tests
+                kind = node.kind
+                if kind is _TERM:
+                    term += 1
+                    label = compare(node.lhs, sigma, node.rhs, sigma)
+                elif kind is _POS:
+                    pos += 1
+                    label = node.expr.sign(w0, sigma)
+                else:
+                    success += 1
+                    label = _NEXT
+                    eq = node.eq
+                    if not eq.deleted:
+                        results.append(eq.eq_id)
+                        if first_only:
+                            break
+                prev, arrival, node = node, label, node.out[label]
+                continue
             kind = node.kind
             if kind is NodeKind.EXIT:
                 st.answers += 1
-                return results
+                break
+            # unvisited: a rewrite step; once it sets tpo, the next turn
+            # evaluates the node above
+            steps += 1
+            if steps > STEP_CAP:
+                raise StepCapExceededError(f"retrieval exceeded {STEP_CAP} steps")
+            via = (prev, arrival)
             if kind is NodeKind.SUCCESS:
-                if node.tpo is None:    # unvisited; the property costs a call here
-                    if node.refs > 1:
-                        node = self.replicate_node(node, (prev, arrival))
-                    node.tpo = self._tpo_at(prev, arrival, node)
-                    st.nodes_processed.success += 1
-                st.nodes_traversed.success += 1
-                eq = node.eq
-                if not eq.deleted:
-                    results.append(eq.eq_id)
-                    st.answers += 1
-                    if first_only:
-                        return results
-                prev, arrival, node = node, _NEXT, node.out[_NEXT]
+                if node.refs > 1:
+                    node = self.replicate_node(node, via)
+                node.tpo = self._tpo_at(prev, arrival, node)
+                st.nodes_processed.success += 1
                 continue
-            if node.tpo is None:
-                via = (prev, arrival)
-                tpo = self._tpo_at(prev, arrival, node)
-                forced = self._forced(node, tpo)
-                if forced is None:
-                    # visited or expanded: the walk needs its own copy
-                    if node.refs > 1:
-                        node = self.replicate_node(node, via)
-                    if (kind is NodeKind.TERM and node.lhs.sym is not None
-                            and node.rhs.sym is not None):
-                        node = self._transform(node, via)
-                        continue
-                if kind is NodeKind.TERM:
-                    st.nodes_processed.term += 1
-                else:
-                    st.nodes_processed.pos += 1
-                if forced is not None:
-                    node = self.remove_forced(node, forced, via)
+            tpo = self._tpo_at(prev, arrival, node)
+            forced = self._forced(node, tpo)
+            if forced is None:
+                # visited or expanded: the walk needs its own copy
+                if node.refs > 1:
+                    node = self.replicate_node(node, via)
+                if (kind is _TERM and node.lhs.sym is not None
+                        and node.rhs.sym is not None):
+                    node = self._transform(node, via)
                     continue
-                node.tpo = tpo
-            if node.kind is NodeKind.TERM:
-                st.nodes_traversed.term += 1
+            if kind is _TERM:
+                st.nodes_processed.term += 1
             else:
-                st.nodes_traversed.pos += 1
-            label = self.evaluate_node(node, sigma)
-            prev, arrival, node = node, label, node.out[label]
+                st.nodes_processed.pos += 1
+            if forced is not None:
+                node = self.remove_forced(node, forced, via)
+                continue
+            node.tpo = tpo
+        traversed = st.nodes_traversed
+        traversed.term += term
+        traversed.pos += pos
+        traversed.success += success
+        st.answers += len(results)
+        return results
 
     # -- introspection ------------------------------------------------------------
 

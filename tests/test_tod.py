@@ -3,8 +3,10 @@ import random
 import pytest
 
 from helpers import ScenarioChecker, run_scenario
+import todx.tod
 from todx import (Equality, Label, LinearExpr, NodeKind, Signature,
-                  Substitution, Tod, TodStructureError, make_order)
+                  StepCapExceededError, Substitution, Tod, TodStructureError,
+                  make_order)
 
 GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,
                           Label.NGE, Label.NEXT)
@@ -690,3 +692,48 @@ def test_processed_never_exceeds_created(sig):
         for mode in ("on", "shared"):
             st = checker.indexes[mode].stats
             assert st.nodes_processed.total <= st.nodes_created.total
+
+
+def test_settled_walk_counts_traversals_on_both_exits(sig, kbo_tod):
+    # both equalities hold under sigma; once settled, a first-only walk
+    # stops at eq 1's success and a full walk runs on to the exit
+    x, y = sig.var(0), sig.var(1)
+    l = sig.app("f", [x, y])
+    kbo_tod.insert(Equality(1, l, sig.app("f", [y, x])))
+    kbo_tod.insert(Equality(2, l, sig.app("f", [y, y])))
+    a = sig.app("a")
+    sigma = subst(sig, sig.app("f", [a, a]), a)
+    assert kbo_tod.retrieve(sigma) == [1, 2]
+    st = kbo_tod.stats
+    t = st.nodes_traversed
+
+    def walk(first_only):
+        before = (t.term, t.pos, t.success, st.answers,
+                  st.nodes_processed.total)
+        ids = kbo_tod.retrieve(sigma, first_only=first_only)
+        after = (t.term, t.pos, t.success, st.answers,
+                 st.nodes_processed.total)
+        return ids, tuple(n - m for n, m in zip(after, before))
+
+    # (term, pos, success) traversed, answers, processed
+    assert walk(True) == ([1], (1, 0, 1, 1, 0))
+    assert walk(False) == ([1, 2], (1, 1, 2, 3, 0))
+
+
+def test_step_cap_counts_rewrite_steps_not_walked_nodes(sig, kbo_tod,
+                                                        monkeypatch):
+    l, r1, _ = swap_terms(sig)
+    kbo_tod.insert(Equality(1, l, r1))
+    a = sig.app("a")
+    sigma = subst(sig, sig.app("f", [a, a]), a)
+    monkeypatch.setattr(todx.tod, "STEP_CAP", 1)
+    with pytest.raises(StepCapExceededError):
+        kbo_tod.retrieve(sigma)     # expands f(x,y) cmp f(y,x), then more
+    monkeypatch.undo()
+    assert kbo_tod.retrieve(sigma) == [1]
+    kbo_tod.validate()
+    monkeypatch.setattr(todx.tod, "STEP_CAP", 1)
+    t = kbo_tod.stats.nodes_traversed
+    walked = t.total
+    assert kbo_tod.retrieve(sigma) == [1]
+    assert t.total - walked > 1
