@@ -362,17 +362,33 @@ def _build_signature(commands: Iterable[Command]) -> Signature:
                      for c in decls)
 
 
+# Stack marker in _resolve: apply a symbol to the terms resolved last.
+_APPLY = object()
+
+
 def _resolve(sig: Signature, raw: RawTree, varmap: dict) -> Term:
     """A raw name tree as a term; undeclared identifiers are variables,
-    numbered through ``varmap``."""
-    if isinstance(raw, str):
-        if sig.has_symbol(raw):
-            return sig.app(raw, ())
-        if raw not in varmap:
-            varmap[raw] = len(varmap)
-        return sig.var(varmap[raw])
-    name, args = raw
-    return sig.app(name, [_resolve(sig, a, varmap) for a in args])
+    numbered through ``varmap`` in left-to-right order.  The walk keeps
+    its own stack, so any term the parser accepts resolves."""
+    done: list[Term] = []       # resolved arguments waiting for their symbol
+    stack: list = [raw]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            if sig.has_symbol(item):
+                done.append(sig.app(item, ()))
+            else:
+                done.append(sig.var(varmap.setdefault(item, len(varmap))))
+        elif item[0] is _APPLY:
+            _, name, n = item
+            first = len(done) - n
+            done[first:] = [sig.app(name, done[first:])]
+        else:
+            name, args = item
+            stack.append((_APPLY, name, len(args)))
+            # leftmost argument on top: variables are met in order
+            stack.extend(reversed(args))
+    return done[0]
 
 
 # errors a script that parses can still raise while it runs

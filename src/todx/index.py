@@ -9,18 +9,30 @@ answer the same queries identically:
 * ``off``     checks each equality with one closure comparison (the
               baseline),
 * ``on``      keeps one diagram per equality,
-* ``shared``  keeps one diagram per group.
+* ``shared``  keeps one diagram per group, for the equalities that have
+              lived long enough to repay it.
 
 The index alone knows which equalities exist: it mints their ids,
 rejects a live duplicate by its canonical (lhs, rhs) pair, and counts
 the live equalities and diagrams off its own maps.  Only live
 equalities are kept.  ``remove`` forgets the equality and, in ``on``
-mode, drops its diagram.  A ``shared`` diagram keeps a removed
-equality's nodes (its walk skips them) until the group's removed
-equalities outnumber its live ones; the diagram is then rebuilt from
-the live equalities in insertion order.  So after every operation a
-diagram holds at most as many removed equalities as live ones
-(dead <= live, hence at most 2 * live in all), and each rebuild's
+mode, drops its diagram.
+
+A ``shared`` group has two generations.  An equality inserted before
+the group's first query joins the diagram at once, as the paper's
+fresh diagrams do.  One inserted later starts young: it waits in a
+FIFO, and each query checks it after the diagram walk with one closure
+comparison, as ``off`` does.  At the front of the query that finds
+``PROMOTE_AFTER`` of the group's queries answered since its insert, it
+joins the diagram.  So an equality that dies young never costs the
+diagram any nodes, diagram members are all older than young ones, and
+answers stay in insertion order.  Removing a young equality only drops
+it from the FIFO.  The diagram keeps a removed member's nodes (its walk
+skips them) until the group's removed members outnumber its live
+members; the diagram is then rebuilt from the live members in insertion
+order, and the young ones stay young, with their age.  So after every
+operation a diagram holds at most as many removed equalities as live
+ones (dead <= live, hence at most 2 * live in all), and each rebuild's
 inserts are paid for by the removals before it.  A group whose last
 live equality goes is dropped with its diagram, so the groups, like
 the diagrams, are bounded by the live equalities, not by every
@@ -58,6 +70,17 @@ class IndexMode(enum.Enum):
     PER_EQUALITY = "on"
     SHARED_BY_LHS = "shared"
 
+
+# Group queries a young equality waits through before it joins the
+# shared diagram.  An insert into a walked diagram lands before the
+# exit, so every specialized path that reaches the exit replicates and
+# re-specializes it, and only an equality checked many more times
+# repays that.  On perfbench's churn_kbo (seed 5), where each equality
+# lives 24 of its group's queries, 8 and 16 still promote and leave
+# shared p50 at 73 and 54 us, against 20 us at 24, 32 or 64.  32 keeps
+# a margin above that lifetime, and costs a long-lived equality at most
+# 32 closure comparisons before the diagram takes over.
+PROMOTE_AFTER = 32
 
 # Stack marker in canonicalize_term: build the term below it.
 _BUILD = object()
@@ -140,11 +163,16 @@ def _check_id(eq_id) -> None:
 
 
 class _Group:
-    __slots__ = ("eqs", "tod", "tods")
+    __slots__ = ("eqs", "tod", "young", "queries", "tods")
 
     def __init__(self):
         self.eqs: dict[Term, Equality] = {}     # rhs -> live, in insertion order
-        self.tod: Optional[Tod] = None          # shared mode
+        # shared mode: the diagram, the young equalities not in it yet
+        # (id -> (equality, group queries at its insert), oldest first),
+        # and the queries the group has answered
+        self.tod: Optional[Tod] = None
+        self.young: dict[int, tuple] = {}
+        self.queries = 0
         self.tods: dict[int, Tod] = {}          # per-equality mode
 
 
@@ -193,7 +221,10 @@ class PostOrderingIndex:
         group.eqs[rhs_c] = eq
         self._live[eq_id] = eq
         if self.mode is IndexMode.SHARED_BY_LHS:
-            group.tod.insert(eq)
+            if group.queries:
+                group.young[eq_id] = (eq, group.queries)
+            else:
+                group.tod.insert(eq)
         elif self.mode is IndexMode.PER_EQUALITY:
             group.tods[eq_id] = self._build_tod((eq,))
         return eq_id
@@ -203,8 +234,9 @@ class PostOrderingIndex:
 
         The equality is forgotten at once: ``equality`` no longer
         finds it.  In ``on`` mode its diagram goes with it; in
-        ``shared`` mode the group's diagram may be rebuilt (see the
-        module docstring).  The last live member takes its group, and
+        ``shared`` mode a young equality leaves its FIFO, and removing
+        a diagram member may rebuild the diagram (see the module
+        docstring).  The last live member takes its group, and
         the group's diagram, along.  Raises ``UnknownEqualityError`` for an id
         this index never assigned, and for any id that is not an ``int``.
         """
@@ -221,9 +253,13 @@ class PostOrderingIndex:
         if not group.eqs:
             del self._groups[eq.lhs]
         elif self.mode is IndexMode.SHARED_BY_LHS:
-            group.tod.mark_deleted(eq)
-            if group.tod.dead > len(group.eqs):
-                group.tod = self._build_tod(group.eqs.values())
+            young = group.young
+            if young.pop(eq_id, None) is None:
+                # a diagram member: only members count towards a rebuild
+                group.tod.mark_deleted(eq)
+                if group.tod.dead > len(group.eqs) - len(young):
+                    group.tod = self._build_tod(
+                        e for e in group.eqs.values() if e.eq_id not in young)
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""
@@ -262,32 +298,57 @@ class PostOrderingIndex:
         sigma_c = Substitution._trusted(renamed)
         self.stats.queries += 1
         if self.mode is IndexMode.SHARED_BY_LHS:
-            return group.tod.retrieve(sigma_c, first_only)
+            young = group.young
+            if young:
+                self._promote(group)
+            group.queries += 1
+            results = group.tod.retrieve(sigma_c, first_only)
+            if young and not (first_only and results):
+                self._check_each([eq for eq, _ in young.values()], sigma_c,
+                                 first_only, results)
+            return results
         if self.mode is IndexMode.PER_EQUALITY:
-            results: list[int] = []
+            results = []
             for tod in group.tods.values():
                 results.extend(tod.retrieve(sigma_c, first_only))
                 if first_only and results:
                     break
             return results
         # baseline: one closure comparison per live equality
+        results = []
+        if self._check_each(group.eqs.values(), sigma_c, first_only, results):
+            self.stats.answers += 1
+        return results
+
+    def _promote(self, group: _Group) -> None:
+        """Move the young equalities that have lived through
+        ``PROMOTE_AFTER`` group queries into the diagram, oldest first."""
+        young = group.young
+        due = []
+        for eq_id, (_, born) in young.items():
+            if group.queries - born < PROMOTE_AFTER:
+                break
+            due.append(eq_id)
+        for eq_id in due:
+            group.tod.insert(young.pop(eq_id)[0])
+
+    def _check_each(self, eqs, sigma: Substitution, first_only: bool,
+                    results: list) -> bool:
+        """Append the ids of ``eqs`` that ``sigma`` orders, one closure
+        comparison each; False if it stopped at a first answer."""
         st = self.stats
         order = self.order
-        results = []
         steps = order.steps
         finished = True
-        for eq in group.eqs.values():
-            if order.compare_closure(eq.lhs, sigma_c,
-                                     eq.rhs, sigma_c) is Label.GT:
+        for eq in eqs:
+            if order.compare_closure(eq.lhs, sigma, eq.rhs, sigma) is Label.GT:
                 results.append(eq.eq_id)
                 st.answers += 1
                 if first_only:
                     finished = False
                     break
         st.naive_comparisons += order.steps - steps
-        if finished:
-            st.answers += 1
-        return results
+        return finished
 
     # -- introspection ------------------------------------------------------------
 

@@ -8,7 +8,14 @@ from oracles import instantiate
 from todx import (MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, Term, canonicalize_equality,
                   make_order)
+from todx.index import PROMOTE_AFTER
 from todx.terms import Label
+
+# Values of ``todx.index.PROMOTE_AFTER`` the fuzz and churn tests run
+# under: 0 inserts a young equality into the diagram at the group's next
+# query, so together with 1 they walk diagrams that grow after being
+# specialized, which the default leaves to long-lived equalities only.
+PROMOTE_SETTINGS = (0, 1, PROMOTE_AFTER)
 
 SIG_SHAPES = {
     # name -> list of (symbol, arity); weights/precedences are randomized

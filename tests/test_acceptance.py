@@ -10,10 +10,12 @@ import itertools
 import random
 import sys
 
-from helpers import ScenarioChecker, random_signature, random_subst, random_term
+from helpers import (PROMOTE_SETTINGS, ScenarioChecker, random_signature,
+                     random_subst, random_term)
 from oracles import instantiate, ref_compare
 from todx import (Equality, Label, LinearExpr, NodeKind,
                   Substitution, Tod, TpoStore, force_term_label, make_order)
+from todx import index as index_module
 from todx.harness import bench
 
 G, E, N = Label.GT, Label.EQ, Label.NGE
@@ -190,20 +192,24 @@ def test_criterion_6_counter_speedup():
         off = rep.mode_stats["off"]
         on = rep.mode_stats["on"]
         shared = rep.mode_stats["shared"]
-        shared_work = (shared.nodes_traversed.term + shared.nodes_created.term)
+        # young equalities are checked by closure comparison
+        shared_work = (shared.nodes_traversed.term + shared.nodes_created.term
+                       + shared.naive_comparisons)
         assert 2 * shared_work < off.naive_comparisons, (
             f"shared work {shared_work} vs naive steps {off.naive_comparisons}")
         assert shared.nodes_traversed.term <= on.nodes_traversed.term
 
 
-def test_criterion_7_termination_and_robustness():
+def test_criterion_7_termination_and_robustness(monkeypatch):
     # the step cap is diagnostic: any retrieval hitting it raises, so a
     # clean fuzz run certifies both termination and the invariants
     with criterion(7, "no step-cap hits; invariants hold under fuzz"):
-        for seed in range(1000):
-            rng = random.Random(90_000 + seed)
-            checker = ScenarioChecker(rng, "kbo" if seed % 2 else "lpo",
-                                      validate=True)
-            checker.insert_random()
-            for _ in range(8):
-                checker.random_op()
+        for promote_after in PROMOTE_SETTINGS:
+            monkeypatch.setattr(index_module, "PROMOTE_AFTER", promote_after)
+            for seed in range(1000):
+                rng = random.Random(90_000 + seed)
+                checker = ScenarioChecker(rng, "kbo" if seed % 2 else "lpo",
+                                          validate=True)
+                checker.insert_random()
+                for _ in range(8):
+                    checker.random_op()

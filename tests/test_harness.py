@@ -250,11 +250,10 @@ def _deep_rhs(depth):
      "symbol a repeats p=", 1),
     ("sig a/0 w=1 w=5 p=1 p=7\nsig f/2 p=7\nord kbo\neq e1: f(x,y) = x",
      "symbol a repeats w=", 1),
-    # deep enough for the recursive term resolution, then for the parser
-    (_deep_rhs(600), "maximum recursion depth", 5),
+    # deep enough for the recursive parser
     (_deep_rhs(3000), "term nested too deeply", 5),
 ], ids=["malformed", "duplicate", "arity", "unknown-symbol", "zero-weight",
-        "repeated-p", "repeated-w", "deep-600", "deep-3000"])
+        "repeated-p", "repeated-w", "deep-3000"])
 def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, line):
     from todx.cli import main
     path = tmp_path / "invalid.tod"
@@ -263,6 +262,19 @@ def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, lin
     err = capsys.readouterr().err
     assert err.startswith(f"{path}: ") and message in err
     assert f"line {line}:" in err
+
+
+def test_cli_runs_a_script_term_600_deep(tmp_path, capsys):
+    # term resolution keeps its own stack: the rhs and the binding of x,
+    # 600 deep each, resolve and answer in every mode
+    from todx.cli import main
+    deep = "g(" * 600 + "a" + ")" * 600
+    path = tmp_path / "deep.tod"
+    path.write_text(_deep_rhs(600) + f"\nquery q1: x := {deep}, y := a"
+                    "\nexpect q1: {e1}\nquery q2: x := a, y := a\n"
+                    "expect q2: {}\n")
+    assert main(["run", str(path), "--mode", "crosscheck"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["q1: {e1}", "q2: {}", "ok"]
 
 
 @pytest.mark.parametrize("content", [None, b"sig a/0\n\xff\n"],

@@ -292,6 +292,33 @@ def test_answers_match_results_plus_exits(sig, swap_setup):
     assert idx.snapshot_stats().answers == total_results + exits
 
 
+def test_young_answers_and_checks_are_counted(sig, swap_setup):
+    # r2 arrives after the group's first query: it is young, answered by
+    # a closure comparison after the walk, as ``off`` answers every query
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, "shared")
+    e1 = idx.insert(l, r1)
+    a, b = sig.app("a"), sig.app("b")
+    faa = sig.app("f", [a, a])
+    assert idx.query(l, Substitution({0: a, 1: a})) == []
+    e2 = idx.insert(l, r2)
+    assert [n.eq.eq_id for n in idx.tods()[0].nodes()
+            if n.kind.value == "success"] == [e1]
+    assert idx.snapshot_stats().naive_comparisons == 0
+    total_results, exits = 0, 1
+    for sigma, want in ((Substitution({0: faa, 1: a}), [e1]),
+                        (Substitution({0: a, 1: faa}), [e2]),
+                        (Substitution({0: b, 1: a}), [e1])):
+        got = idx.query(l, sigma)
+        assert got == want
+        total_results += len(got)
+        exits += 1
+    st = idx.snapshot_stats()
+    assert st.answers == total_results + exits
+    assert st.naive_comparisons > 0
+    assert idx.query(l, Substitution({0: a, 1: faa}), want="first") == [e2]
+
+
 def test_mode_agreement_random(sig):
     for seed in range(120):
         rng = random.Random(seed)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from helpers import ScenarioChecker, run_scenario
+from helpers import PROMOTE_SETTINGS, ScenarioChecker, run_scenario
 import todx.tod
+from todx import index as index_module
 from todx import (Equality, Label, LinearExpr, NodeKind, Signature,
                   StepCapExceededError, Substitution, Tod, TodStructureError,
                   make_order)
@@ -644,9 +645,11 @@ def test_random_scenarios_match_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", ["kbo", "lpo"])
-def test_fuzz_structural_invariants(kind):
-    for seed in range(60):
-        run_scenario(10_000 + seed, kind, ops=10, validate=True)
+def test_fuzz_structural_invariants(kind, monkeypatch):
+    for promote_after in PROMOTE_SETTINGS:
+        monkeypatch.setattr(index_module, "PROMOTE_AFTER", promote_after)
+        for seed in range(60):
+            run_scenario(10_000 + seed, kind, ops=10, validate=True)
 
 
 def test_determinism(sig):
