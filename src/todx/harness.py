@@ -496,13 +496,11 @@ class GenParams:
     queries: int = 20
     groups: int = 2
     delete_prob: float = 0.15
-    ground_prob: float = 0.7
     order: str = "kbo"
 
     _RANGES = (("symbols", 1, 5), ("max_arity", 0, 3), ("max_depth", 0, 4),
                ("equalities", 0, 30), ("queries", 0, 200), ("groups", 1, 30),
-               ("delete_prob", 0, 0.5),  # more can delete forever
-               ("ground_prob", 0, 1))
+               ("delete_prob", 0, 0.5))  # more can delete forever
 
     def __post_init__(self):
         for name, lo, hi in self._RANGES:
@@ -514,6 +512,7 @@ class GenParams:
 
 
 _SYMBOL_POOL = [("a", 0), ("b", 0), ("f", 2), ("g", 1), ("h", 2)]
+_GROUND_PROB = 0.7      # chance that a query binds a variable to a ground term
 
 
 def _gen_term(rng: random.Random, funcs, consts, var_names,
@@ -608,7 +607,7 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
             remaining_queries -= 1
             bindings = []
             for v in var_names:
-                if rng.random() < params.ground_prob:
+                if rng.random() < _GROUND_PROB:
                     img = _gen_term(rng, funcs, consts, [],
                                     rng.randint(0, params.max_depth))
                 else:

@@ -15,8 +15,7 @@ answer the same queries identically:
 The index alone knows which equalities exist: it mints their ids,
 rejects a live duplicate by its canonical (lhs, rhs) pair, and counts
 the live equalities and diagrams off its own maps.  Only live
-equalities are kept.  ``remove`` forgets the equality and, in ``on``
-mode, drops its diagram.
+equalities are kept, and no diagram holds a removed one.
 
 A ``shared`` group has two generations.  An equality inserted before
 the group's first query joins the diagram at once, as the paper's
@@ -27,16 +26,14 @@ comparison, as ``off`` does.  At the front of the query that finds
 joins the diagram.  So an equality that dies young never costs the
 diagram any nodes, diagram members are all older than young ones, and
 answers stay in insertion order.  Removing a young equality only drops
-it from the FIFO.  The diagram keeps a removed member's nodes (its walk
-skips them) until the group's removed members outnumber its live
-members; the diagram is then rebuilt from the live members in insertion
-order, and the young ones stay young, with their age.  So after every
-operation a diagram holds at most as many removed equalities as live
-ones (dead <= live, hence at most 2 * live in all), and each rebuild's
-inserts are paid for by the removals before it.  A group whose last
-live equality goes is dropped with its diagram, so the groups, like
-the diagrams, are bounded by the live equalities, not by every
-left-hand side ever inserted.
+it from the FIFO.  Removing a diagram member dissolves the diagram:
+the group starts a new, empty one, and every survivor goes back to the
+FIFO, in insertion order and as young as if inserted then, to rejoin
+by the same rule.  While the FIFO is not empty, even an insert before
+the group's first query starts young, so it queues behind older
+survivors.  A group whose last live equality goes is dropped with its
+diagram, so the groups, like the diagrams, are bounded by the live
+equalities, not by every left-hand side ever inserted.
 
 One index is single-threaded; independent indexes may run in parallel.
 """
@@ -168,8 +165,8 @@ class _Group:
     def __init__(self):
         self.eqs: dict[Term, Equality] = {}     # rhs -> live, in insertion order
         # shared mode: the diagram, the young equalities not in it yet
-        # (id -> (equality, group queries at its insert), oldest first),
-        # and the queries the group has answered
+        # (id -> (equality, group queries when it became young), oldest
+        # first), and the queries the group has answered
         self.tod: Optional[Tod] = None
         self.young: dict[int, tuple] = {}
         self.queries = 0
@@ -192,12 +189,6 @@ class PostOrderingIndex:
 
     # -- maintenance -----------------------------------------------------------
 
-    def _build_tod(self, eqs) -> Tod:
-        tod = Tod(self.order, self.stats)
-        for eq in eqs:
-            tod.insert(eq)
-        return tod
-
     def insert(self, lhs: Term, rhs: Term) -> int:
         """Add an equality; returns its id.
 
@@ -210,7 +201,7 @@ class PostOrderingIndex:
             group = _Group()
             self._groups[lhs_c] = group
             if self.mode is IndexMode.SHARED_BY_LHS:
-                group.tod = self._build_tod(())
+                group.tod = Tod(self.order, self.stats)
         other = group.eqs.get(rhs_c)
         if other is not None:
             raise DuplicateEqualityError(
@@ -221,12 +212,15 @@ class PostOrderingIndex:
         group.eqs[rhs_c] = eq
         self._live[eq_id] = eq
         if self.mode is IndexMode.SHARED_BY_LHS:
-            if group.queries:
+            # behind young survivors of a dissolution too, or a walk
+            # would answer it before them
+            if group.queries or group.young:
                 group.young[eq_id] = (eq, group.queries)
             else:
                 group.tod.insert(eq)
         elif self.mode is IndexMode.PER_EQUALITY:
-            group.tods[eq_id] = self._build_tod((eq,))
+            tod = group.tods[eq_id] = Tod(self.order, self.stats)
+            tod.insert(eq)
         return eq_id
 
     def remove(self, eq_id: int) -> None:
@@ -235,8 +229,8 @@ class PostOrderingIndex:
         The equality is forgotten at once: ``equality`` no longer
         finds it.  In ``on`` mode its diagram goes with it; in
         ``shared`` mode a young equality leaves its FIFO, and removing
-        a diagram member may rebuild the diagram (see the module
-        docstring).  The last live member takes its group, and
+        a diagram member dissolves the diagram into the FIFO (see the
+        module docstring).  The last live member takes its group, and
         the group's diagram, along.  Raises ``UnknownEqualityError`` for an id
         this index never assigned, and for any id that is not an ``int``.
         """
@@ -252,14 +246,12 @@ class PostOrderingIndex:
             del group.tods[eq_id]
         if not group.eqs:
             del self._groups[eq.lhs]
-        elif self.mode is IndexMode.SHARED_BY_LHS:
-            young = group.young
-            if young.pop(eq_id, None) is None:
-                # a diagram member: only members count towards a rebuild
-                group.tod.mark_deleted(eq)
-                if group.tod.dead > len(group.eqs) - len(young):
-                    group.tod = self._build_tod(
-                        e for e in group.eqs.values() if e.eq_id not in young)
+        elif (self.mode is IndexMode.SHARED_BY_LHS
+              and group.young.pop(eq_id, None) is None):
+            # a diagram member: the survivors start young in a new diagram
+            group.tod = Tod(self.order, self.stats)
+            group.young = {e.eq_id: (e, group.queries)
+                           for e in group.eqs.values()}
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""

@@ -266,10 +266,6 @@ class LinearExpr:
     def of_const(cls, c: int) -> "LinearExpr":
         return cls(c, ())
 
-    @classmethod
-    def of_var(cls, vid: int, coeff: int = 1) -> "LinearExpr":
-        return cls(0, ((vid, coeff),))
-
     @property
     def coeffs(self) -> dict:
         return dict(self._coeffs)
@@ -278,20 +274,11 @@ class LinearExpr:
     def is_zero(self) -> bool:
         return self.constant == 0 and not self._coeffs
 
-    def __add__(self, other: "LinearExpr") -> "LinearExpr":
-        acc = dict(self._coeffs)
-        for v, c in other._coeffs:
-            acc[v] = acc.get(v, 0) + c
-        return LinearExpr(self.constant + other.constant, acc)
-
     def __sub__(self, other: "LinearExpr") -> "LinearExpr":
         acc = dict(self._coeffs)
         for v, c in other._coeffs:
             acc[v] = acc.get(v, 0) - c
         return LinearExpr(self.constant - other.constant, acc)
-
-    def __neg__(self) -> "LinearExpr":
-        return LinearExpr(-self.constant, [(v, -c) for v, c in self._coeffs])
 
     def subst(self, sigma: Substitution) -> "LinearExpr":
         """Replace every variable by the weight of its image under sigma."""

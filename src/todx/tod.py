@@ -69,17 +69,11 @@ _POS_LABELS = (_GT, _GEQ, _NGE)
 
 @dataclass
 class Equality:
-    """An indexed equality; the index mints its id.
-
-    Deletion sets the flag; the walk skips a deleted equality's success
-    nodes.  When a shared diagram is rebuilt without them is decided in
-    ``todx.index``.
-    """
+    """An indexed equality; the index mints its id."""
 
     eq_id: int
     lhs: Term
     rhs: Term
-    deleted: bool = False
 
 
 class TodNode:
@@ -121,8 +115,8 @@ class TodNode:
 
 class Tod:
     """One term ordering diagram over a fixed order.  It takes the
-    equalities the index gives it unchecked, and counts in ``dead``
-    those marked deleted but still in it."""
+    equalities the index gives it unchecked, and answers every one it
+    holds: the index drops a diagram rather than remove from it."""
 
     def __init__(self, order: TermOrder, stats: Optional[Stats] = None):
         self.order = order
@@ -130,7 +124,6 @@ class Tod:
         # the store, and every ordering and comparison it keeps, dies
         # with the diagram
         self.tpo_store = TpoStore(order)
-        self.dead = 0       # deleted equalities still in the diagram
         self.root = TodNode(NodeKind.ROOT)
         self.exit = TodNode(NodeKind.EXIT)
         self.root.tpo = self.tpo_store.empty
@@ -198,13 +191,6 @@ class Tod:
         self._link(succ, _NEXT, new_exit)
         self.stats.nodes_created.term += 1
         self.stats.nodes_created.success += 1
-
-    def mark_deleted(self, eq: Equality) -> None:
-        """Flag ``eq``, which must have been inserted here, as deleted;
-        its nodes stay.  Marking it again does nothing."""
-        if not eq.deleted:
-            eq.deleted = True
-            self.dead += 1
 
     # -- evaluation ------------------------------------------------------------
 
@@ -405,11 +391,9 @@ class Tod:
                 else:
                     success += 1
                     label = _NEXT
-                    eq = node.eq
-                    if not eq.deleted:
-                        results.append(eq.eq_id)
-                        if first_only:
-                            break
+                    results.append(node.eq.eq_id)
+                    if first_only:
+                        break
                 prev, arrival, node = node, label, node.out[label]
                 continue
             kind = node.kind

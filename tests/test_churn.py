@@ -24,14 +24,17 @@ VALIDATE_EVERY = 50
 def reachable_bound(live: int) -> int:
     """Reachable nodes one diagram may hold while ``live`` are live.
 
-    A shared diagram holds at most 2 * live equalities (dead <= live),
-    and the bound allows 32 reachable nodes for each of them.  On this
-    scenario (seeds 1-6 and 11) the largest shared diagram reached 205
-    to 265 nodes and every per-equality diagram at most 8; before
-    removal reclaimed anything, the shared diagram passed 135k nodes
-    by round 600.
+    A diagram holds live equalities only, and the bound allows 64
+    reachable nodes for each of them.  On this scenario (seeds 1-6 and
+    11) the largest shared diagram reached 38 to 46 nodes under
+    ``PROMOTE_AFTER`` 0 and 1, and 2 (root and exit) under 32, where no
+    equality lives long enough to join; every per-equality diagram
+    reached at most 8.  While removed members stayed in the shared
+    diagram until they outnumbered the live ones, it reached 205 to
+    265 nodes, and before removal reclaimed anything it passed 135k
+    nodes by round 600.
     """
-    return 32 * 2 * live
+    return 64 * live
 
 
 class ChurnGroup:
@@ -105,8 +108,7 @@ def run_churn(rng: random.Random) -> None:
         group.query(live, rnd)
 
         shared = group.shared_tod()
-        assert shared.dead <= len(live)
-        assert len(held_ids(shared)) <= 2 * len(live)
+        assert held_ids(shared) <= {i for i, _ in live}, rnd
         per_eq = group.indexes["on"].tods()
         assert len(per_eq) == len(live)
         for tod in [shared] + per_eq:
@@ -155,8 +157,6 @@ def test_mixed_lifetimes_promote_the_long_lived_core_only():
         held = held_ids(tod)
         # churners never reach the diagram
         assert held <= core_ids, (rnd, held - core_ids)
-        # no core equality is removed, so the diagram has nothing dead
-        assert tod.dead == 0
         for t in [tod] + group.indexes["on"].tods():
             assert len(t.nodes()) <= bound, (rnd, len(t.nodes()))
         if rnd % 20 == 0 and rnd > 2 * promoted:

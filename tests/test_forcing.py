@@ -303,7 +303,8 @@ def test_positivity_forcing():
                        {v: rng.randint(-2, 2) for v in range(rng.randint(0, 2))})
         w0 = rng.randint(1, 3)
         old = (Label.GEQ if e.is_zero else Label.GT if e.sign(w0) is Label.GT
-               else Label.NGE if (-e).sign(w0) is Label.GT else None)
+               else Label.NGE if (LinearExpr() - e).sign(w0) is Label.GT
+               else None)
         assert force_positivity_label(e, w0) is old
 
 

@@ -168,7 +168,7 @@ def test_gen_params_cap_validation():
 
 
 @pytest.mark.parametrize("name, value", [("delete_prob", 0.6), ("symbols", 0),
-                                         ("groups", -3), ("ground_prob", 1.5)])
+                                         ("groups", -3)])
 def test_gen_params_rejects_out_of_range(name, value):
     # delete_prob > 0.5 can pick deletes forever; no symbol leaves no constant
     with pytest.raises(ValueError, match=name):

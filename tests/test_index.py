@@ -5,8 +5,9 @@ import pytest
 
 from helpers import ScenarioChecker
 from todx import (DuplicateEqualityError, IndexMode, MalformedEqualityError,
-                  PostOrderingIndex, Signature, Substitution,
+                  NodeKind, PostOrderingIndex, Signature, Substitution,
                   UnknownEqualityError, canonicalize_equality, make_order)
+from todx.index import PROMOTE_AFTER
 
 MODES = ("off", "on", "shared")
 
@@ -79,7 +80,7 @@ def test_removed_pair_reinserts_in_every_mode(sig, swap_setup, mode):
     e1 = idx.insert(l, r1)
     e2 = idx.insert(l, r2)
     idx.remove(e1)
-    idx.remove(e2)          # shared: dead 2 > live 0, rebuilt empty
+    idx.remove(e2)          # the group goes with its last live equality
     e3 = idx.insert(l, r1)
     with pytest.raises(DuplicateEqualityError):
         idx.insert(l, r1)
@@ -104,7 +105,7 @@ def test_remove_unknown_and_idempotent(sig, swap_setup):
     idx.remove(e1)
     st = idx.snapshot_stats()
     assert st.demodulators == 0
-    assert st.nodes_created == created  # the rebuild of an emptied group inserts nothing
+    assert st.nodes_created == created  # dropping the emptied group inserts nothing
     with pytest.raises(UnknownEqualityError):
         idx.remove(999)
 
@@ -167,21 +168,46 @@ def test_per_equality_mode_drops_removed_diagram(sig, swap_setup):
     assert len(idx.tods()) == idx.snapshot_stats().tods == 1
 
 
-def test_shared_mode_rebuilds_when_dead_outnumber_live(sig, swap_setup):
+def success_ids(tod) -> list:
+    """Distinct ids of the equalities with a success node, in node order."""
+    return list(dict.fromkeys(n.eq.eq_id for n in tod.nodes()
+                              if n.kind is NodeKind.SUCCESS))
+
+
+def test_removing_a_member_dissolves_the_shared_diagram(sig, swap_setup):
     l, r1, r2 = swap_setup
-    r3 = sig.app("a")
+    a = sig.app("a")
     idx = make_index(sig, "shared")
-    e1, e2, e3 = (idx.insert(l, r) for r in (r1, r2, r3))
-    tod = idx.tods()[0]
-    idx.remove(e1)          # dead 1 <= live 2: kept
-    assert idx.tods() == [tod] and tod.dead == 1
-    idx.remove(e2)          # dead 2 > live 1: rebuilt from e3 alone
-    rebuilt, = idx.tods()
-    assert rebuilt is not tod and rebuilt.dead == 0
-    assert [n.eq.eq_id for n in rebuilt.nodes()
-            if n.kind.value == "success"] == [e3]
-    rebuilt.validate()
-    assert idx.query(l, Substitution({0: r3, 1: r3})) == [e3]
+    e1, e2, e3 = (idx.insert(l, r) for r in (r1, r2, a))
+    tod, = idx.tods()
+    sigma = Substitution({0: a, 1: sig.app("f", [a, a])})
+    assert idx.query(l, sigma) == [e2, e3]
+    assert idx.snapshot_stats().naive_comparisons == 0
+    idx.remove(e2)
+    # a new diagram holds no member; the survivors are young again
+    fresh, = idx.tods()
+    assert fresh is not tod and success_ids(fresh) == []
+    fresh.validate()
+    assert idx.query(l, sigma) == [e3]
+    assert idx.snapshot_stats().naive_comparisons > 0
+    for _ in range(PROMOTE_AFTER - 1):
+        assert idx.query(l, sigma) == [e3]
+    assert success_ids(fresh) == []
+    # the front of the next query promotes both, in insertion order
+    naive = idx.snapshot_stats().naive_comparisons
+    assert idx.query(l, sigma) == [e3]
+    assert success_ids(fresh) == [e1, e3]
+    assert idx.snapshot_stats().naive_comparisons == naive
+    fresh.validate()
+    # removing a member before the group's first query leaves e2 young;
+    # e3 must queue behind it, or the walk would answer e3 first
+    for mode in MODES:
+        idx = make_index(sig, mode)
+        e1, e2 = idx.insert(l, r1), idx.insert(l, r2)
+        idx.remove(e1)
+        e3 = idx.insert(l, a)
+        assert idx.query(l, sigma, want="first") == [e2], mode
+        assert idx.query(l, sigma) == [e2, e3], mode
 
 
 def test_query_unknown_lhs_is_empty(sig, swap_setup):

@@ -185,12 +185,11 @@ def test_weight_commutes_with_substitution():
 @settings(max_examples=200)
 def test_linear_expr_arithmetic(c1, c2, m1, m2):
     e1, e2 = LinearExpr(c1, m1), LinearExpr(c2, m2)
-    s = e1 + e2
-    assert s.constant == c1 + c2
+    d = e1 - e2
+    assert d.constant == c1 - c2
     for v in set(m1) | set(m2):
-        assert s.coeffs.get(v, 0) == m1.get(v, 0) + m2.get(v, 0)
+        assert d.coeffs.get(v, 0) == m1.get(v, 0) - m2.get(v, 0)
     assert (e1 - e1).is_zero
-    assert -(e1 - e2) == e2 - e1
 
 
 _raw_trees = st.recursive(

@@ -77,34 +77,8 @@ def test_preordered_equality_simplifies_on_first_retrieval(sig, kbo_tod):
     assert node.kind is NodeKind.SUCCESS
 
 
-# -- lazy deletion ---------------------------------------------------------------
-
-
 def test_retrieve_from_empty_tod(sig, kbo_tod):
     assert kbo_tod.retrieve(Substitution({0: sig.app("a")})) == []
-    kbo_tod.validate()
-
-
-def test_delete_filters_results(sig, kbo_tod):
-    l, r1, _ = swap_terms(sig)
-    eq = Equality(1, l, r1)
-    kbo_tod.insert(eq)
-    sigma = subst(sig, sig.app("f", [sig.app("a"), sig.app("a")]), sig.app("a"))
-    assert kbo_tod.retrieve(sigma) == [1]
-    kbo_tod.mark_deleted(eq)
-    assert kbo_tod.retrieve(sigma) == []
-    kbo_tod.mark_deleted(eq)  # idempotent
-    assert kbo_tod.retrieve(sigma) == []
-
-
-def test_delete_then_reinsert_fresh_id(sig, kbo_tod):
-    l, r1, _ = swap_terms(sig)
-    eq = Equality(1, l, r1)
-    kbo_tod.insert(eq)
-    kbo_tod.mark_deleted(eq)
-    kbo_tod.insert(Equality(2, l, r1))
-    sigma = subst(sig, sig.app("f", [sig.app("a"), sig.app("a")]), sig.app("a"))
-    assert kbo_tod.retrieve(sigma) == [2]
     kbo_tod.validate()
 
 
@@ -656,14 +630,12 @@ def test_determinism(sig):
     def build():
         tod = Tod(make_order("kbo", sig))
         l, r1, r2 = swap_terms(sig)
-        eq = Equality(1, l, r1)
-        tod.insert(eq)
+        tod.insert(Equality(1, l, r1))
         a, b = sig.app("a"), sig.app("b")
         tod.retrieve(subst(sig, a, a))
         tod.insert(Equality(2, l, r2))
         tod.retrieve(subst(sig, sig.app("f", [a, a]), a))
         tod.retrieve(subst(sig, a, b))
-        tod.mark_deleted(eq)
         tod.retrieve(subst(sig, b, a))
         return tod
 
