@@ -9,11 +9,12 @@ A forced outcome is the ``Label`` the check itself would answer, so it
 names the edge to bypass along.
 
 The closures are stored as term partial orderings: a fixed element
-sequence (top-level terms in order of first appearance) plus one fact
-byte per ordered element pair, laid out so that extending an ordering
-appends to its parent's bytes.  Orderings are perfectly shared
-through a store, so isomorphic paths reuse one instance.  The store is
-a single-writer structure owned by one diagram, and dies with it.
+sequence (top-level terms in order of first appearance) plus one bit
+row per element for each of ``>``, ``=`` and ``!>=``, so an extension's
+rows are its parent's padded with zero bits and closed again with
+Warshall's algorithm.  Orderings are perfectly shared through a store,
+so isomorphic paths reuse one instance.  The store is a single-writer
+structure owned by one diagram, and dies with it.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ from typing import Iterable, Optional, Sequence
 
 from .ordering import TermOrder
 from .terms import Label, LinearExpr, Term
-
-# Facts known about an ordered element pair (i, j), one bit each: i > j,
-# i = j (stored in both orientations), and i !>= j.
-_GT = 1
-_EQ = 2
-_NGE = 4
 
 
 class TpoInconsistencyError(RuntimeError):
@@ -38,21 +33,21 @@ class TpoInconsistencyError(RuntimeError):
     """
 
 
-def _cell(i: int, j: int) -> int:
-    # Pairs within the first n elements fill the first n*n cells, so a
-    # parent's cells are a prefix of every extension's.
-    return i * i + j if j <= i else j * j + j + 1 + i
-
-
 class PartialOrdering:
-    """An immutable, shared transitive closure of term constraints."""
+    """An immutable, shared transitive closure of term constraints.
 
-    __slots__ = ("elements", "_pos", "_cells")
+    Bit j of ``gt[i]``, ``eq[i]`` and ``nge[i]`` says that element i is
+    ``>``, ``=`` or ``!>=`` element j; no diagonal bit is ever set.
+    """
 
-    def __init__(self, elements: tuple, cells: bytes):
+    __slots__ = ("elements", "_pos", "gt", "eq", "nge")
+
+    def __init__(self, elements: tuple, gt: tuple, eq: tuple, nge: tuple):
         self.elements = elements
         self._pos = {t: i for i, t in enumerate(elements)}
-        self._cells = cells
+        self.gt = gt
+        self.eq = eq
+        self.nge = nge
 
     def relation(self, s: Term, t: Term) -> Optional[Label]:
         """The known relation of s to t (GT, EQ or NGE), if any."""
@@ -62,32 +57,23 @@ class PartialOrdering:
         j = self._pos.get(t)
         if i is None or j is None:
             return None
-        m = self._cells[_cell(i, j)]
-        if m & _GT:
+        bit = 1 << j
+        if self.gt[i] & bit:
             return Label.GT
-        if m & _EQ:
+        if self.eq[i] & bit:
             return Label.EQ
-        if m & _NGE:
+        if self.nge[i] & bit:
             return Label.NGE
         return None
 
     def facts(self):
-        """Yield the stored primitive facts as (s, Label, t) triples."""
-        n = len(self.elements)
-        for j in range(n):
-            for i in range(j):
-                ab, ba = self._cells[_cell(i, j)], self._cells[_cell(j, i)]
-                a, b = self.elements[i], self.elements[j]
-                if ab & _GT:
-                    yield (a, Label.GT, b)
-                if ba & _GT:
-                    yield (b, Label.GT, a)
-                if ab & _EQ:
-                    yield (a, Label.EQ, b)
-                if ab & _NGE:
-                    yield (a, Label.NGE, b)
-                if ba & _NGE:
-                    yield (b, Label.NGE, a)
+        """Yield the stored primitive facts as (s, Label, t) triples, each
+        equality in one orientation."""
+        for i, a in enumerate(self.elements):
+            for j, b in enumerate(self.elements):
+                rel = self.relation(a, b) if i != j else None
+                if rel is not None and (rel is not Label.EQ or i < j):
+                    yield (a, rel, b)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -97,109 +83,56 @@ class PartialOrdering:
         return f"PartialOrdering([{inner}])"
 
 
-class _Closure:
-    """Mutable working state for one extension, closed under tr1-tr5."""
+def _close(gt: list, eq: list, nge: list) -> tuple:
+    """Close bit rows of facts under the axioms of a simplification order.
 
-    def __init__(self, n: int, cells: bytearray):
-        self.n = n
-        self.cells = cells
-        self.queue: list = []
-
-    def gt(self, i: int, j: int) -> int:
-        return self.cells[_cell(i, j)] & _GT
-
-    def eq(self, i: int, j: int) -> int:
-        return self.cells[_cell(i, j)] & _EQ
-
-    def nge(self, i: int, j: int) -> int:
-        return self.cells[_cell(i, j)] & _NGE
-
-    def add(self, bit: int, i: int, j: int) -> None:
-        if i == j:
-            if bit == _EQ:
-                return
-            raise TpoInconsistencyError("reflexive strict fact")
-        self.queue.append((bit, i, j))
-
-    def run(self) -> None:
-        cells = self.cells
-        while self.queue:
-            bit, a, b = self.queue.pop()
-            ab = _cell(a, b)
-            m = cells[ab]
-            if m & bit:
-                continue
-            if bit == _GT:
-                if m & (_EQ | _NGE) or self.gt(b, a):
-                    raise TpoInconsistencyError("gt conflicts with stored facts")
-                cells[ab] = m | _GT
-                self._derive_gt(a, b)
-            elif bit == _EQ:
-                ba = _cell(b, a)
-                if m & (_GT | _NGE) or cells[ba] & (_GT | _NGE):
-                    raise TpoInconsistencyError("eq conflicts with stored facts")
-                cells[ab] = m | _EQ
-                cells[ba] |= _EQ
-                self._derive_eq(a, b)
-            else:
-                if m & (_GT | _EQ):
-                    raise TpoInconsistencyError("nge conflicts with stored facts")
-                cells[ab] = m | _NGE
-                self._derive_nge(a, b)
-
-    def _derive_gt(self, a: int, b: int) -> None:
-        # a > b entails b !>= a, and joins through every third element.
-        self.add(_NGE, b, a)
-        for k in range(self.n):
-            if k == a or k == b:
-                continue
-            if self.gt(k, a):
-                self.add(_GT, k, b)
-            if self.eq(a, k):
-                self.add(_GT, k, b)
-            if self.gt(b, k) or self.eq(k, b):
-                self.add(_GT, a, k)
-            if self.nge(k, b):
-                self.add(_NGE, k, a)
-            if self.nge(a, k):
-                self.add(_NGE, b, k)
-
-    def _derive_eq(self, a: int, b: int) -> None:
-        for k in range(self.n):
-            if k == a or k == b:
-                continue
-            if self.eq(b, k):
-                self.add(_EQ, a, k)
-            if self.eq(a, k):
-                self.add(_EQ, b, k)
-            if self.gt(k, b):
-                self.add(_GT, k, a)
-            if self.gt(k, a):
-                self.add(_GT, k, b)
-            if self.gt(a, k):
-                self.add(_GT, b, k)
-            if self.gt(b, k):
-                self.add(_GT, a, k)
-            if self.nge(k, a):
-                self.add(_NGE, k, b)
-            if self.nge(k, b):
-                self.add(_NGE, k, a)
-            if self.nge(b, k):
-                self.add(_NGE, a, k)
-            if self.nge(a, k):
-                self.add(_NGE, b, k)
-
-    def _derive_nge(self, a: int, b: int) -> None:
-        for k in range(self.n):
-            if k == a or k == b:
-                continue
-            if self.gt(k, b) or self.eq(b, k):
-                self.add(_NGE, a, k)
-            if self.gt(a, k) or self.eq(k, a):
-                self.add(_NGE, k, b)
-
-
-_REL_BIT = {Label.GT: _GT, Label.EQ: _EQ, Label.NGE: _NGE}
+    ``eq`` must hold each equality in both orientations.  Warshall's
+    algorithm closes ``>=`` (``>`` or ``=``), and in the same loop ``>``:
+    a chain of ``>=`` steps with at least one ``>``.  Then ``a = b`` when
+    ``a >= b >= a``, and ``a !>= b`` when ``b > a``, or when some given
+    ``p !>= q`` has ``p >= a`` and ``b >= q``.  Returns the closed
+    (gt, eq, nge) rows as tuples.  Raises ``TpoInconsistencyError`` on a
+    reflexive ``>`` or ``!>=``, or on a pair with two relations.
+    """
+    n = len(gt)
+    gt = list(gt)
+    ge = [g | e for g, e in zip(gt, eq)]
+    rows = range(n)
+    for k in rows:
+        bit, ge_k, gt_k = 1 << k, ge[k], gt[k]
+        for i in rows:
+            if ge[i] & bit:
+                ge[i] |= ge_k
+                gt[i] |= ge_k if gt[i] & bit else gt_k
+    # le[j]: the elements >= j, j included; lt[j]: the elements > j
+    le = [1 << j for j in rows]
+    lt = [0] * n
+    for i in rows:
+        bit, rest, gt_i = 1 << i, ge[i], gt[i]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            le[j] |= bit
+            if gt_i & low:
+                lt[j] |= bit
+    closed_nge = lt[:]
+    for p in rows:
+        given = nge[p] & ~lt[p]     # p !>= q for q > p adds nothing to lt
+        if given:
+            below = 0
+            for q in rows:
+                if given >> q & 1:
+                    below |= le[q]
+            for a in rows:
+                if (ge[p] | 1 << p) >> a & 1:
+                    closed_nge[a] |= below
+    closed_eq = [ge[i] & le[i] & ~(1 << i) for i in rows]
+    for i in rows:
+        g, e, x = gt[i], closed_eq[i], closed_nge[i]
+        if (g | x) >> i & 1 or g & (e | x) or e & x:
+            raise TpoInconsistencyError("contradictory facts")
+    return tuple(gt), tuple(closed_eq), tuple(closed_nge)
 
 
 class TpoStore:
@@ -215,13 +148,14 @@ class TpoStore:
         # copies of a node arrive with the same inputs; a call that
         # raises caches nothing.
         self._extended: dict[tuple, PartialOrdering] = {}
-        self.empty = self._intern((), b"")
+        self.empty = self._intern((), (), (), ())
 
-    def _intern(self, elements: tuple, cells: bytes) -> PartialOrdering:
-        key = (tuple(t.tid for t in elements), cells)
+    def _intern(self, elements: tuple, gt: tuple, eq: tuple,
+                nge: tuple) -> PartialOrdering:
+        key = (tuple(t.tid for t in elements), gt, eq, nge)
         found = self._pool.get(key)
         if found is None:
-            found = PartialOrdering(elements, cells)
+            found = PartialOrdering(elements, gt, eq, nge)
             self._pool[key] = found
         return found
 
@@ -237,8 +171,9 @@ class TpoStore:
         edge; ``new_terms`` are top-level terms entering the path.  New
         elements bring along every statically known greater-than fact
         against existing elements; the store remembers each pair's
-        verdict.  Transitivity only needs to be re-run from the added
-        facts.  Extending with nothing returns the parent unchanged.
+        verdict.  The facts are set on the parent's padded rows, which
+        are then closed again; with no fact to add they are closed
+        already.  Extending with nothing returns the parent unchanged.
         Repeated inputs return the ordering built the first time.
         """
         constraints = tuple(constraints)
@@ -249,29 +184,28 @@ class TpoStore:
             return found
         elements = list(parent.elements)
         pos = dict(parent._pos)
-        fresh: list[Term] = []
-
-        def ensure(v: Term) -> None:
+        for v in [t for a, _, b in constraints for t in (a, b)] + list(new_terms):
             if v not in pos:
                 pos[v] = len(elements)
                 elements.append(v)
-                fresh.append(v)
-
-        for a, _, b in constraints:
-            ensure(a)
-            ensure(b)
-        for v in new_terms:
-            ensure(v)
+        fresh = elements[len(parent):]
         if not constraints and not fresh:
             self._extended[memo_key] = parent
             return parent
 
-        n = len(elements)
-        cells = bytearray(n * n)
-        cells[:len(parent._cells)] = parent._cells
-        cl = _Closure(n, cells)
+        pad = (0,) * (len(elements) - len(parent))
+        gt, eq, nge = (list(parent.gt + pad), list(parent.eq + pad),
+                       list(parent.nge + pad))
         for a, rel, b in constraints:
-            cl.add(_REL_BIT[rel], pos[a], pos[b])
+            i, j = pos[a], pos[b]
+            if rel is Label.GT:
+                gt[i] |= 1 << j
+            elif rel is Label.EQ:
+                eq[i] |= 1 << j
+                eq[j] |= 1 << i
+            else:
+                nge[i] |= 1 << j
+        added = bool(constraints)
         compare = self.order.compare
         static = self._static
         for v in fresh:
@@ -282,20 +216,20 @@ class TpoStore:
                 key = (v.tid, u.tid)
                 verdict = static.get(key)
                 if verdict is None:
-                    if compare(v, u) is Label.GT:
-                        verdict = 1
-                    elif compare(u, v) is Label.GT:
-                        verdict = -1
-                    else:
-                        verdict = 0
+                    verdict = (1 if compare(v, u) is Label.GT else
+                               -1 if compare(u, v) is Label.GT else 0)
                     static[key] = verdict
                     static[(u.tid, v.tid)] = -verdict
                 if verdict > 0:
-                    cl.add(_GT, i, pos[u])
+                    gt[i] |= 1 << pos[u]
+                    added = True
                 elif verdict < 0:
-                    cl.add(_GT, pos[u], i)
-        cl.run()
-        found = self._intern(tuple(elements), bytes(cells))
+                    gt[pos[u]] |= 1 << i
+                    added = True
+        # The parent is closed, so without a new fact its padded rows are.
+        rows = _close(gt, eq, nge) if added else (tuple(gt), tuple(eq),
+                                                   tuple(nge))
+        found = self._intern(tuple(elements), *rows)
         self._extended[memo_key] = found
         return found
 

@@ -163,15 +163,38 @@ class Signature:
         return t
 
     def intern(self, raw: RawTerm) -> Term:
-        """Intern a raw term tree (see ``RawTerm``)."""
+        """Intern a raw term tree (see ``RawTerm``).  The walk keeps its
+        own stack, so any depth is fine."""
+        var, app = self.var, self.app
+        if isinstance(raw, int):
+            return var(raw)
+        if isinstance(raw, str):
+            return app(raw, ())
         if isinstance(raw, Term):
             return raw
-        if isinstance(raw, int):
-            return self.var(raw)
-        if isinstance(raw, str):
-            return self.app(raw, ())
-        name, raw_args = raw
-        return self.app(name, [self.intern(a) for a in raw_args])
+        # the open application: its name, its raw arguments not yet
+        # visited and its interned ones; the applications above it wait
+        # on the stack
+        name, args = raw
+        todo, done, stack = iter(args), [], []
+        while True:
+            for item in todo:
+                if isinstance(item, int):
+                    item = var(item)
+                elif isinstance(item, str):
+                    item = app(item, ())
+                elif not isinstance(item, Term):
+                    stack.append((name, todo, done))
+                    name, args = item
+                    todo, done = iter(args), []
+                    break
+                done.append(item)
+            else:
+                t = app(name, done)
+                if not stack:
+                    return t
+                name, todo, done = stack.pop()
+                done.append(t)
 
 
 class Substitution:
@@ -261,10 +284,6 @@ class LinearExpr:
         self.constant = constant
         self._coeffs = tuple(sorted((v, c) for v, c in items if c != 0))
         self._hash = hash((constant, self._coeffs))
-
-    @classmethod
-    def of_const(cls, c: int) -> "LinearExpr":
-        return cls(c, ())
 
     @property
     def coeffs(self) -> dict:

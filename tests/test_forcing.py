@@ -173,16 +173,19 @@ def test_closure_respects_axioms(sig, store):
                     assert rel(a, c) is N
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_closure_matches_naive_fixpoint(sig, seed):
+@pytest.mark.parametrize("seed, size, extensions",
+                         [(s, 6, 3) for s in range(4)] + [(4, 8, 4)],
+                         ids=["0", "1", "2", "3", "8-elements"])
+def test_closure_matches_naive_fixpoint(sig, seed, size, extensions):
     # distinct variables are never statically ordered, so the facts are
-    # exactly the constraints; they arrive spread over 1-3 extensions
+    # exactly the constraints; they arrive spread over 1 to `extensions`
+    # extensions, over up to `size` elements
     rng = random.Random(700 + seed)
-    variables = [sig.var(i) for i in range(6)]
+    variables = [sig.var(i) for i in range(size)]
     raised = closed = 0
     for _ in range(150):
         store = TpoStore(make_order(rng.choice(["kbo", "lpo"]), sig))
-        n = rng.randint(2, 6)
+        n = rng.randint(2, size)
         facts = [(rng.randrange(n), rng.choice([G, E, N]), rng.randrange(n))
                  for _ in range(rng.randint(1, 2 * n))]
         try:
@@ -190,7 +193,7 @@ def test_closure_matches_naive_fixpoint(sig, seed):
         except Contradiction:
             want = None
         tpo = store.empty
-        chunks = rng.randint(1, 3)
+        chunks = rng.randint(1, extensions)
         try:
             for k in range(chunks):
                 fresh = rng.sample(variables[:n], rng.randint(0, n))
@@ -223,9 +226,9 @@ def test_inconsistent_facts_raise(sig, store):
 def test_repeated_extension_is_not_closed_again(sig, store, monkeypatch):
     # a replicated node asks for the same extension as its original
     runs = []
-    run = forcing._Closure.run
-    monkeypatch.setattr(forcing._Closure, "run",
-                        lambda cl: runs.append(cl) or run(cl))
+    close = forcing._close
+    monkeypatch.setattr(forcing, "_close",
+                        lambda *rows: runs.append(rows) or close(*rows))
     x, y, gx = sig.var(0), sig.var(1), sig.app("g", [sig.var(0)])
     tpo = store.extend(store.empty, [(x, G, y)], (gx,))
     assert len(runs) == 1
@@ -233,6 +236,23 @@ def test_repeated_extension_is_not_closed_again(sig, store, monkeypatch):
     assert store.extend(store.empty, iter([(x, G, y)]), (gx,)) is tpo
     assert len(runs) == 1
     assert store.extend(tpo) is tpo and store.extend(tpo) is tpo
+
+
+def test_fresh_element_without_facts_is_not_closed(sig, store, monkeypatch):
+    # the parent is closed, so a fresh element statically incomparable
+    # to every element lands on the padded parent rows as they are
+    x, y, z = sig.var(0), sig.var(1), sig.var(2)
+    tpo = store.extend(store.empty, [(x, G, y)], [sig.app("g", [x])])
+    runs = []
+    close = forcing._close
+    monkeypatch.setattr(forcing, "_close",
+                        lambda *rows: runs.append(rows) or close(*rows))
+    grown = store.extend(tpo, (), [z])
+    assert runs == []
+    assert grown.elements == tpo.elements + (z,)
+    assert (grown.gt, grown.eq, grown.nge) == (
+        tpo.gt + (0,), tpo.eq + (0,), tpo.nge + (0,))
+    assert grown.relation(x, y) is G and grown.relation(z, x) is None
 
 
 def test_inconsistent_extension_is_not_cached(sig, store):
@@ -287,9 +307,9 @@ def test_one_shot_formula_closure_matches_incremental(sig, store):
 
 
 def test_positivity_forcing():
-    assert force_positivity_label(LinearExpr.of_const(0), 1) is Label.GEQ
+    assert force_positivity_label(LinearExpr(0), 1) is Label.GEQ
     assert force_positivity_label(LinearExpr(1, {0: 1}), 1) is Label.GT
-    assert force_positivity_label(LinearExpr.of_const(-2), 1) \
+    assert force_positivity_label(LinearExpr(-2), 1) \
         is Label.NGE
     assert force_positivity_label(LinearExpr(0, {0: -1}), 1) \
         is Label.NGE

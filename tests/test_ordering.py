@@ -82,7 +82,7 @@ def test_closure_weight_mixed(sig):
     t = sig.app("f", [sig.var(0), sig.app("a")])
     w = term_weight(t).subst(Substitution({0: sig.app("g", [sig.var(1)])}))
     assert w == LinearExpr(3, {1: 1})
-    assert term_weight(sig.app("a")).subst(EMPTY_SUBST) == LinearExpr.of_const(1)
+    assert term_weight(sig.app("a")).subst(EMPTY_SUBST) == LinearExpr(1)
 
 
 def test_closure_weight_equals_instantiated_weight(sig):

@@ -36,6 +36,17 @@ def test_intern_raw_trees(sig):
         sig.intern(("f", [0]))
 
 
+def test_intern_raw_tree_10000_deep(sig):
+    raw = ("f", [0, "a"])
+    for _ in range(10 ** 4):
+        raw = ("g", [raw])
+    deep = sig.intern(raw)
+    built = sig.app("f", [sig.var(0), sig.app("a")])
+    for _ in range(10 ** 4):
+        built = sig.app("g", [built])
+    assert deep is built
+
+
 def test_structural_equality_is_identity():
     rng = random.Random(7)
     sig = random_signature(rng, "mixed")
@@ -97,7 +108,7 @@ def test_weight_counts_symbols_and_variables():
     x = sig.var(0)
     w = term_weight(sig.app("f", [x, x]))
     assert w == LinearExpr(2, {0: 2})
-    assert term_weight(sig.app("a")) == LinearExpr.of_const(1)
+    assert term_weight(sig.app("a")) == LinearExpr(1)
 
 
 def test_weight_nested(sig):
@@ -110,7 +121,7 @@ def test_subst_linear_grounds_to_constant():
     sig = Signature([("a", 0, 1, 0), ("f", 2, 2, 1)])
     e = LinearExpr(2, {0: 2})  # weight of f(x,x) with w(f)=2
     out = e.subst(Substitution({0: sig.app("a")}))
-    assert out == LinearExpr.of_const(4)
+    assert out == LinearExpr(4)
 
 
 def test_subst_linear_identity(sig):
@@ -122,11 +133,11 @@ def test_subst_linear_cancellation(sig):
     # x - y with x bound to g(y): |g(y)| = y + 1, so the expression collapses
     e = LinearExpr(0, {0: 1, 1: -1})
     out = e.subst(Substitution({0: sig.app("g", [sig.var(1)])}))
-    assert out == LinearExpr.of_const(1)
+    assert out == LinearExpr(1)
 
 
 def test_sign_examples():
-    assert LinearExpr.of_const(0).sign(1) is Label.GEQ
+    assert LinearExpr(0).sign(1) is Label.GEQ
     y_minus_x = LinearExpr(0, {1: 1, 0: -1})
     assert y_minus_x.sign(1) is Label.NGE
     assert LinearExpr(1, {0: 1}).sign(1) is Label.GT
@@ -212,4 +223,4 @@ def test_interning_identity_matches_structure(raw1, raw2):
 def test_linear_expr_drops_zero_coeffs():
     e = LinearExpr(1, {0: 0, 1: 2})
     assert e.coeffs == {1: 2}
-    assert LinearExpr(0, {0: 1}) - LinearExpr(0, {0: 1}) == LinearExpr.of_const(0)
+    assert LinearExpr(0, {0: 1}) - LinearExpr(0, {0: 1}) == LinearExpr(0)

@@ -202,7 +202,7 @@ def test_transform_kbo_equal_heads_chain(sig, kbo_tod):
     out = kbo_tod.transform_kbo(node)
     kbo_tod.validate()
     assert out is node and node.kind is NodeKind.POS
-    assert node.expr == LinearExpr.of_const(0)
+    assert node.expr == LinearExpr(0)
     c1 = node.out[GEQ]
     assert (c1.lhs, c1.rhs) == (sig.var(0), sig.var(1))
     c2 = c1.out[EQ]
