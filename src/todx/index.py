@@ -6,34 +6,32 @@ group.  That form is computed once per interned term and cached in it,
 so a repeated query pays one slot read for it.  Three retrieval modes
 answer the same queries identically:
 
-* ``off``     checks each equality with one closure comparison (the
-              baseline),
-* ``on``      keeps one diagram per equality,
-* ``shared``  keeps one diagram per group, for the equalities that have
-              lived long enough to repay it.
+* ``off``     checks each equality with one closure comparison,
+* ``on``      gives each long-lived equality a diagram of its own,
+* ``shared``  gives them one diagram per group.
 
 The index alone knows which equalities exist: it mints their ids,
 rejects a live duplicate by its canonical (lhs, rhs) pair, and counts
-the live equalities and diagrams off its own maps.  Only live
-equalities are kept, and no diagram holds a removed one.
+the live equalities and diagrams off its own maps.
 
-A ``shared`` group has two generations.  An equality inserted before
-the group's first query joins the diagram at once, as the paper's
-fresh diagrams do.  One inserted later starts young: it waits in a
-FIFO, and each query checks it after the diagram walk with one closure
-comparison, as ``off`` does.  At the front of the query that finds
-``PROMOTE_AFTER`` of the group's queries answered since its insert, it
-joins the diagram.  So an equality that dies young never costs the
-diagram any nodes, diagram members are all older than young ones, and
-answers stay in insertion order.  Removing a young equality only drops
-it from the FIFO.  Removing a diagram member dissolves the diagram:
-the group starts a new, empty one, and every survivor goes back to the
-FIFO, in insertion order and as young as if inserted then, to rejoin
-by the same rule.  While the FIFO is not empty, even an insert before
-the group's first query starts young, so it queues behind older
-survivors.  A group whose last live equality goes is dropped with its
-diagram, so the groups, like the diagrams, are bounded by the live
-equalities, not by every left-hand side ever inserted.
+Both diagram modes run one generational lifecycle.  An equality
+inserted before its group's first query, while no young one waits,
+joins a diagram at once, as the paper's fresh diagrams do.  Any other
+starts young: it waits in a FIFO, and each query checks it after the
+diagram walks with one closure comparison, as ``off`` does.  At the
+front of the query that finds ``PROMOTE_AFTER`` of the group's queries
+answered since it became young, it joins a diagram, oldest first: in
+``shared`` the group's one diagram, in ``on`` a new one of its own.  So
+an equality that dies young costs no diagram nodes, diagram members are
+all older than young ones, and answers stay in insertion order.
+
+Removing a young equality drops it from the FIFO.  Removing a diagram
+member drops its diagram, whose other members (in ``shared`` all the
+group's survivors, in ``on`` none) go back to the FIFO ahead of the
+young ones, as if inserted then.  So no diagram holds a removed
+equality, a diagram exists only while it holds a member, and, as a
+group goes with its last live equality, groups and diagrams are bounded
+by the live equalities, not by every left-hand side ever inserted.
 
 One index is single-threaded; independent indexes may run in parallel.
 """
@@ -42,7 +40,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import replace
-from typing import Optional, Union
+from typing import Union
 
 from .ordering import make_order
 from .stats import Stats
@@ -68,15 +66,16 @@ class IndexMode(enum.Enum):
     SHARED_BY_LHS = "shared"
 
 
-# Group queries a young equality waits through before it joins the
-# shared diagram.  An insert into a walked diagram lands before the
+# Group queries a young equality waits through before it joins a
+# diagram, in both diagram modes.  A fresh diagram is specialized by its
+# first queries, and an insert into a walked diagram lands before the
 # exit, so every specialized path that reaches the exit replicates and
-# re-specializes it, and only an equality checked many more times
-# repays that.  On perfbench's churn_kbo (seed 5), where each equality
-# lives 24 of its group's queries, 8 and 16 still promote and leave
-# shared p50 at 73 and 54 us, against 20 us at 24, 32 or 64.  32 keeps
-# a margin above that lifetime, and costs a long-lived equality at most
-# 32 closure comparisons before the diagram takes over.
+# re-specializes it; only an equality checked many more times repays
+# either.  Measured in ``shared`` mode on perfbench's churn_kbo (seed 5),
+# where each equality lives 24 of its group's queries: 8 and 16 still
+# promote and leave shared p50 at 73 and 54 us, against 20 us at 24, 32
+# or 64.  32 keeps a margin above that lifetime, and costs a long-lived
+# equality at most 32 closure comparisons before a diagram takes over.
 PROMOTE_AFTER = 32
 
 # Stack marker in canonicalize_term: build the term below it.
@@ -160,17 +159,17 @@ def _check_id(eq_id) -> None:
 
 
 class _Group:
-    __slots__ = ("eqs", "tod", "young", "queries", "tods")
+    __slots__ = ("eqs", "tods", "young", "queries")
 
     def __init__(self):
         self.eqs: dict[Term, Equality] = {}     # rhs -> live, in insertion order
-        # shared mode: the diagram, the young equalities not in it yet
-        # (id -> (equality, group queries when it became young), oldest
-        # first), and the queries the group has answered
-        self.tod: Optional[Tod] = None
+        # diagram modes: the diagrams that hold a member, oldest first,
+        # keyed by their first member's id (``on``: their one member;
+        # ``shared``: one diagram at most), the young equalities (id ->
+        # (equality, group queries then), oldest first), queries answered
+        self.tods: dict[int, Tod] = {}
         self.young: dict[int, tuple] = {}
         self.queries = 0
-        self.tods: dict[int, Tod] = {}          # per-equality mode
 
 
 class PostOrderingIndex:
@@ -200,8 +199,6 @@ class PostOrderingIndex:
         if group is None:
             group = _Group()
             self._groups[lhs_c] = group
-            if self.mode is IndexMode.SHARED_BY_LHS:
-                group.tod = Tod(self.order, self.stats)
         other = group.eqs.get(rhs_c)
         if other is not None:
             raise DuplicateEqualityError(
@@ -211,28 +208,23 @@ class PostOrderingIndex:
         eq = Equality(eq_id, lhs_c, rhs_c)
         group.eqs[rhs_c] = eq
         self._live[eq_id] = eq
-        if self.mode is IndexMode.SHARED_BY_LHS:
-            # behind young survivors of a dissolution too, or a walk
-            # would answer it before them
+        if self.mode is not IndexMode.OFF:
+            # behind waiting young equalities too, or a walk would
+            # answer it before them
             if group.queries or group.young:
                 group.young[eq_id] = (eq, group.queries)
             else:
-                group.tod.insert(eq)
-        elif self.mode is IndexMode.PER_EQUALITY:
-            tod = group.tods[eq_id] = Tod(self.order, self.stats)
-            tod.insert(eq)
+                self._join(group, eq)
         return eq_id
 
     def remove(self, eq_id: int) -> None:
         """Remove a live equality; removing it again does nothing.
 
-        The equality is forgotten at once: ``equality`` no longer
-        finds it.  In ``on`` mode its diagram goes with it; in
-        ``shared`` mode a young equality leaves its FIFO, and removing
-        a diagram member dissolves the diagram into the FIFO (see the
-        module docstring).  The last live member takes its group, and
-        the group's diagram, along.  Raises ``UnknownEqualityError`` for an id
-        this index never assigned, and for any id that is not an ``int``.
+        ``equality`` no longer finds it.  A young equality leaves the
+        FIFO; a diagram member takes its diagram along (see the module
+        docstring), and the last live member its group.  Raises
+        ``UnknownEqualityError`` for an id this index never assigned,
+        and for any id that is not an ``int``.
         """
         _check_id(eq_id)
         eq = self._live.pop(eq_id, None)
@@ -242,16 +234,19 @@ class PostOrderingIndex:
             raise UnknownEqualityError(eq_id)
         group = self._groups[eq.lhs]
         del group.eqs[eq.rhs]
-        if self.mode is IndexMode.PER_EQUALITY:
-            del group.tods[eq_id]
         if not group.eqs:
             del self._groups[eq.lhs]
-        elif (self.mode is IndexMode.SHARED_BY_LHS
+        elif (self.mode is not IndexMode.OFF
               and group.young.pop(eq_id, None) is None):
-            # a diagram member: the survivors start young in a new diagram
-            group.tod = Tod(self.order, self.stats)
-            group.young = {e.eq_id: (e, group.queries)
-                           for e in group.eqs.values()}
+            # a diagram member: its diagram goes.  A shared one's other
+            # members lead the FIFO, and stamped now they hold the young
+            # behind them anyway, so all restart young in insertion order
+            if self.mode is IndexMode.PER_EQUALITY:
+                del group.tods[eq_id]
+            else:
+                group.tods.clear()
+                group.young = {e.eq_id: (e, group.queries)
+                               for e in group.eqs.values()}
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""
@@ -287,34 +282,31 @@ class PostOrderingIndex:
             # a binding renamed onto its own image is an identity: drop it
             if img is not None and not (img.sym is None and img.vid == new):
                 renamed[new] = img
-        sigma_c = Substitution._trusted(renamed)
+        sigma_c = object.__new__(Substitution)   # no identity left to drop
+        sigma_c._m = renamed
         self.stats.queries += 1
-        if self.mode is IndexMode.SHARED_BY_LHS:
+        results = []
+        if self.mode is not IndexMode.OFF:
             young = group.young
             if young:
                 self._promote(group)
             group.queries += 1
-            results = group.tod.retrieve(sigma_c, first_only)
-            if young and not (first_only and results):
+            for tod in group.tods.values():
+                tod.retrieve(sigma_c, first_only, results)
+                if first_only and results:
+                    return results
+            if young:
                 self._check_each([eq for eq, _ in young.values()], sigma_c,
                                  first_only, results)
             return results
-        if self.mode is IndexMode.PER_EQUALITY:
-            results = []
-            for tod in group.tods.values():
-                results.extend(tod.retrieve(sigma_c, first_only))
-                if first_only and results:
-                    break
-            return results
         # baseline: one closure comparison per live equality
-        results = []
         if self._check_each(group.eqs.values(), sigma_c, first_only, results):
             self.stats.answers += 1
         return results
 
     def _promote(self, group: _Group) -> None:
-        """Move the young equalities that have lived through
-        ``PROMOTE_AFTER`` group queries into the diagram, oldest first."""
+        """Let the young equalities that have lived through
+        ``PROMOTE_AFTER`` group queries join a diagram, oldest first."""
         young = group.young
         due = []
         for eq_id, (_, born) in young.items():
@@ -322,7 +314,16 @@ class PostOrderingIndex:
                 break
             due.append(eq_id)
         for eq_id in due:
-            group.tod.insert(young.pop(eq_id)[0])
+            self._join(group, young.pop(eq_id)[0])
+
+    def _join(self, group: _Group, eq: Equality) -> None:
+        """``eq`` joins a new diagram (``on``) or the group's one."""
+        tods = group.tods
+        if self.mode is IndexMode.PER_EQUALITY or not tods:
+            tod = tods[eq.eq_id] = Tod(self.order, self.stats)
+        else:
+            tod, = tods.values()
+        tod.insert(eq)
 
     def _check_each(self, eqs, sigma: Substitution, first_only: bool,
                     results: list) -> bool:
@@ -357,10 +358,5 @@ class PostOrderingIndex:
         return [(key, len(g.eqs)) for key, g in self._groups.items()]
 
     def tods(self):
-        """All diagrams owned by the index."""
-        out = []
-        for g in self._groups.values():
-            if g.tod is not None:
-                out.append(g.tod)
-            out.extend(g.tods.values())
-        return out
+        """The diagrams that hold a member, group by group."""
+        return [t for g in self._groups.values() for t in g.tods.values()]

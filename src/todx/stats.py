@@ -20,10 +20,13 @@ class NodeCounters:
 class Stats:
     """Counters for index activity and diagram node traffic.
 
-    ``demodulators`` (live equalities) and ``tods`` (diagrams held)
-    are read off the index when ``PostOrderingIndex.snapshot_stats``
-    copies the counters, and stay 0 in the live ones.  Everything else
-    is monotone.
+    ``answers`` counts the ids answered, plus one per scan or diagram
+    walk that ran to its end: each ``off`` scan and each diagram walk,
+    so an ``on`` query counts one per diagram it walked through.
+    ``demodulators`` (live equalities) and ``tods`` (diagrams that hold
+    a member; young equalities have none) are read off the index when
+    ``PostOrderingIndex.snapshot_stats`` copies the counters, and stay
+    0 in the live ones.  Everything else is monotone.
     """
 
     queries: int = 0

@@ -210,13 +210,6 @@ class Substitution:
         items = bindings.items() if isinstance(bindings, Mapping) else bindings
         self._m = {v: t for v, t in items if not (t.sym is None and t.vid == v)}
 
-    @classmethod
-    def _trusted(cls, m: dict) -> "Substitution":
-        """Wrap a ready dict that already holds no identity bindings."""
-        s = object.__new__(cls)
-        s._m = m
-        return s
-
     @property
     def is_empty(self) -> bool:
         return not self._m

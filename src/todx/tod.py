@@ -363,8 +363,10 @@ class Tod:
 
     # -- retrieval ---------------------------------------------------------------
 
-    def retrieve(self, sigma: Substitution, first_only: bool = False) -> list:
-        """Equality ids ordered under ``sigma``, specializing on the way.
+    def retrieve(self, sigma: Substitution, first_only: bool = False,
+                 results: Optional[list] = None) -> list:
+        """Equality ids ordered under ``sigma`` (appended to ``results``
+        if given), specializing on the way.
 
         Results appear in success-node encounter order, which in a shared
         diagram is insertion order.
@@ -372,7 +374,7 @@ class Tod:
         st = self.stats
         compare = self.order.compare_closure
         w0 = self.order.signature.w0
-        results: list[int] = []
+        results = [] if results is None else results
         prev = self.root
         arrival = _NEXT
         node = self.root.out[_NEXT]
@@ -434,7 +436,7 @@ class Tod:
         traversed.term += term
         traversed.pos += pos
         traversed.success += success
-        st.answers += len(results)
+        st.answers += success       # one id appended per success node
         return results
 
     # -- introspection ------------------------------------------------------------

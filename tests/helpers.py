@@ -171,10 +171,10 @@ class ScenarioChecker:
         retrieve, remove_forced = tod.retrieve, tod.remove_forced
         sigma = None
 
-        def audited_retrieve(s, first_only=False):
+        def audited_retrieve(s, first_only=False, results=None):
             nonlocal sigma
             sigma = s
-            return retrieve(s, first_only)
+            return retrieve(s, first_only, results)
 
         def audited_remove_forced(node, label, via):
             assert tod.evaluate_node(node, sigma) is label, (
@@ -185,13 +185,24 @@ class ScenarioChecker:
         tod.remove_forced = audited_remove_forced
 
     def _check_gauges(self) -> None:
-        """The live counts the index reports agree with the model."""
-        live = [l for i, l, _ in self.model if i not in self.deleted]
-        want_tods = {"off": 0, "on": len(live), "shared": len(set(live))}
+        """The live counts the index reports agree with the model, and
+        every live equality is young or held by exactly one diagram."""
+        live = sorted(i for i, _, _ in self.model if i not in self.deleted)
         for m, idx in self.indexes.items():
             st = idx.snapshot_stats()
             assert st.demodulators == len(live), (m, st.demodulators, live)
-            assert st.tods == want_tods[m], (m, st.tods, want_tods[m])
+            if m == "off":
+                assert st.tods == 0 and idx.tods() == [], (m, st.tods)
+                continue
+            held = diagram_members(idx)
+            assert st.tods == len(held) == len(idx.tods()), (m, st.tods, held)
+            placed = [i for g in idx._groups.values() for i in g.young]
+            for tod, members in held:
+                assert members, (m, "a diagram without a member")
+                # a pre-ordered member's success node may have been pruned
+                assert held_ids(tod) <= members, (m, members)
+                placed += members
+            assert sorted(placed) == live, (m, placed, live)
 
     def _after_op(self) -> None:
         self._check_gauges()
@@ -216,6 +227,29 @@ class ScenarioChecker:
                         assert prior == path, (
                             f"root path of visited node changed: {prior} -> {path}")
                     self._paths[(m, tod, node)] = path
+
+
+def diagram_members(idx) -> list:
+    """(diagram, ids of its members) for each diagram of ``idx``.
+
+    An ``on`` diagram's one member is the id it is keyed by; a ``shared``
+    group, which holds at most one diagram, has every live equality
+    that is not young in it.
+    """
+    out = []
+    for g in idx._groups.values():
+        if idx.mode.value == "on":
+            out += [(tod, {i}) for i, tod in g.tods.items()]
+        else:
+            assert len(g.tods) <= 1, len(g.tods)
+            members = {e.eq_id for e in g.eqs.values()}.difference(g.young)
+            out += [(tod, members) for tod in g.tods.values()]
+    return out
+
+
+def held_ids(tod) -> set:
+    """Ids of the equalities with a success node in the diagram."""
+    return {n.eq.eq_id for n in tod.nodes() if n.kind is NodeKind.SUCCESS}
 
 
 def in_edges(tod) -> dict:

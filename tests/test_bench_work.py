@@ -30,8 +30,8 @@ COUNTS = {
     ("poly_kbo", "on"): {"answers": 150718, "created": 469, "naive_steps": 0, "processed": 329, "queries": 16000, "reachable_nodes": 555, "tpo_pool": 276, "traversed": 153079},
     ("poly_kbo", "shared"): {"answers": 70718, "created": 3337, "naive_steps": 0, "processed": 1719, "queries": 16000, "reachable_nodes": 2411, "tpo_pool": 448, "traversed": 152882},
     ("churn_kbo", "off"): {"answers": 4439, "created": 0, "naive_steps": 9919, "processed": 0, "queries": 1200, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 0},
-    ("churn_kbo", "on"): {"answers": 12839, "created": 2333, "naive_steps": 0, "processed": 1199, "queries": 1200, "reachable_nodes": 639, "tpo_pool": 289, "traversed": 11531},
-    ("churn_kbo", "shared"): {"answers": 4439, "created": 288, "naive_steps": 9919, "processed": 0, "queries": 1200, "reachable_nodes": 32, "tpo_pool": 16, "traversed": 0},
+    ("churn_kbo", "on"): {"answers": 4967, "created": 613, "naive_steps": 8138, "processed": 316, "queries": 1200, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 2546},
+    ("churn_kbo", "shared"): {"answers": 3239, "created": 288, "naive_steps": 9919, "processed": 0, "queries": 1200, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 0},
 }
 
 

@@ -11,9 +11,9 @@ the core.
 
 import random
 
-from helpers import PROMOTE_SETTINGS, random_term
+from helpers import PROMOTE_SETTINGS, held_ids, random_term
 from oracles import instantiate, ref_compare
-from todx import Label, NodeKind, PostOrderingIndex, Signature, Substitution
+from todx import Label, PostOrderingIndex, Signature, Substitution
 from todx import index as index_module
 
 LIVE = 8
@@ -27,12 +27,12 @@ def reachable_bound(live: int) -> int:
     A diagram holds live equalities only, and the bound allows 64
     reachable nodes for each of them.  On this scenario (seeds 1-6 and
     11) the largest shared diagram reached 38 to 46 nodes under
-    ``PROMOTE_AFTER`` 0 and 1, and 2 (root and exit) under 32, where no
-    equality lives long enough to join; every per-equality diagram
-    reached at most 8.  While removed members stayed in the shared
-    diagram until they outnumbered the live ones, it reached 205 to
-    265 nodes, and before removal reclaimed anything it passed 135k
-    nodes by round 600.
+    ``PROMOTE_AFTER`` 0 and 1; under 32, where no equality lives long
+    enough to join, no shared diagram is left after the first removal.
+    Every per-equality diagram reached at most 8.  While removed members
+    stayed in the shared diagram until they outnumbered the live ones,
+    it reached 205 to 265 nodes, and before removal reclaimed anything
+    it passed 135k nodes by round 600.
     """
     return 64 * live
 
@@ -82,13 +82,10 @@ class ChurnGroup:
         return sigma, want
 
     def shared_tod(self):
-        tod, = self.indexes["shared"].tods()
-        return tod
-
-
-def held_ids(tod) -> set:
-    """Ids of the equalities with a success node in the diagram."""
-    return {n.eq.eq_id for n in tod.nodes() if n.kind is NodeKind.SUCCESS}
+        """The shared group's diagram, or None while no member is in one."""
+        tods = self.indexes["shared"].tods()
+        assert len(tods) <= 1, len(tods)
+        return tods[0] if tods else None
 
 
 def test_churn_bounded_and_oracle_exact(monkeypatch):
@@ -108,13 +105,15 @@ def run_churn(rng: random.Random) -> None:
         group.query(live, rnd)
 
         shared = group.shared_tod()
-        assert held_ids(shared) <= {i for i, _ in live}, rnd
+        # young members have no diagram of their own
         per_eq = group.indexes["on"].tods()
-        assert len(per_eq) == len(live)
-        for tod in [shared] + per_eq:
+        assert len(per_eq) <= len(live), (rnd, len(per_eq))
+        tods = per_eq + ([shared] if shared is not None else [])
+        for tod in tods:
+            assert held_ids(tod) <= {i for i, _ in live}, rnd
             assert len(tod.nodes()) <= bound, (rnd, len(tod.nodes()))
         if rnd % VALIDATE_EVERY == 0:
-            for tod in [shared] + per_eq:
+            for tod in tods:
                 tod.validate()
 
 
@@ -152,12 +151,15 @@ def test_mixed_lifetimes_promote_the_long_lived_core_only():
             for i in core_ids.intersection(want):
                 answered[i] = rnd
 
+        # the first core equality joined at its insert and never leaves
         tod = group.shared_tod()
+        assert tod is not None, rnd
         tod.validate()
         held = held_ids(tod)
         # churners never reach the diagram
         assert held <= core_ids, (rnd, held - core_ids)
         for t in [tod] + group.indexes["on"].tods():
+            assert held_ids(t) <= core_ids, (rnd, held_ids(t) - core_ids)
             assert len(t.nodes()) <= bound, (rnd, len(t.nodes()))
         if rnd % 20 == 0 and rnd > 2 * promoted:
             # a core equality a query answered after its promotion is

@@ -159,19 +159,69 @@ def test_only_int_ids_name_equalities(sig, swap_setup, bad_id):
     assert idx.snapshot_stats().demodulators == 1
 
 
-def test_per_equality_mode_drops_removed_diagram(sig, swap_setup):
-    l, r1, r2 = swap_setup
-    idx = make_index(sig, "on")
-    e1 = idx.insert(l, r1)
-    idx.insert(l, r2)
-    idx.remove(e1)
-    assert len(idx.tods()) == idx.snapshot_stats().tods == 1
-
-
 def success_ids(tod) -> list:
     """Distinct ids of the equalities with a success node, in node order."""
     return list(dict.fromkeys(n.eq.eq_id for n in tod.nodes()
                               if n.kind is NodeKind.SUCCESS))
+
+
+def test_per_equality_lifecycle(sig, swap_setup):
+    l, r1, r2 = swap_setup
+    a = sig.app("a")
+    faa = sig.app("f", [a, a])
+    idx = make_index(sig, "on")
+
+    def naive():
+        return idx.snapshot_stats().naive_comparisons
+
+    def tods():
+        assert len(idx.tods()) == idx.snapshot_stats().tods
+        return idx.tods()
+
+    # inserted before the group's first query: a diagram of its own
+    e1 = idx.insert(l, r1)
+    d1, = tods()
+    assert success_ids(d1) == [e1]
+    assert idx.query(l, Substitution({0: a, 1: a})) == []
+    # later inserts are young: no diagram, and removing one is a pop
+    gone = idx.insert(l, a)
+    assert tods() == [d1]
+    idx.remove(gone)
+    assert tods() == [d1] and success_ids(d1) == [e1]
+    e2, e4 = idx.insert(l, r2), idx.insert(l, a)
+    assert tods() == [d1]
+    # sigma: e1 (diagram) and e4 (young); tau: e2 and e4 (both young).
+    # Young equalities are checked after the walk, unless it answered a
+    # first-only query.
+    sigma = Substitution({0: faa, 1: a})
+    tau = Substitution({0: a, 1: faa})
+    checks = ((sigma, "all", [e1, e4], True), (sigma, "first", [e1], False),
+              (tau, "first", [e2], True), (tau, "all", [e2, e4], True))
+    for k in range(PROMOTE_AFTER):
+        sub, want, expect, checked = checks[k % len(checks)]
+        before = naive()
+        assert idx.query(l, sub, want) == expect, k
+        assert (naive() > before) is checked, k
+    # PROMOTE_AFTER queries since their insert leave them young; the
+    # front of the next one gives each its own diagram, oldest first
+    assert tods() == [d1]
+    before = naive()
+    assert idx.query(l, tau) == [e2, e4]
+    assert naive() == before
+    assert tods()[0] is d1
+    assert [success_ids(t) for t in tods()] == [[e1], [e2], [e4]]
+    assert idx.query(l, tau, want="first") == [e2]
+    assert idx.query(l, sigma) == [e1, e4]
+    # removing a promoted member drops its diagram only, and sends no
+    # equality back to the FIFO
+    d4 = tods()[2]
+    idx.remove(e2)
+    assert tods() == [d1, d4]
+    assert idx.query(l, tau, want="first") == [e4]
+    assert idx.query(l, tau) == [e4]
+    assert naive() == before
+    idx.remove(e1)
+    assert tods() == [d4]
 
 
 def test_removing_a_member_dissolves_the_shared_diagram(sig, swap_setup):
@@ -184,19 +234,20 @@ def test_removing_a_member_dissolves_the_shared_diagram(sig, swap_setup):
     assert idx.query(l, sigma) == [e2, e3]
     assert idx.snapshot_stats().naive_comparisons == 0
     idx.remove(e2)
-    # a new diagram holds no member; the survivors are young again
-    fresh, = idx.tods()
-    assert fresh is not tod and success_ids(fresh) == []
-    fresh.validate()
+    # the diagram goes with the member; the survivors are young again,
+    # and no diagram exists until one of them joins
+    assert idx.tods() == [] and idx.snapshot_stats().tods == 0
     assert idx.query(l, sigma) == [e3]
     assert idx.snapshot_stats().naive_comparisons > 0
     for _ in range(PROMOTE_AFTER - 1):
         assert idx.query(l, sigma) == [e3]
-    assert success_ids(fresh) == []
-    # the front of the next query promotes both, in insertion order
+    assert idx.tods() == []
+    # the front of the next query promotes both, in insertion order,
+    # into a new diagram
     naive = idx.snapshot_stats().naive_comparisons
     assert idx.query(l, sigma) == [e3]
-    assert success_ids(fresh) == [e1, e3]
+    fresh, = idx.tods()
+    assert fresh is not tod and success_ids(fresh) == [e1, e3]
     assert idx.snapshot_stats().naive_comparisons == naive
     fresh.validate()
     # removing a member before the group's first query leaves e2 young;
@@ -410,9 +461,10 @@ def spy_substitutions(idx):
         idx.order.compare_closure = spy
     else:
         for tod in idx.tods():
-            def spy(sigma, first_only=False, _retrieve=tod.retrieve):
+            def spy(sigma, first_only=False, results=None,
+                    _retrieve=tod.retrieve):
                 seen.append(sigma)
-                return _retrieve(sigma, first_only)
+                return _retrieve(sigma, first_only, results)
 
             tod.retrieve = spy
     return seen
