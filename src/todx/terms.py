@@ -10,7 +10,7 @@ single-writer contract.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -70,14 +70,6 @@ class Term:
         if not self.args:
             return self.sym.name
         return f"{self.sym.name}({','.join(map(repr, self.args))})"
-
-    def subterms(self) -> Iterator["Term"]:
-        """Yield this term and all its subterms, depth first."""
-        stack = [self]
-        while stack:
-            t = stack.pop()
-            yield t
-            stack.extend(reversed(t.args))
 
 
 # A raw term tree for Signature.intern: an int is a variable id, a str is a
@@ -384,6 +376,31 @@ def term_weight(t: Term) -> LinearExpr:
                     acc[v] = acc.get(v, 0) + c
             u._weight = LinearExpr(const, acc)
     return t._weight
+
+
+def least_weights(sigma: Substitution, w0: int) -> dict:
+    """Per variable ``sigma`` binds: (the least weight of its image over
+    all groundings with |u| >= w0, whether that image is ground).
+
+    The least weight is the image weight's constant plus w0 times the
+    sum of its coefficients, read off the cached ``Term._weight``.  A
+    variable ``sigma`` leaves unbound weighs at least w0 and is not
+    ground.  Image weights have non-negative coefficients, so for
+    ``e = constant + sum c*v`` with ``c >= 0`` on every variable whose
+    image is not ground, ``e.sign(w0, sigma)`` is the sign of
+    ``constant + sum c*least[v]``; a negative ``c`` on a non-ground
+    image may cancel against another, and only ``sign`` decides it.
+    """
+    table = {}
+    for v, img in sigma._m.items():
+        w = img._weight
+        if w is None:
+            w = term_weight(img)
+        least = w.constant
+        for _, c in w._coeffs:
+            least += c * w0
+        table[v] = (least, img.ground)
+    return table
 
 
 def _fold(acc: dict, e: LinearExpr, k: int,

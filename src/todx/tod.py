@@ -31,7 +31,8 @@ from typing import Optional
 from .forcing import PartialOrdering, TpoStore, force_positivity_label, force_term_label
 from .ordering import TermOrder
 from .stats import Stats
-from .terms import Label, LinearExpr, Substitution, Term, term_weight
+from .terms import (Label, LinearExpr, Substitution, Term, least_weights,
+                    term_weight)
 
 STEP_CAP = 10 ** 6
 """Rewrite steps (arrivals at unvisited nodes) one retrieval may take."""
@@ -197,8 +198,10 @@ class Tod:
     def evaluate_node(self, node: TodNode, sigma: Substitution) -> Label:
         """The edge a substitution takes out of an evaluation node.
 
-        This is the definition of a node's label; ``retrieve`` inlines
-        the same two cases for the visited nodes it walks.
+        This is the definition of a node's label.  ``retrieve`` inlines
+        it for the visited nodes it walks, and signs a positivity check
+        from the query's ``least_weights`` table where that gives the
+        same label.
         """
         if node.kind is NodeKind.TERM:
             return self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
@@ -364,9 +367,17 @@ class Tod:
     # -- retrieval ---------------------------------------------------------------
 
     def retrieve(self, sigma: Substitution, first_only: bool = False,
-                 results: Optional[list] = None) -> list:
+                 results: Optional[list] = None,
+                 weights: Optional[dict] = None) -> list:
         """Equality ids ordered under ``sigma`` (appended to ``results``
         if given), specializing on the way.
+
+        ``weights`` is ``least_weights(sigma, w0)``, which the index
+        builds once per query for all of a group's diagrams; a walk
+        given none builds it at its first visited positivity check.
+        Such a check signs ``constant + sum c*least[v]``, or calls
+        ``LinearExpr.sign`` when some ``c < 0`` sits on a variable whose
+        image is not ground.
 
         Results appear in success-node encounter order, which in a shared
         diagram is insertion order.
@@ -374,6 +385,7 @@ class Tod:
         st = self.stats
         compare = self.order.compare_closure
         w0 = self.order.signature.w0
+        unbound = (w0, False)       # the entry of a variable sigma leaves free
         results = [] if results is None else results
         prev = self.root
         arrival = _NEXT
@@ -389,7 +401,19 @@ class Tod:
                     label = compare(node.lhs, sigma, node.rhs, sigma)
                 elif kind is _POS:
                     pos += 1
-                    label = node.expr.sign(w0, sigma)
+                    if weights is None:
+                        weights = least_weights(sigma, w0)
+                    expr = node.expr
+                    total = expr.constant
+                    for v, c in expr._coeffs:
+                        least, ground = weights.get(v, unbound)
+                        if not ground and c < 0:
+                            label = expr.sign(w0, sigma)
+                            break
+                        total += c * least
+                    else:
+                        label = (_GT if total > 0 else
+                                 _GEQ if total == 0 else _NGE)
                 else:
                     success += 1
                     label = _NEXT

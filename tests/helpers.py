@@ -48,6 +48,15 @@ def random_term(rng: random.Random, sig: Signature, var_ids,
                           for _ in range(pick.arity)])
 
 
+def subterms(t: Term):
+    """Yield ``t`` and all its subterms, depth first."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        yield u
+        stack.extend(reversed(u.args))
+
+
 def random_subst(rng: random.Random, sig: Signature, var_ids,
                  max_depth: int = 3, ground_prob: float = 0.7) -> Substitution:
     bindings = {}
@@ -93,7 +102,7 @@ class ScenarioChecker:
             lhs = random_term(rng, self.sig, [0, 1, 2], rng.randint(1, 2))
             while lhs.sym is None:
                 lhs = random_term(rng, self.sig, [0, 1, 2], rng.randint(1, 2))
-        lvars = sorted({u.vid for u in lhs.subterms() if u.sym is None})
+        lvars = sorted({u.vid for u in subterms(lhs) if u.sym is None})
         rhs = random_term(rng, self.sig, lvars or [0], rng.randint(0, self.max_depth))
         if rhs.sym is None and not lvars:
             return False
@@ -129,7 +138,7 @@ class ScenarioChecker:
             return
         rng = self.rng
         key = rng.choice(self.group_keys)
-        kvars = sorted({u.vid for u in key.subterms() if u.sym is None})
+        kvars = sorted({u.vid for u in subterms(key) if u.sym is None})
         sigma = random_subst(rng, self.sig, kvars, self.max_depth)
         results = {m: idx.query(key, sigma, want)
                    for m, idx in self.indexes.items()}
@@ -171,10 +180,11 @@ class ScenarioChecker:
         retrieve, remove_forced = tod.retrieve, tod.remove_forced
         sigma = None
 
-        def audited_retrieve(s, first_only=False, results=None):
+        def audited_retrieve(s, first_only=False, results=None,
+                             weights=None):
             nonlocal sigma
             sigma = s
-            return retrieve(s, first_only, results)
+            return retrieve(s, first_only, results, weights)
 
         def audited_remove_forced(node, label, via):
             assert tod.evaluate_node(node, sigma) is label, (

@@ -4,9 +4,10 @@ import sys
 import pytest
 
 from helpers import ScenarioChecker
-from todx import (DuplicateEqualityError, IndexMode, MalformedEqualityError,
-                  NodeKind, PostOrderingIndex, Signature, Substitution,
-                  UnknownEqualityError, canonicalize_equality, make_order)
+from todx import (DuplicateEqualityError, IndexMode, LinearExpr,
+                  MalformedEqualityError, NodeKind, PostOrderingIndex,
+                  Signature, Substitution, UnknownEqualityError,
+                  canonicalize_equality, make_order)
 from todx.index import PROMOTE_AFTER
 
 MODES = ("off", "on", "shared")
@@ -461,10 +462,10 @@ def spy_substitutions(idx):
         idx.order.compare_closure = spy
     else:
         for tod in idx.tods():
-            def spy(sigma, first_only=False, results=None,
+            def spy(sigma, first_only=False, results=None, weights=None,
                     _retrieve=tod.retrieve):
                 seen.append(sigma)
-                return _retrieve(sigma, first_only, results)
+                return _retrieve(sigma, first_only, results, weights)
 
             tod.retrieve = spy
     return seen
@@ -578,3 +579,52 @@ def test_deep_lhs_retrieved_under_kbo(mode):
     idx = PostOrderingIndex(sig, "kbo", mode)
     eq_id = idx.insert(deep, x)
     assert idx.query(deep, Substitution({0: sig.app("a")})) == [eq_id]
+
+
+# -- positivity checks signed from the query's least image weights ------------
+
+@pytest.fixture
+def guard_setup():
+    """f(x,y) = h(y,y) under KBO, f above h: the weight difference is
+    x - y, and equal weights order it by the heads."""
+    sig = Signature([("a", 0, 1, 0), ("h", 2, 1, 1), ("f", 2, 1, 2)])
+    x, y = sig.var(0), sig.var(1)
+    return sig, sig.app("f", [x, y]), sig.app("h", [y, y])
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_negative_coefficient_on_a_free_image_is_not_read_at_w0(guard_setup,
+                                                                mode):
+    # x := a, y := z leaves 1 - |z|: NGE.  At |z| = w0 it reads 0, and a
+    # walk that took that for GEQ would order f(a,z) > h(z,z) by the heads
+    sig, lhs, rhs = guard_setup
+    idx = make_index(sig, mode)
+    idx.insert(lhs, rhs)
+    sigma = Substitution({0: sig.app("a"), 1: sig.var(5)})
+    for _ in range(3):
+        assert idx.query(lhs, sigma) == []
+
+
+@pytest.mark.parametrize("mode", ["on", "shared"])
+def test_ground_queries_sign_positivity_checks_without_sign(guard_setup, mode,
+                                                            monkeypatch):
+    sig, lhs, rhs = guard_setup
+    idx = make_index(sig, mode)
+    eq_id = idx.insert(lhs, rhs)
+    a = sig.app("a")
+    ground = Substitution({0: sig.app("h", [a, a]), 1: a})
+    assert idx.query(lhs, ground) == [eq_id]    # settles the path
+    calls = []
+    sign = LinearExpr.sign
+
+    def counting_sign(self, *args, **kwargs):
+        calls.append(self)
+        return sign(self, *args, **kwargs)
+
+    monkeypatch.setattr(LinearExpr, "sign", counting_sign)
+    pos = idx.stats.nodes_traversed.pos
+    assert idx.query(lhs, ground) == [eq_id]
+    assert idx.stats.nodes_traversed.pos > pos
+    assert calls == []
+    assert idx.query(lhs, Substitution({0: a, 1: sig.var(5)})) == []
+    assert calls

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from helpers import random_signature, random_subst, random_term
 from oracles import brute_sign, instantiate
-from todx import (ArityError, Label, LinearExpr, Signature, SignatureError,
-                  Substitution, UnknownSymbolError, term_weight)
+from todx import (ArityError, Equality, Label, LinearExpr, NodeKind, Signature,
+                  SignatureError, Substitution, Tod, TodNode,
+                  UnknownSymbolError, make_order, term_weight)
+from todx.terms import least_weights
 
 
 def test_interning_idempotent(sig):
@@ -224,3 +226,56 @@ def test_linear_expr_drops_zero_coeffs():
     e = LinearExpr(1, {0: 0, 1: 2})
     assert e.coeffs == {1: 2}
     assert LinearExpr(0, {0: 1}) - LinearExpr(0, {0: 1}) == LinearExpr(0)
+
+
+# -- positivity checks signed from least image weights -------------------------
+
+def one_check_diagram(sig, expr):
+    """A diagram whose root leads to one visited positivity check on
+    ``expr``, each edge of it to a visited success node of its own.
+    Returns the diagram and the id the walk answers for each label."""
+    tod = Tod(make_order("kbo", sig))
+    check = TodNode(NodeKind.POS, expr=expr)
+    tod.root.out[Label.NEXT].refs -= 1      # the exit
+    tod._link(tod.root, Label.NEXT, check)
+    check.tpo = tod.tpo_store.empty
+    answers = {}
+    for eq_id, label in enumerate((Label.GT, Label.GEQ, Label.NGE), 1):
+        succ = TodNode(NodeKind.SUCCESS, eq=Equality(eq_id, None, None))
+        succ.tpo = tod.tpo_store.empty
+        tod._link(check, label, succ)
+        tod._link(succ, Label.NEXT, tod.exit)
+        answers[label] = eq_id
+    tod.validate()
+    return tod, answers
+
+
+# images of x0..x3: none (unbound), ground, or over x100 and x101, which
+# two bindings may share
+_images = st.none() | st.recursive(
+    st.sampled_from([100, 101, "a", "b"]),
+    lambda leaf: st.tuples(st.just("g"), st.tuples(leaf))
+    | st.tuples(st.just("f"), st.tuples(leaf, leaf)),
+    max_leaves=6)
+
+
+@given(st.sampled_from([1, 2]), st.integers(-8, 8),
+       st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=4),
+       st.lists(_images, min_size=4, max_size=4))
+@settings(max_examples=400, deadline=None)
+def test_walk_signs_positivity_as_sign_does(w0, constant, coeffs, images):
+    sig = Signature([("a", 0, w0, 0), ("b", 0, w0 + 1, 1), ("g", 1, 1, 2),
+                     ("f", 2, 2, 3)])
+    sigma = Substitution({v: sig.intern(raw)
+                          for v, raw in enumerate(images) if raw is not None})
+    table = least_weights(sigma, w0)
+    # the least weight is the weight with every free variable at a, |a| = w0
+    at_w0 = Substitution({100: sig.app("a"), 101: sig.app("a")})
+    assert table == {
+        v: (term_weight(instantiate(sig, img, at_w0)).constant, img.ground)
+        for v, img in sigma.items()}
+    e = LinearExpr(constant, coeffs)
+    tod, answers = one_check_diagram(sig, e)
+    want = [answers[e.sign(w0, sigma)]]
+    assert tod.retrieve(sigma) == want              # the walk builds the table
+    assert tod.retrieve(sigma, weights=table) == want
