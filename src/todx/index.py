@@ -44,7 +44,7 @@ from typing import Union
 
 from .ordering import make_order
 from .stats import Stats
-from .terms import Label, Signature, Substitution, Term, least_weights
+from .terms import Label, Signature, Substitution, Term
 from .tod import Equality, Tod
 
 
@@ -180,9 +180,6 @@ class PostOrderingIndex:
                  mode: Union[str, IndexMode] = IndexMode.SHARED_BY_LHS):
         self.signature = signature
         self.order = make_order(order, signature)
-        # only KBO diagrams hold positivity checks, which read the
-        # query's least image weights
-        self._kbo = self.order.kind == "kbo"
         self.mode = IndexMode(mode)
         self.stats = Stats()
         self._groups: dict[Term, _Group] = {}    # canonical lhs -> group
@@ -296,10 +293,8 @@ class PostOrderingIndex:
             group.queries += 1
             tods = group.tods
             if tods:
-                weights = (least_weights(sigma_c, self.signature.w0)
-                           if self._kbo else None)
                 for tod in tods.values():
-                    tod.retrieve(sigma_c, first_only, results, weights)
+                    tod.retrieve(sigma_c, first_only, results)
                     if first_only and results:
                         return results
             if young:

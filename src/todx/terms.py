@@ -80,9 +80,10 @@ RawTerm = Union[int, str, tuple]
 class Signature:
     """A fixed set of function symbols plus the term interner over them.
 
-    Every symbol weight must be at least 1 and at least one constant must
-    exist, so the smallest constant weight ``w0`` is positive and the
-    weight of any ground term is at least ``w0``.
+    Arity, weight and precedence must be ints, every symbol weight must
+    be at least 1 and at least one constant must exist, so the smallest
+    constant weight ``w0`` is positive and the weight of any ground term
+    is at least ``w0``.
     """
 
     def __init__(self, symbols: Iterable[tuple]):
@@ -91,6 +92,11 @@ class Signature:
         precs = set()
         for i, decl in enumerate(symbols):
             name, arity, weight, precedence = decl
+            # True is an int to isinstance: only a plain int counts
+            if not all(type(p) is int for p in (arity, weight, precedence)):
+                raise SignatureError(
+                    f"symbol {name} has arity, weight and precedence "
+                    f"{arity!r}, {weight!r}, {precedence!r}; each must be an int")
             if arity < 0:
                 raise SignatureError(f"negative arity for {name}")
             if weight < 1:
@@ -215,14 +221,6 @@ class Substitution:
     def __len__(self) -> int:
         return len(self._m)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Substitution):
-            return NotImplemented
-        return self._m == other._m
-
-    def __hash__(self) -> int:
-        return hash(frozenset((v, t.tid) for v, t in self._m.items()))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"x{v}->{t!r}" for v, t in sorted(self._m.items()))
         return "{" + inner + "}"
@@ -260,14 +258,21 @@ class LinearExpr:
     Zero coefficients are dropped on construction, so comparing against
     the zero expression is a cheap structural check.  Instances are
     immutable and hashable.
+
+    ``_csum`` is the sum of the coefficients.  A term's weight has only
+    non-negative coefficients, so its least value over all groundings
+    with |u| >= w0 is ``constant + w0 * _csum``: the walk in
+    ``Tod.retrieve`` reads an image's least weight off its cached
+    ``Term._weight`` this way.
     """
 
-    __slots__ = ("constant", "_coeffs", "_hash")
+    __slots__ = ("constant", "_coeffs", "_csum", "_hash")
 
     def __init__(self, constant: int = 0, coeffs: Union[dict, Iterable[tuple]] = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         self.constant = constant
         self._coeffs = tuple(sorted((v, c) for v, c in items if c != 0))
+        self._csum = sum(c for _, c in self._coeffs)
         self._hash = hash((constant, self._coeffs))
 
     @property
@@ -376,31 +381,6 @@ def term_weight(t: Term) -> LinearExpr:
                     acc[v] = acc.get(v, 0) + c
             u._weight = LinearExpr(const, acc)
     return t._weight
-
-
-def least_weights(sigma: Substitution, w0: int) -> dict:
-    """Per variable ``sigma`` binds: (the least weight of its image over
-    all groundings with |u| >= w0, whether that image is ground).
-
-    The least weight is the image weight's constant plus w0 times the
-    sum of its coefficients, read off the cached ``Term._weight``.  A
-    variable ``sigma`` leaves unbound weighs at least w0 and is not
-    ground.  Image weights have non-negative coefficients, so for
-    ``e = constant + sum c*v`` with ``c >= 0`` on every variable whose
-    image is not ground, ``e.sign(w0, sigma)`` is the sign of
-    ``constant + sum c*least[v]``; a negative ``c`` on a non-ground
-    image may cancel against another, and only ``sign`` decides it.
-    """
-    table = {}
-    for v, img in sigma._m.items():
-        w = img._weight
-        if w is None:
-            w = term_weight(img)
-        least = w.constant
-        for _, c in w._coeffs:
-            least += c * w0
-        table[v] = (least, img.ground)
-    return table
 
 
 def _fold(acc: dict, e: LinearExpr, k: int,

@@ -31,8 +31,7 @@ from typing import Optional
 from .forcing import PartialOrdering, TpoStore, force_positivity_label, force_term_label
 from .ordering import TermOrder
 from .stats import Stats
-from .terms import (Label, LinearExpr, Substitution, Term, least_weights,
-                    term_weight)
+from .terms import Label, LinearExpr, Substitution, Term, term_weight
 
 STEP_CAP = 10 ** 6
 """Rewrite steps (arrivals at unvisited nodes) one retrieval may take."""
@@ -200,8 +199,7 @@ class Tod:
 
         This is the definition of a node's label.  ``retrieve`` inlines
         it for the visited nodes it walks, and signs a positivity check
-        from the query's ``least_weights`` table where that gives the
-        same label.
+        from its images' least weights where that gives the same label.
         """
         if node.kind is NodeKind.TERM:
             return self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
@@ -367,17 +365,19 @@ class Tod:
     # -- retrieval ---------------------------------------------------------------
 
     def retrieve(self, sigma: Substitution, first_only: bool = False,
-                 results: Optional[list] = None,
-                 weights: Optional[dict] = None) -> list:
+                 results: Optional[list] = None) -> list:
         """Equality ids ordered under ``sigma`` (appended to ``results``
         if given), specializing on the way.
 
-        ``weights`` is ``least_weights(sigma, w0)``, which the index
-        builds once per query for all of a group's diagrams; a walk
-        given none builds it at its first visited positivity check.
-        Such a check signs ``constant + sum c*least[v]``, or calls
-        ``LinearExpr.sign`` when some ``c < 0`` sits on a variable whose
-        image is not ground.
+        A visited positivity check on ``constant + sum c*v`` signs
+        ``constant + sum c*least(v)`` in integer arithmetic, where
+        ``least(v)`` is the least weight of v's image over groundings
+        with |u| >= w0, read off the image's cached weight ``w`` as
+        ``w.constant + w0 * w._csum``, and is w0 for a variable sigma
+        leaves unbound.  Image weights have non-negative coefficients,
+        so this is ``LinearExpr.sign``'s label unless some ``c < 0``
+        sits on an unbound variable or a non-ground image, which can
+        cancel against another image; such a check calls ``sign``.
 
         Results appear in success-node encounter order, which in a shared
         diagram is insertion order.
@@ -385,7 +385,7 @@ class Tod:
         st = self.stats
         compare = self.order.compare_closure
         w0 = self.order.signature.w0
-        unbound = (w0, False)       # the entry of a variable sigma leaves free
+        m = sigma._m
         results = [] if results is None else results
         prev = self.root
         arrival = _NEXT
@@ -401,16 +401,22 @@ class Tod:
                     label = compare(node.lhs, sigma, node.rhs, sigma)
                 elif kind is _POS:
                     pos += 1
-                    if weights is None:
-                        weights = least_weights(sigma, w0)
                     expr = node.expr
                     total = expr.constant
                     for v, c in expr._coeffs:
-                        least, ground = weights.get(v, unbound)
-                        if not ground and c < 0:
+                        img = m.get(v)
+                        # a negative term on an unbound variable or a
+                        # non-ground image can cancel against another image
+                        if c < 0 and (img is None or not img.ground):
                             label = expr.sign(w0, sigma)
                             break
-                        total += c * least
+                        if img is None:
+                            total += c * w0
+                        else:
+                            w = img._weight
+                            if w is None:
+                                w = term_weight(img)
+                            total += c * (w.constant + w0 * w._csum)
                     else:
                         label = (_GT if total > 0 else
                                  _GEQ if total == 0 else _NGE)

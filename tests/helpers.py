@@ -180,11 +180,10 @@ class ScenarioChecker:
         retrieve, remove_forced = tod.retrieve, tod.remove_forced
         sigma = None
 
-        def audited_retrieve(s, first_only=False, results=None,
-                             weights=None):
+        def audited_retrieve(s, first_only=False, results=None):
             nonlocal sigma
             sigma = s
-            return retrieve(s, first_only, results, weights)
+            return retrieve(s, first_only, results)
 
         def audited_remove_forced(node, label, via):
             assert tod.evaluate_node(node, sigma) is label, (

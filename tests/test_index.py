@@ -462,10 +462,10 @@ def spy_substitutions(idx):
         idx.order.compare_closure = spy
     else:
         for tod in idx.tods():
-            def spy(sigma, first_only=False, results=None, weights=None,
+            def spy(sigma, first_only=False, results=None,
                     _retrieve=tod.retrieve):
                 seen.append(sigma)
-                return _retrieve(sigma, first_only, results, weights)
+                return _retrieve(sigma, first_only, results)
 
             tod.retrieve = spy
     return seen
@@ -581,7 +581,7 @@ def test_deep_lhs_retrieved_under_kbo(mode):
     assert idx.query(deep, Substitution({0: sig.app("a")})) == [eq_id]
 
 
-# -- positivity checks signed from the query's least image weights ------------
+# -- positivity checks signed from the images' least weights -----------------
 
 @pytest.fixture
 def guard_setup():
@@ -603,6 +603,21 @@ def test_negative_coefficient_on_a_free_image_is_not_read_at_w0(guard_setup,
     sigma = Substitution({0: sig.app("a"), 1: sig.var(5)})
     for _ in range(3):
         assert idx.query(lhs, sigma) == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_unbound_variable_cancelled_by_an_image(mode):
+    # f(x,y) = h(x,x) weighs y - x; y := g(x) with x unbound makes it 1, so
+    # a walk that took the unbound x for a lone negative term would miss e1
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 3), ("h", 2, 1, 1),
+                     ("f", 2, 1, 2)])
+    x, y = sig.var(0), sig.var(1)
+    lhs = sig.app("f", [x, y])
+    idx = make_index(sig, mode)
+    eq_id = idx.insert(lhs, sig.app("h", [x, x]))
+    sigma = Substitution({1: sig.app("g", [x])})
+    for _ in range(3):
+        assert idx.query(lhs, sigma) == [eq_id]
 
 
 @pytest.mark.parametrize("mode", ["on", "shared"])

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_signature, random_subst, random_term
@@ -9,7 +9,6 @@ from oracles import brute_sign, instantiate
 from todx import (ArityError, Equality, Label, LinearExpr, NodeKind, Signature,
                   SignatureError, Substitution, Tod, TodNode,
                   UnknownSymbolError, make_order, term_weight)
-from todx.terms import least_weights
 
 
 def test_interning_idempotent(sig):
@@ -67,6 +66,14 @@ def test_signature_rejects_zero_weight():
 def test_signature_rejects_duplicate_precedence():
     with pytest.raises(SignatureError):
         Signature([("a", 0, 1, 0), ("b", 0, 1, 0)])
+
+
+@pytest.mark.parametrize("decl", [
+    ("f", 2, 1, None), ("f", 2, 1, "2"), ("f", "2", 1, 2), ("f", 2, 1.5, 2),
+    ("f", 2, True, 2), ("f", True, 1, 2), ("f", 2, 1, 2.0)])
+def test_signature_rejects_non_int_parameters(decl):
+    with pytest.raises(SignatureError, match="symbol f"):
+        Signature([("a", 0, 1, 0), decl])
 
 
 def test_signature_requires_a_constant():
@@ -250,10 +257,11 @@ def one_check_diagram(sig, expr):
     return tod, answers
 
 
-# images of x0..x3: none (unbound), ground, or over x100 and x101, which
-# two bindings may share
+# images of x0..x3: none (unbound), ground, or over x100, x101 and the
+# expression's own x0..x3, which two bindings may share; an image that holds
+# a variable sigma leaves unbound can cancel it
 _images = st.none() | st.recursive(
-    st.sampled_from([100, 101, "a", "b"]),
+    st.sampled_from([0, 1, 2, 3, 100, 101, "a", "b"]),
     lambda leaf: st.tuples(st.just("g"), st.tuples(leaf))
     | st.tuples(st.just("f"), st.tuples(leaf, leaf)),
     max_leaves=6)
@@ -263,19 +271,21 @@ _images = st.none() | st.recursive(
        st.dictionaries(st.integers(0, 3), st.integers(-3, 3), max_size=4),
        st.lists(_images, min_size=4, max_size=4))
 @settings(max_examples=400, deadline=None)
+# x1 - x0 with x0 unbound and x1 := g(x0) is 1: GT, although x0's
+# coefficient is negative
+@example(1, 0, {0: -1, 1: 1}, [None, ("g", (0,)), None, None])
 def test_walk_signs_positivity_as_sign_does(w0, constant, coeffs, images):
     sig = Signature([("a", 0, w0, 0), ("b", 0, w0 + 1, 1), ("g", 1, 1, 2),
                      ("f", 2, 2, 3)])
     sigma = Substitution({v: sig.intern(raw)
                           for v, raw in enumerate(images) if raw is not None})
-    table = least_weights(sigma, w0)
-    # the least weight is the weight with every free variable at a, |a| = w0
-    at_w0 = Substitution({100: sig.app("a"), 101: sig.app("a")})
-    assert table == {
-        v: (term_weight(instantiate(sig, img, at_w0)).constant, img.ground)
-        for v, img in sigma.items()}
+    # the least weight the walk reads off an image is its weight with every
+    # free variable at a, |a| = w0
+    at_w0 = Substitution({v: sig.app("a") for v in (0, 1, 2, 3, 100, 101)})
+    for _, img in sigma.items():
+        w = term_weight(img)
+        least = term_weight(instantiate(sig, img, at_w0))
+        assert w.constant + w0 * w._csum == least.constant
     e = LinearExpr(constant, coeffs)
     tod, answers = one_check_diagram(sig, e)
-    want = [answers[e.sign(w0, sigma)]]
-    assert tod.retrieve(sigma) == want              # the walk builds the table
-    assert tod.retrieve(sigma, weights=table) == want
+    assert tod.retrieve(sigma) == [answers[e.sign(w0, sigma)]]
