@@ -12,9 +12,9 @@ The closures are stored as term partial orderings: a fixed element
 sequence (top-level terms in order of first appearance) plus one bit
 row per element for each of ``>``, ``=`` and ``!>=``, so an extension's
 rows are its parent's padded with zero bits and closed again with
-Warshall's algorithm.  Orderings are perfectly shared through a store,
-so isomorphic paths reuse one instance.  The store is a single-writer
-structure owned by one diagram, and dies with it.
+Warshall's algorithm.  A store remembers each extension by its inputs,
+so the copies of a replicated node close their path once.  The store is
+a single-writer structure owned by one diagram, and dies with it.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class TpoInconsistencyError(RuntimeError):
 
 
 class PartialOrdering:
-    """An immutable, shared transitive closure of term constraints.
+    """An immutable transitive closure of term constraints.
 
     Bit j of ``gt[i]``, ``eq[i]`` and ``nge[i]`` says that element i is
     ``>``, ``=`` or ``!>=`` element j; no diagonal bit is ever set.
@@ -136,11 +136,10 @@ def _close(gt: list, eq: list, nge: list) -> tuple:
 
 
 class TpoStore:
-    """Builds and perfectly shares partial orderings for one term order."""
+    """Builds partial orderings for one term order, once per input."""
 
     def __init__(self, order: TermOrder):
         self.order = order
-        self._pool: dict = {}
         # (v.tid, u.tid) -> 1 if v > u, -1 if u > v, else 0.  Terms are
         # interned and immutable, so a verdict never goes stale.
         self._static: dict[tuple, int] = {}
@@ -148,19 +147,12 @@ class TpoStore:
         # copies of a node arrive with the same inputs; a call that
         # raises caches nothing.
         self._extended: dict[tuple, PartialOrdering] = {}
-        self.empty = self._intern((), (), (), ())
-
-    def _intern(self, elements: tuple, gt: tuple, eq: tuple,
-                nge: tuple) -> PartialOrdering:
-        key = (tuple(t.tid for t in elements), gt, eq, nge)
-        found = self._pool.get(key)
-        if found is None:
-            found = PartialOrdering(elements, gt, eq, nge)
-            self._pool[key] = found
-        return found
+        self.empty = PartialOrdering((), (), (), ())
 
     def __len__(self) -> int:
-        return len(self._pool)
+        """The orderings held: the empty one and each one built."""
+        return 1 + sum(found is not parent
+                       for (parent, _, _), found in self._extended.items())
 
     def extend(self, parent: PartialOrdering,
                constraints: Iterable[tuple] = (),
@@ -229,7 +221,7 @@ class TpoStore:
         # The parent is closed, so without a new fact its padded rows are.
         rows = _close(gt, eq, nge) if added else (tuple(gt), tuple(eq),
                                                    tuple(nge))
-        found = self._intern(tuple(elements), *rows)
+        found = PartialOrdering(tuple(elements), *rows)
         self._extended[memo_key] = found
         return found
 

@@ -65,11 +65,24 @@ class Term:
         self._canon: Optional[tuple] = None
 
     def __repr__(self) -> str:
-        if self.sym is None:
-            return f"x{self.vid}"
-        if not self.args:
-            return self.sym.name
-        return f"{self.sym.name}({','.join(map(repr, self.args))})"
+        """``x3``, ``a`` or ``f(x3,a)``.  The walk keeps its own stack of
+        terms and punctuation still to print, so any depth is fine."""
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif t.sym is None:
+                out.append(f"x{t.vid}")
+            elif not t.args:
+                out.append(t.sym.name)
+            else:
+                out += (t.sym.name, "(")
+                stack.append(")")
+                for a in reversed(t.args[1:]):
+                    stack += (a, ",")
+                stack.append(t.args[0])
+        return "".join(out)
 
 
 # A raw term tree for Signature.intern: an int is a variable id, a str is a
@@ -266,14 +279,13 @@ class LinearExpr:
     ``Term._weight`` this way.
     """
 
-    __slots__ = ("constant", "_coeffs", "_csum", "_hash")
+    __slots__ = ("constant", "_coeffs", "_csum")
 
     def __init__(self, constant: int = 0, coeffs: Union[dict, Iterable[tuple]] = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         self.constant = constant
         self._coeffs = tuple(sorted((v, c) for v, c in items if c != 0))
         self._csum = sum(c for _, c in self._coeffs)
-        self._hash = hash((constant, self._coeffs))
 
     @property
     def coeffs(self) -> dict:
@@ -334,7 +346,7 @@ class LinearExpr:
         return self.constant == other.constant and self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.constant, self._coeffs))
 
     def __repr__(self) -> str:
         parts = []

@@ -581,6 +581,23 @@ def test_deep_lhs_retrieved_under_kbo(mode):
     assert idx.query(deep, Substitution({0: sig.app("a")})) == [eq_id]
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_duplicate_is_a_duplicate(mode):
+    # the error message prints the 10^4 deep lhs
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1)])
+    assert sys.getrecursionlimit() < 10 ** 4
+    x = sig.var(0)
+    deep = x
+    for _ in range(10 ** 4):
+        deep = sig.app("g", [deep])
+    assert len(repr(deep)) == 3 * 10 ** 4 + len("x0")
+    for order in ("kbo", "lpo"):
+        idx = PostOrderingIndex(sig, order, mode)
+        idx.insert(deep, x)
+        with pytest.raises(DuplicateEqualityError):
+            idx.insert(deep, x)
+
+
 # -- positivity checks signed from the images' least weights -----------------
 
 @pytest.fixture

@@ -48,6 +48,13 @@ def test_intern_raw_tree_10000_deep(sig):
     assert deep is built
 
 
+def test_term_repr(sig):
+    x, a = sig.var(3), sig.app("a")
+    assert repr(x) == "x3" and repr(a) == "a"
+    gx = sig.app("g", [x])
+    assert repr(sig.app("f", [gx, sig.app("f", [a, gx])])) == "f(g(x3),f(a,g(x3)))"
+
+
 def test_structural_equality_is_identity():
     rng = random.Random(7)
     sig = random_signature(rng, "mixed")
