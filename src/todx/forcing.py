@@ -66,21 +66,8 @@ class PartialOrdering:
             return Label.NGE
         return None
 
-    def facts(self):
-        """Yield the stored primitive facts as (s, Label, t) triples, each
-        equality in one orientation."""
-        for i, a in enumerate(self.elements):
-            for j, b in enumerate(self.elements):
-                rel = self.relation(a, b) if i != j else None
-                if rel is not None and (rel is not Label.EQ or i < j):
-                    yield (a, rel, b)
-
     def __len__(self) -> int:
         return len(self.elements)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{a!r}{r.value}{b!r}" for a, r, b in self.facts())
-        return f"PartialOrdering([{inner}])"
 
 
 def _close(gt: list, eq: list, nge: list) -> tuple:
@@ -238,22 +225,15 @@ def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Label]:
     return tpo.relation(s, t)
 
 
-_ZERO = LinearExpr()
+def force_positivity_label(expr: LinearExpr) -> Optional[Label]:
+    """Label forced for a positivity check: GEQ for the zero expression,
+    None otherwise.
 
-
-def force_positivity_label(expr: LinearExpr, w0: int) -> Optional[Label]:
-    """Label (GT, GEQ or NGE) forced for a positivity check, if any.
-
-    Only statically decided expressions force: strictly positive ones
-    answer GT under every substitution, strictly negative ones NGE, and
-    the zero expression always GEQ.  A merely non-negative expression
-    with variables does not force GEQ, because a substitution can push
-    its minimum above zero and flip the answer to GT.
+    A statically signed weight difference never reaches a positivity
+    check: a positive one makes KBO's ``compare(s, t)`` GT at the weight
+    step, a negative one ``compare(t, s)``, and the path ordering holds
+    that verdict before the comparison expands.  A merely non-negative
+    expression with variables does not force GEQ, because a substitution
+    can push its minimum above zero and flip the answer to GT.
     """
-    if expr.is_zero:
-        return Label.GEQ
-    if expr.sign(w0) is Label.GT:
-        return Label.GT
-    if _ZERO.sign(w0, minus=expr) is Label.GT:
-        return Label.NGE
-    return None
+    return Label.GEQ if expr.is_zero else None

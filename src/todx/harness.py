@@ -124,32 +124,36 @@ class _TermScanner:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
     def term(self) -> RawTree:
-        try:
-            return self._term()
-        except RecursionError:
-            raise self.error("term nested too deeply") from None
-
-    def _term(self) -> RawTree:
-        self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
-        if not m:
-            raise self.error("expected an identifier")
-        name = m.group()
-        self.pos = m.end()
-        self.skip_ws()
-        if self.peek() != "(":
-            return name
-        self.pos += 1
-        args = [self._term()]
-        self.skip_ws()
-        while self.peek() == ",":
-            self.pos += 1
-            args.append(self._term())
+        """Scan one term.  The scanner keeps its own stack of the
+        applications still open, so any depth is fine."""
+        open_apps: list = []        # (name, args scanned so far)
+        while True:
             self.skip_ws()
-        if self.peek() != ")":
-            raise self.error("expected ',' or ')'")
-        self.pos += 1
-        return (name, tuple(args))
+            m = _IDENT.match(self.text, self.pos)
+            if not m:
+                raise self.error("expected an identifier")
+            self.pos = m.end()
+            self.skip_ws()
+            if self.peek() == "(":
+                self.pos += 1
+                open_apps.append((m.group(), []))
+                continue
+            t: RawTree = m.group()
+            # t completes an argument; close every application it ends
+            while open_apps:
+                name, args = open_apps[-1]
+                args.append(t)
+                self.skip_ws()
+                if self.peek() == ",":
+                    self.pos += 1
+                    break
+                if self.peek() != ")":
+                    raise self.error("expected ',' or ')'")
+                self.pos += 1
+                open_apps.pop()
+                t = (name, tuple(args))
+            else:
+                return t
 
     def expect_end(self) -> None:
         self.skip_ws()
@@ -164,10 +168,22 @@ class _TermScanner:
 
 
 def format_term(t: RawTree) -> str:
-    if isinstance(t, str):
-        return t
-    name, args = t
-    return f"{name}({','.join(format_term(a) for a in args)})"
+    """Print a raw tree in prefix notation, with its own stack."""
+    out: list[str] = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):      # a name, or punctuation queued below
+            out.append(t)
+            continue
+        name, args = t
+        out.append(name + "(")
+        stack.append(")")
+        for i in range(len(args) - 1, -1, -1):
+            stack.append(args[i])
+            if i:
+                stack.append(",")
+    return "".join(out)
 
 
 # -- script parsing ---------------------------------------------------------------

@@ -225,15 +225,6 @@ class Substitution:
     def is_empty(self) -> bool:
         return not self._m
 
-    def get(self, vid: int) -> Optional[Term]:
-        return self._m.get(vid)
-
-    def items(self):
-        return self._m.items()
-
-    def __len__(self) -> int:
-        return len(self._m)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"x{v}->{t!r}" for v, t in sorted(self._m.items()))
         return "{" + inner + "}"

@@ -218,7 +218,7 @@ class Tod:
     def _forced(self, node: TodNode, tpo: PartialOrdering) -> Optional[Label]:
         if node.kind is NodeKind.TERM:
             return force_term_label(tpo, node.lhs, node.rhs)
-        return force_positivity_label(node.expr, self.order.signature.w0)
+        return force_positivity_label(node.expr)
 
     # -- generic transformations ----------------------------------------------
 
@@ -293,8 +293,9 @@ class Tod:
         Its >= edge goes to the old > target when the head of s is
         above that of t, to the old !>= target when below, and for equal
         heads into a chain of argument comparisons along = edges.  The
-        check stays even when its sign is statically known: forcing
-        removes it on the same visit.
+        weight difference has no static sign: a positive one makes
+        ``compare(s, t)`` GT and a negative one ``compare(t, s)``, so the
+        path ordering has decided the node before it expands.
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
@@ -312,7 +313,7 @@ class Tod:
         self.stats.nodes_created.pos += 1
         return self._rewire(node, {_GT: gt, _GEQ: geq, _NGE: nge})
 
-    def transform_lpo(self, node: TodNode, via: tuple) -> TodNode:
+    def transform_lpo(self, node: TodNode) -> TodNode:
         """Expand a comparison of two applications by the LPO definition.
 
         Two side conditions become chains of comparisons.  "s beats
@@ -324,18 +325,16 @@ class Tod:
         there continues in the first chain over the remaining arguments
         of t (left column), a !>= in the second chain over the remaining
         arguments of s (right column).  The original node becomes the
-        head of the expansion, or, with no arguments to compare, its
-        incoming edge ``via`` goes to its old >, !>= or = target
-        respectively.
+        head of the expansion.  The side it descends into has arguments:
+        with none, LPO decides the pair without a substitution, and the
+        path ordering has done so before the node expands.
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
         gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
         ps, pt = s.sym.precedence, t.sym.precedence
-        if ps > pt and not t.args:
-            return self._move_edge(node, via, gt)
-        if ps <= pt and not s.args:
-            return self._move_edge(node, via, nge if ps < pt else eq)
+        if not (t.args if ps > pt else s.args):
+            raise TodStructureError("a constant side is decided statically")
         # left[i]: s beats each of t.args[i+1:]; right[i]: some of
         # s.args[i+1:] reaches t
         left, right = [gt], [nge]
@@ -357,10 +356,10 @@ class Tod:
         node.lhs, node.rhs = s.args[0], t.args[0]
         return self._rewire(node, {_GT: left[0], _EQ: mid, _NGE: right[0]})
 
-    def _transform(self, node: TodNode, via: tuple) -> TodNode:
+    def _transform(self, node: TodNode) -> TodNode:
         if self.order.kind == "kbo":
             return self.transform_kbo(node)
-        return self.transform_lpo(node, via)
+        return self.transform_lpo(node)
 
     # -- retrieval ---------------------------------------------------------------
 
@@ -452,7 +451,7 @@ class Tod:
                     node = self.replicate_node(node, via)
                 if (kind is _TERM and node.lhs.sym is not None
                         and node.rhs.sym is not None):
-                    node = self._transform(node, via)
+                    node = self._transform(node)
                     continue
             if kind is _TERM:
                 st.nodes_processed.term += 1

@@ -57,6 +57,16 @@ def subterms(t: Term):
         stack.extend(reversed(u.args))
 
 
+def facts(tpo):
+    """Yield a partial ordering's primitive facts as (s, Label, t)
+    triples, each equality in one orientation."""
+    for i, a in enumerate(tpo.elements):
+        for j, b in enumerate(tpo.elements):
+            rel = tpo.relation(a, b) if i != j else None
+            if rel is not None and (rel is not Label.EQ or i < j):
+                yield (a, rel, b)
+
+
 def random_subst(rng: random.Random, sig: Signature, var_ids,
                  max_depth: int = 3, ground_prob: float = 0.7) -> Substitution:
     bindings = {}

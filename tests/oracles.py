@@ -144,7 +144,7 @@ def instantiate(sig, t, sigma):
         if u.ground:
             return u
         if u.sym is None:
-            img = sigma.get(u.vid)
+            img = sigma._m.get(u.vid)
             return u if img is None else img
         r = memo.get(u.tid)
         if r is None:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import random_term
+from helpers import facts, random_term
 from oracles import Contradiction, ref_closure, term_formula
 from todx import forcing
 from todx import (Label, LinearExpr, Substitution, TpoInconsistencyError,
@@ -136,9 +136,9 @@ def test_derived_relations_stay_consistent(sig, store):
                 continue
             terms.extend([t1, t2])
         seen = set()
-        for s, r, t in tpo.facts():
+        for s, r, t in facts(tpo):
             seen.add((s.tid, r, t.tid))
-        for s, r, t in tpo.facts():
+        for s, r, t in facts(tpo):
             if r is G:
                 assert (s.tid, E, t.tid) not in seen
                 assert (t.tid, E, s.tid) not in seen
@@ -190,10 +190,10 @@ def test_closure_matches_naive_fixpoint(sig, seed, size, extensions):
     for _ in range(150):
         store = TpoStore(make_order(rng.choice(["kbo", "lpo"]), sig))
         n = rng.randint(2, size)
-        facts = [(rng.randrange(n), rng.choice([G, E, N]), rng.randrange(n))
+        given = [(rng.randrange(n), rng.choice([G, E, N]), rng.randrange(n))
                  for _ in range(rng.randint(1, 2 * n))]
         try:
-            want = ref_closure(n, facts)
+            want = ref_closure(n, given)
         except Contradiction:
             want = None
         tpo = store.empty
@@ -202,18 +202,18 @@ def test_closure_matches_naive_fixpoint(sig, seed, size, extensions):
             for k in range(chunks):
                 fresh = rng.sample(variables[:n], rng.randint(0, n))
                 tpo = store.extend(tpo, [(variables[i], r, variables[j])
-                                         for i, r, j in facts[k::chunks]], fresh)
+                                         for i, r, j in given[k::chunks]], fresh)
         except TpoInconsistencyError:
-            assert want is None, facts
+            assert want is None, given
             raised += 1
             continue
-        assert want is not None, facts
+        assert want is not None, given
         closed += 1
         got = {(i, tpo.relation(variables[i], variables[j]), j)
                for i in range(n) for j in range(n)
                if i != j and tpo.relation(variables[i], variables[j])}
-        assert got == want, facts
-        listed = {(a.vid, r, b.vid) for a, r, b in tpo.facts()}
+        assert got == want, given
+        listed = {(a.vid, r, b.vid) for a, r, b in facts(tpo)}
         assert listed | {(j, E, i) for i, r, j in listed if r is E} == want
     assert raised > 10 and closed > 10
 
@@ -311,25 +311,13 @@ def test_one_shot_formula_closure_matches_incremental(sig, store):
 
 
 def test_positivity_forcing():
-    assert force_positivity_label(LinearExpr(0), 1) is Label.GEQ
-    assert force_positivity_label(LinearExpr(1, {0: 1}), 1) is Label.GT
-    assert force_positivity_label(LinearExpr(-2), 1) \
-        is Label.NGE
-    assert force_positivity_label(LinearExpr(0, {0: -1}), 1) \
-        is Label.NGE
+    # only the zero difference forces; a statically signed one never
+    # reaches a positivity check (test_statically_unordered_pairs_are_expandable)
+    assert force_positivity_label(LinearExpr(0)) is Label.GEQ
     # not decided for every substitution: no label
-    assert force_positivity_label(LinearExpr(0, {1: 1, 0: -1}), 1) is None
-    assert force_positivity_label(LinearExpr(-1, {0: 1}), 1) is None
-    assert force_positivity_label(LinearExpr(1, {0: -1}), 1) is None
-    rng = random.Random(5)
-    for _ in range(500):
-        e = LinearExpr(rng.randint(-4, 4),
-                       {v: rng.randint(-2, 2) for v in range(rng.randint(0, 2))})
-        w0 = rng.randint(1, 3)
-        old = (Label.GEQ if e.is_zero else Label.GT if e.sign(w0) is Label.GT
-               else Label.NGE if (LinearExpr() - e).sign(w0) is Label.GT
-               else None)
-        assert force_positivity_label(e, w0) is old
+    assert force_positivity_label(LinearExpr(0, {1: 1, 0: -1})) is None
+    assert force_positivity_label(LinearExpr(-1, {0: 1})) is None
+    assert force_positivity_label(LinearExpr(1, {0: -1})) is None
 
 
 def test_positivity_nonconstant_nonnegative_is_not_forced(sig):
@@ -337,7 +325,7 @@ def test_positivity_nonconstant_nonnegative_is_not_forced(sig):
     # strictly positive, so no single edge is forced
     e = LinearExpr(-1, {0: 1})
     assert e.sign(sig.w0) is Label.GEQ
-    assert force_positivity_label(e, sig.w0) is None
+    assert force_positivity_label(e) is None
     faa = sig.app("f", [sig.app("a"), sig.app("a")])
     assert e.subst(Substitution({0: faa})).sign(sig.w0) is Label.GT
     assert e.subst(Substitution({0: sig.app("a")})).sign(sig.w0) \

@@ -250,10 +250,8 @@ def _deep_rhs(depth):
      "symbol a repeats p=", 1),
     ("sig a/0 w=1 w=5 p=1 p=7\nsig f/2 p=7\nord kbo\neq e1: f(x,y) = x",
      "symbol a repeats w=", 1),
-    # deep enough for the recursive parser
-    (_deep_rhs(3000), "term nested too deeply", 5),
 ], ids=["malformed", "duplicate", "arity", "unknown-symbol", "zero-weight",
-        "repeated-p", "repeated-w", "deep-3000"])
+        "repeated-p", "repeated-w"])
 def test_cli_script_that_cannot_run_exits_2(tmp_path, capsys, text, message, line):
     from todx.cli import main
     path = tmp_path / "invalid.tod"
@@ -273,6 +271,40 @@ def test_cli_runs_a_script_term_600_deep(tmp_path, capsys):
     path.write_text(_deep_rhs(600) + f"\nquery q1: x := {deep}, y := a"
                     "\nexpect q1: {e1}\nquery q2: x := a, y := a\n"
                     "expect q2: {}\n")
+    assert main(["run", str(path), "--mode", "crosscheck"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["q1: {e1}", "q2: {}", "ok"]
+
+
+def _equal(a, b):
+    """``a == b`` for nested tuples of any depth; tuple ``==`` recurses."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
+            stack.extend(zip(a, b))
+        elif isinstance(a, tuple) or isinstance(b, tuple) or a != b:
+            return False
+    return True
+
+
+def _fields(script):
+    """A script's commands as the tuples its ``==`` compares."""
+    return tuple((type(c),) + tuple(vars(c).values()) for c in script.commands)
+
+
+def test_cli_runs_a_script_term_10000_deep(tmp_path, capsys):
+    # the scanner and the printer keep their own stacks: a KBO rhs and
+    # the binding of x, 10^4 deep each, print back as they parse and
+    # answer in every mode
+    from todx.cli import main
+    depth = 10 ** 4
+    deep = "g(" * depth + "a" + ")" * depth
+    text = (_deep_rhs(depth) + f"\nquery q1: x := {deep}, y := a"
+            "\nexpect q1: {e1}\nquery q2: x := a, y := a\nexpect q2: {}\n")
+    script = parse_script(text)
+    assert _equal(_fields(parse_script(format_script(script))), _fields(script))
+    path = tmp_path / "deep.tod"
+    path.write_text(text)
     assert main(["run", str(path), "--mode", "crosscheck"]) == 0
     assert capsys.readouterr().out.splitlines() == ["q1: {e1}", "q2: {}", "ok"]
 

@@ -497,10 +497,10 @@ def test_binding_renamed_onto_itself_is_dropped(sig, swap_setup, mode):
     seen = spy_substitutions(idx)
     # x5 -> x0 and x3 -> x1 are identities once x5, x3 become x0, x1
     sigma = Substitution({5: sig.var(0), 3: sig.var(1)})
-    assert len(sigma) == 2
+    assert len(sigma._m) == 2
     got = idx.query(sig.app("f", [sig.var(5), sig.var(3)]), sigma)
     assert got == idx.query(l, Substitution())
-    assert seen and all(len(s) == 0 and not s._m for s in seen)
+    assert seen and all(not s._m for s in seen)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -515,7 +515,7 @@ def test_bindings_outside_the_lhs_are_ignored(sig, swap_setup, mode):
     seen = spy_substitutions(idx)
     got = idx.query(l, Substitution({0: faa, 1: a, 2: b, 9: sig.var(4)}))
     assert got == want
-    assert seen and all(dict(s.items()) == {0: faa, 1: a} for s in seen)
+    assert seen and all(s._m == {0: faa, 1: a} for s in seen)
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -115,8 +115,7 @@ def test_apply_is_simultaneous(sig):
 
 def test_substitution_drops_identity_bindings(sig):
     s = Substitution({0: sig.var(0), 1: sig.app("a")})
-    assert s.get(0) is None
-    assert len(s) == 1
+    assert s._m == {1: sig.app("a")}
 
 
 def test_weight_counts_symbols_and_variables():
@@ -289,7 +288,7 @@ def test_walk_signs_positivity_as_sign_does(w0, constant, coeffs, images):
     # the least weight the walk reads off an image is its weight with every
     # free variable at a, |a| = w0
     at_w0 = Substitution({v: sig.app("a") for v in (0, 1, 2, 3, 100, 101)})
-    for _, img in sigma.items():
+    for img in sigma._m.values():
         w = term_weight(img)
         least = term_weight(instantiate(sig, img, at_w0))
         assert w.constant + w0 * w._csum == least.constant

@@ -1,13 +1,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import PROMOTE_SETTINGS, ScenarioChecker, run_scenario
+from helpers import (PROMOTE_SETTINGS, SIG_SHAPES, ScenarioChecker,
+                     random_signature, random_term, run_scenario)
 import todx.tod
 from todx import index as index_module
 from todx import (Equality, Label, LinearExpr, NodeKind, Signature,
                   StepCapExceededError, Substitution, Tod, TodStructureError,
-                  make_order)
+                  make_order, term_weight)
 
 GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,
                           Label.NGE, Label.NEXT)
@@ -309,7 +312,7 @@ def test_transform_lpo_higher_head_chain(sig):
     tod.insert(Equality(1, l, r))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    out = tod.transform_lpo(node)
     tod.validate()
     assert out is node
     assert (node.lhs, node.rhs) == (l, x)
@@ -318,16 +321,18 @@ def test_transform_lpo_higher_head_chain(sig):
 
 
 def test_transform_lpo_higher_head_no_args(sig):
+    # f(x,y) > a without a substitution: the path ordering decides the
+    # node, so expanding it is a structural error
     lpo = make_order("lpo", sig)
     tod = Tod(lpo)
     l = sig.app("f", [sig.var(0), sig.var(1)])
     tod.insert(Equality(1, l, sig.app("a")))
     node = tod.root.out[NEXT]
-    succ = node.out[GT]
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    with pytest.raises(TodStructureError):
+        tod.transform_lpo(node)
     tod.validate()
-    assert out is succ
-    assert tod.root.out[NEXT] is succ
+    assert tod.root.out[NEXT] is node and node.rhs is sig.app("a")
+    assert tod.retrieve(Substitution()) == [1]     # bypassed along >
 
 
 def test_transform_lpo_higher_head_two_arg_chain(sig_gf):
@@ -340,7 +345,7 @@ def test_transform_lpo_higher_head_two_arg_chain(sig_gf):
     tod.insert(Equality(1, l, r))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    tod.transform_lpo(node, (tod.root, NEXT))
+    tod.transform_lpo(node)
     tod.validate()
     assert (node.lhs, node.rhs) == (l, sig_gf.app("a"))
     nxt = node.out[GT]
@@ -359,7 +364,7 @@ def test_transform_lpo_lower_head_chain(sig_gf):
     tod.insert(Equality(1, l, r))
     node = tod.root.out[NEXT]
     succ = node.out[GT]
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    out = tod.transform_lpo(node)
     tod.validate()
     assert out is node
     assert (node.lhs, node.rhs) == (x, r)
@@ -371,16 +376,18 @@ def test_transform_lpo_lower_head_chain(sig_gf):
 
 
 def test_transform_lpo_constant_below_application(sig):
-    # constant lhs, higher rhs head: the node collapses to its !>= target
+    # constant lhs, higher rhs head: f(x,y) > a statically, so the node
+    # never expands
     lpo = make_order("lpo", sig)
     tod = Tod(lpo)
     r = sig.app("f", [sig.var(0), sig.var(1)])
     tod.insert(Equality(1, sig.app("a"), r))
     node = tod.root.out[NEXT]
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    with pytest.raises(TodStructureError):
+        tod.transform_lpo(node)
     tod.validate()
-    assert out is tod.exit
-    assert tod.root.out[NEXT] is tod.exit
+    assert tod.root.out[NEXT] is node and node.lhs is sig.app("a")
+    assert tod.retrieve(Substitution()) == []      # bypassed along !>=
     assert all(n.kind is not NodeKind.SUCCESS for n in tod.nodes())
 
 
@@ -391,7 +398,7 @@ def test_transform_lpo_equal_heads_grid(sig):
     tod.insert(Equality(1, l, r1))
     node = tod.root.out[NEXT]
     succ, ex = node.out[GT], tod.exit
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    out = tod.transform_lpo(node)
     tod.validate()
     x, y = sig.var(0), sig.var(1)
     assert out is node and (node.lhs, node.rhs) == (x, y)
@@ -412,7 +419,7 @@ def test_transform_lpo_three_argument_grid():
     s, t = node.lhs, node.rhs
     succ, ex = node.out[GT], tod.exit
     created = tod.stats.nodes_created.term
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    out = tod.transform_lpo(node)
     tod.validate()
     assert out is node and (node.lhs, node.rhs) == (x, y)
     assert tod.stats.nodes_created.term - created == 6  # two levels of 3
@@ -437,14 +444,47 @@ def test_transform_lpo_three_argument_grid():
 
 
 def test_transform_lpo_equal_constants_collapse(sig):
+    # a constant against itself is the same term, which the path
+    # ordering answers EQ: the retrieval takes the = edge unexpanded
     lpo = make_order("lpo", sig)
     tod = Tod(lpo)
     a = sig.app("a")
     tod.insert(Equality(1, a, a))
     node = tod.root.out[NEXT]
-    out = tod.transform_lpo(node, (tod.root, NEXT))
+    with pytest.raises(TodStructureError):
+        tod.transform_lpo(node)
+    assert tod.retrieve(Substitution()) == []
     tod.validate()
-    assert out is tod.exit  # the = target of the original node
+    assert tod.root.out[NEXT] is tod.exit
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(SIG_SHAPES)))
+@settings(max_examples=300, deadline=None)
+def test_statically_unordered_pairs_are_expandable(seed, shape):
+    # The path ordering holds the static verdict of every pair before it
+    # expands, so only pairs neither order puts above the other expand:
+    # for those, LPO descends into a side with arguments, and the KBO
+    # weight difference is zero or has no static sign.
+    rng = random.Random(seed)
+    sig = random_signature(rng, shape, max_weight=3)
+    kbo, lpo = make_order("kbo", sig), make_order("lpo", sig)
+
+    def app():
+        f = rng.choice(sig.symbols)
+        return sig.app(f, [random_term(rng, sig, [0, 1, 2], 2)
+                           for _ in range(f.arity)])
+
+    for _ in range(30):
+        s, t = app(), app()
+        if s is t:
+            continue
+        if GT not in (lpo.compare(s, t), lpo.compare(t, s)):
+            ps, pt = s.sym.precedence, t.sym.precedence
+            assert t.args if ps > pt else s.args, (s, t)
+        if GT not in (kbo.compare(s, t), kbo.compare(t, s)):
+            d = term_weight(s) - term_weight(t)
+            assert d.is_zero or GT not in (d.sign(sig.w0),
+                                           (LinearExpr() - d).sign(sig.w0)), (s, t)
 
 
 # -- generic transformations ---------------------------------------------------------
