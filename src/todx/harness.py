@@ -63,11 +63,30 @@ class OrderDecl:
     kind: str
 
 
+def _raw_equal(a, b) -> bool:
+    """``a == b`` for raw trees, and tuples of them, of any depth: it
+    keeps its own stack, where tuple ``==`` recurses."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is tuple and type(b) is tuple and len(a) == len(b):
+            stack.extend(zip(a, b))
+        elif type(a) is tuple or type(b) is tuple or a != b:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class Insert:
     eq_id: str
     lhs: RawTree
     rhs: RawTree
+
+    def __eq__(self, other):
+        if type(other) is not Insert:
+            return NotImplemented
+        return _raw_equal((self.eq_id, self.lhs, self.rhs),
+                          (other.eq_id, other.lhs, other.rhs))
 
 
 @dataclass(frozen=True)
@@ -79,6 +98,12 @@ class Delete:
 class Query:
     query_id: str
     bindings: tuple  # of (var name, RawTree)
+
+    def __eq__(self, other):
+        if type(other) is not Query:
+            return NotImplemented
+        return _raw_equal((self.query_id, self.bindings),
+                          (other.query_id, other.bindings))
 
 
 @dataclass(frozen=True)
@@ -690,7 +715,7 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
         if len(varmap) > 2:
             continue
         diff = term_weight(l) - term_weight(r)
-        if not diff.coeffs:
+        if not diff._coeffs:
             continue
         if kbo.compare(l, r) is Label.GT or kbo.compare(r, l) is Label.GT:
             continue

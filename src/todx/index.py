@@ -6,7 +6,7 @@ group.  That form is computed once per interned term and cached in it,
 so a repeated query pays one slot read for it.  Three retrieval modes
 answer the same queries identically:
 
-* ``off``     checks each equality with one closure comparison,
+* ``off``     checks each equality on its own (see ``_check_each``),
 * ``on``      gives each long-lived equality a diagram of its own,
 * ``shared``  gives them one diagram per group.
 
@@ -18,7 +18,7 @@ Both diagram modes run one generational lifecycle.  An equality
 inserted before its group's first query, while no young one waits,
 joins a diagram at once, as the paper's fresh diagrams do.  Any other
 starts young: it waits in a FIFO, and each query checks it after the
-diagram walks with one closure comparison, as ``off`` does.  At the
+diagram walks the way ``off`` checks every equality.  At the
 front of the query that finds ``PROMOTE_AFTER`` of the group's queries
 answered since it became young, it joins a diagram, oldest first: in
 ``shared`` the group's one diagram, in ``on`` a new one of its own.  So
@@ -44,7 +44,7 @@ from typing import Union
 
 from .ordering import make_order
 from .stats import Stats
-from .terms import Label, Signature, Substitution, Term
+from .terms import Label, Signature, Substitution, Term, term_weight
 from .tod import Equality, Tod
 
 
@@ -80,6 +80,8 @@ PROMOTE_AFTER = 32
 
 # Stack marker in canonicalize_term: build the term below it.
 _BUILD = object()
+
+_GT = Label.GT      # a module global reads faster than the enum member
 
 
 def canonicalize_term(sig: Signature, t: Term,
@@ -205,7 +207,9 @@ class PostOrderingIndex:
                 f"equality {lhs_c!r} = {rhs_c!r} already live as {other.eq_id}")
         eq_id = self._next_id
         self._next_id += 1
-        eq = Equality(eq_id, lhs_c, rhs_c)
+        eq = Equality(eq_id, lhs_c, rhs_c,
+                      term_weight(lhs_c) - term_weight(rhs_c)
+                      if self.order.kind == "kbo" else None)
         group.eqs[rhs_c] = eq
         self._live[eq_id] = eq
         if self.mode is not IndexMode.OFF:
@@ -301,7 +305,7 @@ class PostOrderingIndex:
                 self._check_each([eq for eq, _ in young.values()], sigma_c,
                                  first_only, results)
             return results
-        # baseline: one closure comparison per live equality
+        # baseline: each live equality checked on its own
         if self._check_each(group.eqs.values(), sigma_c, first_only, results):
             self.stats.answers += 1
         return results
@@ -329,20 +333,56 @@ class PostOrderingIndex:
 
     def _check_each(self, eqs, sigma: Substitution, first_only: bool,
                     results: list) -> bool:
-        """Append the ids of ``eqs`` that ``sigma`` orders, one closure
-        comparison each; False if it stopped at a first answer."""
+        """Append the ids of ``eqs`` that ``sigma`` orders; False if it
+        stopped at a first answer.
+
+        A KBO equality's stored weight difference ``constant + sum c*v``
+        is signed as ``constant + sum c*least(v)`` in integer arithmetic,
+        by the rule of the positivity checks in ``Tod.retrieve``, inline
+        as there.  A nonzero total is the verdict of ``compare_closure``'s
+        weight step, GT or NGE, and counts as its one step.  A zero
+        total, a ``c < 0`` on an unbound variable or a non-ground image
+        (another image can cancel it), and an LPO equality take one
+        closure comparison.
+        """
         st = self.stats
         order = self.order
+        compare = order.compare_closure
+        w0 = self.signature.w0
+        m = sigma._m
         steps = order.steps
+        decided = 0
         finished = True
         for eq in eqs:
-            if order.compare_closure(eq.lhs, sigma, eq.rhs, sigma) is Label.GT:
-                results.append(eq.eq_id)
-                st.answers += 1
-                if first_only:
-                    finished = False
-                    break
-        st.naive_comparisons += order.steps - steps
+            total = 0
+            diff = eq.weight_diff
+            if diff is not None:
+                total = diff.constant
+                for v, c in diff._coeffs:
+                    img = m.get(v)
+                    if c < 0 and (img is None or not img.ground):
+                        total = 0       # undecided: compare below
+                        break
+                    if img is None:
+                        total += c * w0
+                    else:
+                        w = img._weight
+                        if w is None:
+                            w = term_weight(img)
+                        total += c * (w.constant + w0 * w._csum)
+            if total < 0:
+                decided += 1
+                continue
+            if total > 0:
+                decided += 1
+            elif compare(eq.lhs, sigma, eq.rhs, sigma) is not _GT:
+                continue
+            results.append(eq.eq_id)
+            st.answers += 1
+            if first_only:
+                finished = False
+                break
+        st.naive_comparisons += order.steps - steps + decided
         return finished
 
     # -- introspection ------------------------------------------------------------

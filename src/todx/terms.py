@@ -279,10 +279,6 @@ class LinearExpr:
         self._csum = sum(c for _, c in self._coeffs)
 
     @property
-    def coeffs(self) -> dict:
-        return dict(self._coeffs)
-
-    @property
     def is_zero(self) -> bool:
         return self.constant == 0 and not self._coeffs
 

@@ -69,11 +69,17 @@ _POS_LABELS = (_GT, _GEQ, _NGE)
 
 @dataclass
 class Equality:
-    """An indexed equality; the index mints its id."""
+    """An indexed equality; the index mints its id.
+
+    ``weight_diff`` is ``|lhs| - |rhs|``, which the index stores once
+    for a KBO equality so that its checks sign it instead of folding
+    both weights; None under LPO.
+    """
 
     eq_id: int
     lhs: Term
     rhs: Term
+    weight_diff: Optional[LinearExpr] = None
 
 
 class TodNode:
@@ -377,6 +383,8 @@ class Tod:
         so this is ``LinearExpr.sign``'s label unless some ``c < 0``
         sits on an unbound variable or a non-ground image, which can
         cancel against another image; such a check calls ``sign``.
+        ``PostOrderingIndex._check_each`` signs an equality's stored
+        weight difference by the same rule, inline as here.
 
         Results appear in success-node encounter order, which in a shared
         diagram is insertion order.

@@ -108,7 +108,7 @@ def brute_sign(expr, w0, span=6):
     (verdict, witness) where the witness is an assignment with a
     negative value when one exists on the grid.
     """
-    coeffs = expr.coeffs
+    coeffs = dict(expr._coeffs)
     if any(c < 0 for c in coeffs.values()):
         # some grounding family is unbounded below
         pass

@@ -275,23 +275,6 @@ def test_cli_runs_a_script_term_600_deep(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["q1: {e1}", "q2: {}", "ok"]
 
 
-def _equal(a, b):
-    """``a == b`` for nested tuples of any depth; tuple ``==`` recurses."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if isinstance(a, tuple) and isinstance(b, tuple) and len(a) == len(b):
-            stack.extend(zip(a, b))
-        elif isinstance(a, tuple) or isinstance(b, tuple) or a != b:
-            return False
-    return True
-
-
-def _fields(script):
-    """A script's commands as the tuples its ``==`` compares."""
-    return tuple((type(c),) + tuple(vars(c).values()) for c in script.commands)
-
-
 def test_cli_runs_a_script_term_10000_deep(tmp_path, capsys):
     # the scanner and the printer keep their own stacks: a KBO rhs and
     # the binding of x, 10^4 deep each, print back as they parse and
@@ -302,11 +285,29 @@ def test_cli_runs_a_script_term_10000_deep(tmp_path, capsys):
     text = (_deep_rhs(depth) + f"\nquery q1: x := {deep}, y := a"
             "\nexpect q1: {e1}\nquery q2: x := a, y := a\nexpect q2: {}\n")
     script = parse_script(text)
-    assert _equal(_fields(parse_script(format_script(script))), _fields(script))
+    assert parse_script(format_script(script)) == script
     path = tmp_path / "deep.tod"
     path.write_text(text)
     assert main(["run", str(path), "--mode", "crosscheck"]) == 0
     assert capsys.readouterr().out.splitlines() == ["q1: {e1}", "q2: {}", "ok"]
+
+
+def test_scripts_10000_deep_compare_by_value():
+    # Insert and Query compare raw trees with their own stack: deep equal
+    # scripts are equal, and deep scripts that differ at the bottom of the
+    # rhs or of a binding are not
+    depth = 10 ** 4
+
+    def text(rhs_leaf, binding_leaf):
+        return (_deep_rhs(depth)[:-depth - 1] + rhs_leaf + ")" * depth
+                + "\nquery q1: x := " + "g(" * depth + binding_leaf
+                + ")" * depth + ", y := a\n")
+
+    script = parse_script(text("a", "a"))
+    assert script == parse_script(text("a", "a"))
+    assert hash(script) == hash(parse_script(text("a", "a")))
+    assert script != parse_script(text("x", "a"))
+    assert script != parse_script(text("a", "y"))
 
 
 @pytest.mark.parametrize("content", [None, b"sig a/0\n\xff\n"],

@@ -2,12 +2,15 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import ScenarioChecker
-from todx import (DuplicateEqualityError, IndexMode, LinearExpr,
+from helpers import ScenarioChecker, subterms
+from oracles import instantiate
+from todx import (DuplicateEqualityError, IndexMode, Label, LinearExpr,
                   MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, UnknownEqualityError,
-                  canonicalize_equality, make_order)
+                  canonicalize_equality, make_order, term_weight)
 from todx.index import PROMOTE_AFTER
 
 MODES = ("off", "on", "shared")
@@ -660,3 +663,73 @@ def test_ground_queries_sign_positivity_checks_without_sign(guard_setup, mode,
     assert calls == []
     assert idx.query(lhs, Substitution({0: a, 1: sig.var(5)})) == []
     assert calls
+
+
+# -- checks decided from the stored weight difference -------------------------
+
+_SYMBOLS = (("a", 0), ("b", 0), ("g", 1), ("h", 2), ("f", 2))
+
+
+def _raw_terms(leaves):
+    return st.recursive(
+        leaves,
+        lambda t: st.tuples(st.just("g"), st.tuples(t))
+        | st.tuples(st.sampled_from(["f", "h"]), st.tuples(t, t)),
+        max_leaves=5)
+
+
+# lhs over x0..x2; rhs over its variables, and its leaves all variables,
+# so the difference often has negative coefficients; images of x0..x2:
+# none (unbound), ground, or over x0..x2 themselves and x100, x101, so an
+# image can hold an lhs variable
+@given(st.sampled_from(["kbo", "lpo"]),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       st.permutations(range(5)),
+       _raw_terms(st.sampled_from([0, 1, 2, "a", "b"])),
+       _raw_terms(st.sampled_from([0, 1, 2])),
+       st.lists(st.none()
+                | _raw_terms(st.sampled_from([0, 1, 2, 100, 101, "a", "b"])),
+                min_size=3, max_size=3))
+@settings(max_examples=400, deadline=None)
+# f(x,y) = f(y,x): the zero difference, a weight tie
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], ("f", (0, 1)),
+         ("f", (1, 0)), [("g", ("a",)), "a", None])
+# f(x,y) = h(x,x) weighs y - x; y := g(x) cancels the unbound x
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], ("f", (0, 1)),
+         ("h", (0, 0)), [None, ("g", (0,)), None])
+# with |f| = 3 it weighs 2 + y - x; y := a leaves 3 - |x|, which reads 2
+# with the unbound x at w0
+@example("kbo", [1, 1, 1, 1, 3], [0, 1, 2, 3, 4], ("f", (0, 1)),
+         ("h", (0, 0)), [None, "a", None])
+# f(x,y) = h(y,y) with |f| = 2 weighs 1 + x - y; x := a, y := z leaves
+# 2 - |z|, which reads 1 with the image z at its least weight
+@example("kbo", [1, 1, 1, 1, 2], [0, 1, 2, 3, 4], ("f", (0, 1)),
+         ("h", (1, 1)), ["a", 100, None])
+# an LPO equality stores no difference
+@example("lpo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], ("f", (0, 1)),
+         ("f", (1, 0)), [("g", ("a",)), "a", None])
+def test_off_check_answers_as_one_closure_comparison(order, weights, prec,
+                                                     lhs, rhs, images):
+    sig = Signature([(name, arity, w, p)
+                     for (name, arity), w, p in zip(_SYMBOLS, weights, prec)])
+    lhs = sig.intern(lhs)
+    lhs_vars = {u.vid for u in subterms(lhs) if u.sym is None}
+    # an rhs variable the lhs lacks becomes one it has, or a
+    other = sig.var(min(lhs_vars)) if lhs_vars else sig.app("a")
+    rhs = instantiate(sig, sig.intern(rhs),
+                      Substitution({v: other for v in range(3)
+                                    if v not in lhs_vars}))
+    lhs, rhs, _ = canonicalize_equality(sig, lhs, rhs)
+    sigma = Substitution({v: sig.intern(raw)
+                          for v, raw in enumerate(images) if raw is not None})
+    idx = PostOrderingIndex(sig, order, "off")
+    eq_id = idx.insert(lhs, rhs)
+    diff = idx.equality(eq_id).weight_diff
+    if order == "kbo":
+        assert diff == term_weight(lhs) - term_weight(rhs)
+    else:
+        assert diff is None
+    fresh = make_order(order, sig)
+    verdict = fresh.compare_closure(lhs, sigma, rhs, sigma)
+    assert idx.query(lhs, sigma) == ([eq_id] if verdict is Label.GT else [])
+    assert idx.stats.naive_comparisons == fresh.steps
