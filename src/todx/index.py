@@ -3,8 +3,13 @@
 Groups key on the canonical form of the left-hand side (variables
 renumbered by first occurrence), so alpha-renamed copies land in one
 group.  That form is computed once per interned term and cached in it,
-so a repeated query pays one slot read for it.  Three retrieval modes
-answer the same queries identically:
+so a repeated query pays one slot read for it.  A query whose lhs is
+that canonical form itself, and whose substitution binds lhs variables
+only, hands its substitution to the checks as it is: one subset test
+against the group's variables.  Any other query renames its bindings
+into the canonical numbering, and an lhs variable it leaves unbound is
+bound to the caller's variable, whose name the images may share.
+Three retrieval modes answer the same queries identically:
 
 * ``off``     checks each equality on its own (see ``_check_each``),
 * ``on``      gives each long-lived equality a diagram of its own,
@@ -23,7 +28,11 @@ front of the query that finds ``PROMOTE_AFTER`` of the group's queries
 answered since it became young, it joins a diagram, oldest first: in
 ``shared`` the group's one diagram, in ``on`` a new one of its own.  So
 an equality that dies young costs no diagram nodes, diagram members are
-all older than young ones, and answers stay in insertion order.
+all older than young ones, and answers stay in insertion order.  The
+FIFO keeps the equalities and their stamps in two maps of one order,
+and the group keeps the query count at which its head is due, which
+a removal may leave early: a query looks at the FIFO's stamps only
+once its group reaches that count.
 
 Removing a young equality drops it from the FIFO.  Removing a diagram
 member drops its diagram, whose other members (in ``shared`` all the
@@ -39,6 +48,7 @@ One index is single-threaded; independent indexes may run in parallel.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import replace
 from typing import Union
 
@@ -77,6 +87,9 @@ class IndexMode(enum.Enum):
 # or 64.  32 keeps a margin above that lifetime, and costs a long-lived
 # equality at most 32 closure comparisons before a diagram takes over.
 PROMOTE_AFTER = 32
+
+# ``_Group.due`` of an empty young FIFO: no query count reaches it
+_NEVER = sys.maxsize
 
 # Stack marker in canonicalize_term: build the term below it.
 _BUILD = object()
@@ -161,17 +174,22 @@ def _check_id(eq_id) -> None:
 
 
 class _Group:
-    __slots__ = ("eqs", "tods", "young", "queries")
+    __slots__ = ("eqs", "vids", "tods", "young", "born", "queries", "due")
 
-    def __init__(self):
+    def __init__(self, nvars: int):
         self.eqs: dict[Term, Equality] = {}     # rhs -> live, in insertion order
+        self.vids = frozenset(range(nvars))     # the canonical lhs's variables
         # diagram modes: the diagrams that hold a member, oldest first,
         # keyed by their first member's id (``on``: their one member;
         # ``shared``: one diagram at most), the young equalities (id ->
-        # (equality, group queries then), oldest first), queries answered
+        # equality, oldest first) and their stamps (id -> group queries
+        # then, same order), queries answered, and the query count at
+        # which the FIFO's head is due, or earlier
         self.tods: dict[int, Tod] = {}
-        self.young: dict[int, tuple] = {}
+        self.young: dict[int, Equality] = {}
+        self.born: dict[int, int] = {}
         self.queries = 0
+        self.due = _NEVER
 
 
 class PostOrderingIndex:
@@ -196,10 +214,10 @@ class PostOrderingIndex:
         Pre-ordered equalities are accepted; their diagram nodes
         simplify away on first retrieval.
         """
-        lhs_c, rhs_c, _ = canonicalize_equality(self.signature, lhs, rhs)
+        lhs_c, rhs_c, mapping = canonicalize_equality(self.signature, lhs, rhs)
         group = self._groups.get(lhs_c)
         if group is None:
-            group = _Group()
+            group = _Group(len(mapping))
             self._groups[lhs_c] = group
         other = group.eqs.get(rhs_c)
         if other is not None:
@@ -215,8 +233,12 @@ class PostOrderingIndex:
         if self.mode is not IndexMode.OFF:
             # behind waiting young equalities too, or a walk would
             # answer it before them
-            if group.queries or group.young:
-                group.young[eq_id] = (eq, group.queries)
+            young = group.young
+            if group.queries or young:
+                if not young:
+                    group.due = group.queries + PROMOTE_AFTER
+                young[eq_id] = eq
+                group.born[eq_id] = group.queries
             else:
                 self._join(group, eq)
         return eq_id
@@ -240,17 +262,19 @@ class PostOrderingIndex:
         del group.eqs[eq.rhs]
         if not group.eqs:
             del self._groups[eq.lhs]
-        elif (self.mode is not IndexMode.OFF
-              and group.young.pop(eq_id, None) is None):
-            # a diagram member: its diagram goes.  A shared one's other
-            # members lead the FIFO, and stamped now they hold the young
-            # behind them anyway, so all restart young in insertion order
-            if self.mode is IndexMode.PER_EQUALITY:
-                del group.tods[eq_id]
+        elif self.mode is not IndexMode.OFF:
+            if group.young.pop(eq_id, None) is not None:
+                del group.born[eq_id]   # ``due`` may be early now
+            elif self.mode is IndexMode.PER_EQUALITY:
+                del group.tods[eq_id]   # a diagram member: its diagram goes
             else:
+                # the shared diagram goes.  Its other members lead the
+                # FIFO, and stamped now they hold the young behind them
+                # anyway, so all restart young in insertion order
                 group.tods.clear()
-                group.young = {e.eq_id: (e, group.queries)
-                               for e in group.eqs.values()}
+                group.young = {e.eq_id: e for e in group.eqs.values()}
+                group.born = dict.fromkeys(group.young, group.queries)
+                group.due = group.queries + PROMOTE_AFTER
 
     def equality(self, eq_id: int) -> Equality:
         """The live equality with this id; removed ids are unknown."""
@@ -266,11 +290,15 @@ class PostOrderingIndex:
               want: str = "all") -> list:
         """Ids of live group members ordered under ``sigma``.
 
-        ``lhs`` is looked up by its canonical form (cached in the term)
-        and ``sigma`` is carried along into the canonical variable
-        numbering; bindings for variables outside the lhs are ignored.
-        An unknown lhs yields an empty result.  ``want`` is "all" or
-        "first".
+        ``lhs`` is looked up by its canonical form (cached in the term).
+        If ``lhs`` is that form and ``sigma`` binds lhs variables only,
+        the checks get ``sigma`` itself.  Otherwise its bindings are
+        renamed into the canonical numbering, those outside the lhs are
+        dropped, and an lhs variable it leaves unbound keeps the
+        caller's name, which its images may share.  In ``on`` and
+        ``shared`` the young FIFO is looked at for promotion only once
+        the group's query count reaches its ``due``.  An unknown lhs
+        yields an empty result.  ``want`` is "all" or "first".
         """
         if want not in ("all", "first"):
             raise ValueError(f"want must be 'all' or 'first', not {want!r}")
@@ -280,19 +308,28 @@ class PostOrderingIndex:
         if group is None:
             return []
         m = sigma._m
-        renamed = {}
-        for new, old in enumerate(vids):
-            img = m.get(old)
-            # a binding renamed onto its own image is an identity: drop it
-            if img is not None and not (img.sym is None and img.vid == new):
-                renamed[new] = img
-        sigma_c = object.__new__(Substitution)   # no identity left to drop
-        sigma_c._m = renamed
+        if key is lhs and m.keys() <= group.vids:
+            # the renaming below would be the identity and drop nothing
+            sigma_c = sigma
+        else:
+            renamed = {}
+            var = self.signature.var
+            for new, old in enumerate(vids):
+                img = m.get(old)
+                if img is None:
+                    # unbound: it keeps the caller's name, which images
+                    # may share
+                    if old != new:
+                        renamed[new] = var(old)
+                # a binding renamed onto its own image is an identity
+                elif not (img.sym is None and img.vid == new):
+                    renamed[new] = img
+            sigma_c = object.__new__(Substitution)  # no identity left to drop
+            sigma_c._m = renamed
         self.stats.queries += 1
         results = []
         if self.mode is not IndexMode.OFF:
-            young = group.young
-            if young:
+            if group.queries >= group.due:
                 self._promote(group)
             group.queries += 1
             tods = group.tods
@@ -301,9 +338,9 @@ class PostOrderingIndex:
                     tod.retrieve(sigma_c, first_only, results)
                     if first_only and results:
                         return results
+            young = group.young
             if young:
-                self._check_each([eq for eq, _ in young.values()], sigma_c,
-                                 first_only, results)
+                self._check_each(young.values(), sigma_c, first_only, results)
             return results
         # baseline: each live equality checked on its own
         if self._check_each(group.eqs.values(), sigma_c, first_only, results):
@@ -312,15 +349,21 @@ class PostOrderingIndex:
 
     def _promote(self, group: _Group) -> None:
         """Let the young equalities that have lived through
-        ``PROMOTE_AFTER`` group queries join a diagram, oldest first."""
-        young = group.young
-        due = []
-        for eq_id, (_, born) in young.items():
-            if group.queries - born < PROMOTE_AFTER:
+        ``PROMOTE_AFTER`` group queries join a diagram, oldest first,
+        and set ``group.due`` by the new head of the FIFO."""
+        born = group.born
+        ripe = group.queries - PROMOTE_AFTER
+        grown = []
+        group.due = _NEVER
+        for eq_id, stamp in born.items():
+            if stamp > ripe:
+                group.due = stamp + PROMOTE_AFTER
                 break
-            due.append(eq_id)
-        for eq_id in due:
-            self._join(group, young.pop(eq_id)[0])
+            grown.append(eq_id)
+        young = group.young
+        for eq_id in grown:
+            del born[eq_id]
+            self._join(group, young.pop(eq_id))
 
     def _join(self, group: _Group, eq: Equality) -> None:
         """``eq`` joins a new diagram (``on``) or the group's one."""

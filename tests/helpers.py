@@ -216,6 +216,13 @@ class ScenarioChecker:
             held = diagram_members(idx)
             assert st.tods == len(held) == len(idx.tods()), (m, st.tods, held)
             placed = [i for g in idx._groups.values() for i in g.young]
+            for g in idx._groups.values():
+                # the stamps follow the FIFO, whose head is due no
+                # earlier than the group says
+                assert list(g.born) == list(g.young), (m, g.born, g.young)
+                if g.born:
+                    head = next(iter(g.born.values()))
+                    assert g.due <= head + PROMOTE_AFTER, (m, g.due, head)
             for tod, members in held:
                 assert members, (m, "a diagram without a member")
                 # a pre-ordered member's success node may have been pruned

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import ScenarioChecker, subterms
-from oracles import instantiate
+from oracles import instantiate, ref_compare
 from todx import (DuplicateEqualityError, IndexMode, Label, LinearExpr,
                   MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, UnknownEqualityError,
@@ -263,6 +263,91 @@ def test_removing_a_member_dissolves_the_shared_diagram(sig, swap_setup):
         e3 = idx.insert(l, a)
         assert idx.query(l, sigma, want="first") == [e2], mode
         assert idx.query(l, sigma) == [e2, e3], mode
+
+
+class _GroupClock:
+    """Queries one group and records the group query counts at whose
+    front the index looked at the young FIFO (called ``_promote``)."""
+
+    def __init__(self, idx, lhs, sigma):
+        self.idx, self.lhs, self.sigma = idx, lhs, sigma
+        self.queries = 0
+        self.promotions = []
+        promote = idx._promote
+
+        def spy(group):
+            self.promotions.append(self.queries)
+            promote(group)
+
+        idx._promote = spy
+
+    def ask(self) -> bool:
+        """Query once; True if it checked a young equality."""
+        before = self.idx.snapshot_stats().naive_comparisons
+        self.idx.query(self.lhs, self.sigma)
+        self.queries += 1
+        return self.idx.snapshot_stats().naive_comparisons > before
+
+
+def _members(idx) -> list:
+    return [success_ids(t) for t in idx.tods()]
+
+
+@pytest.mark.parametrize("mode", ["on", "shared"])
+def test_removed_young_head_leaves_the_next_on_its_own_stamp(sig, swap_setup,
+                                                             mode):
+    l, r1, r2 = swap_setup
+    y = sig.var(1)
+    a = sig.app("a")
+    idx = make_index(sig, mode)
+    clock = _GroupClock(idx, l, Substitution({0: sig.app("f", [a, a]), 1: a}))
+    e1 = idx.insert(l, r1)
+    assert not clock.ask()
+    e2 = idx.insert(l, r2)                      # stamped 1
+    for _ in range(5):
+        assert clock.ask()
+    e3 = idx.insert(l, sig.app("f", [y, y]))    # stamped 6
+    idx.remove(e2)
+    # e3 is young through query 6 + PROMOTE_AFTER - 1, and joins a
+    # diagram at the front of query 6 + PROMOTE_AFTER, not before or after
+    while clock.queries < 6 + PROMOTE_AFTER:
+        assert clock.ask(), clock.queries
+        assert _members(idx) == [[e1]], clock.queries
+    assert not clock.ask()
+    assert _members(idx) == ([[e1], [e3]] if mode == "on" else [[e1, e3]])
+    # the removed head left the FIFO due at its own stamp: one early
+    # look there, then none until e3 is due, and none once it is empty
+    for _ in range(3):
+        assert not clock.ask()
+    assert clock.promotions == [1 + PROMOTE_AFTER, 6 + PROMOTE_AFTER]
+
+
+@pytest.mark.parametrize("mode", ["on", "shared"])
+def test_dissolve_restamps_the_survivors_for_promotion(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    y = sig.var(1)
+    a = sig.app("a")
+    idx = make_index(sig, mode)
+    clock = _GroupClock(idx, l, Substitution({0: sig.app("f", [a, a]), 1: a}))
+    e1, e2 = idx.insert(l, r1), idx.insert(l, r2)   # both join at once
+    for _ in range(3):
+        assert not clock.ask()
+    e3 = idx.insert(l, sig.app("f", [y, y]))        # stamped 3
+    for _ in range(7):
+        assert clock.ask()
+    idx.remove(e1)
+    if mode == "shared":
+        # the diagram dissolves; e2 and e3 restart young, stamped 10
+        held, due, promoted = [], 10 + PROMOTE_AFTER, [[e2, e3]]
+    else:
+        # e1's diagram alone goes; e3 keeps its stamp
+        held, due, promoted = [[e2]], 3 + PROMOTE_AFTER, [[e2], [e3]]
+    while clock.queries < due:
+        assert clock.ask(), clock.queries
+        assert _members(idx) == held, clock.queries
+    assert not clock.ask()
+    assert _members(idx) == promoted
+    assert clock.promotions == [due]
 
 
 def test_query_unknown_lhs_is_empty(sig, swap_setup):
@@ -522,6 +607,28 @@ def test_bindings_outside_the_lhs_are_ignored(sig, swap_setup, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_canonical_lhs_passes_its_substitution_through(sig, swap_setup, mode):
+    l, r1, r2 = swap_setup
+    idx = make_index(sig, mode)
+    idx.insert(l, r1)
+    idx.insert(l, r2)
+    a = sig.app("a")
+    faa = sig.app("f", [a, a])
+    for sigma in (Substitution({0: faa, 1: a}), Substitution({0: faa}),
+                  Substitution({1: sig.var(0)})):
+        seen = spy_substitutions(idx)
+        idx.query(l, sigma)
+        assert seen and all(s is sigma for s in seen), sigma
+    # a binding outside the lhs, or a renamed lhs, takes the renaming
+    for lhs, sigma in ((l, Substitution({0: faa, 2: a})),
+                       (sig.app("f", [sig.var(3), sig.var(1)]),
+                        Substitution({3: faa, 1: a}))):
+        seen = spy_substitutions(idx)
+        idx.query(lhs, sigma)
+        assert seen and all(s is not sigma for s in seen), sigma
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_dropped_group_recreated_answers_from_the_new_one(sig, swap_setup, mode):
     l, r1, r2 = swap_setup
     idx = make_index(sig, mode)
@@ -733,3 +840,51 @@ def test_off_check_answers_as_one_closure_comparison(order, weights, prec,
     verdict = fresh.compare_closure(lhs, sigma, rhs, sigma)
     assert idx.query(lhs, sigma) == ([eq_id] if verdict is Label.GT else [])
     assert idx.stats.naive_comparisons == fresh.steps
+
+
+# lhs f(xi,xj), i != j, over x0..x2, so the canonical renaming moves an
+# lhs variable unless (i, j) = (0, 1); rhs over the lhs variables; images of x0..x2: none
+# (unbound), ground, or over x0..x2, so an image can name an lhs
+# variable, bound or not.  The first equality joins a diagram at once
+# in on/shared, the second starts young after the first query.
+@given(st.sampled_from(["kbo", "lpo"]),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       st.permutations(range(5)),
+       st.permutations(range(3)),
+       st.lists(_raw_terms(st.sampled_from([0, 1, 2, "a", "b"])),
+                min_size=2, max_size=2),
+       st.lists(st.none() | _raw_terms(st.sampled_from([0, 1, 2, "a", "b"])),
+                min_size=3, max_size=3))
+@settings(max_examples=300, deadline=None)
+# f(x1,x0) = h(x0,x0) under x1 := g(x0): x0 stays the caller's x0, and
+# f(g(x0),x0) > h(x0,x0); read as canonical x1 it would be incomparable
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [1, 0, 2],
+         [("h", (0, 0)), "a"], [None, ("g", (0,)), None])
+@example("lpo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [1, 0, 2],
+         [("h", (0, 0)), "a"], [None, ("g", (0,)), None])
+def test_renamed_lhs_answers_as_instantiate_then_compare(order, weights, prec,
+                                                         lhs_vids, rhss,
+                                                         images):
+    sig = Signature([(name, arity, w, p)
+                     for (name, arity), w, p in zip(_SYMBOLS, weights, prec)])
+    i, j, k = lhs_vids
+    lhs = sig.app("f", [sig.var(i), sig.var(j)])
+    # x_k, which the lhs lacks, becomes x_i in the rhs
+    fill = Substitution({k: sig.var(i)})
+    rhss = [instantiate(sig, sig.intern(raw), fill) for raw in rhss]
+    sigma = Substitution({v: sig.intern(raw)
+                          for v, raw in enumerate(images) if raw is not None})
+    lhs_sigma = instantiate(sig, lhs, sigma)
+    for mode in MODES:
+        idx = PostOrderingIndex(sig, order, mode)
+        want = []
+        for rhs in rhss:
+            try:
+                eq_id = idx.insert(lhs, rhs)
+            except DuplicateEqualityError:
+                continue
+            if ref_compare(sig, order, lhs_sigma,
+                           instantiate(sig, rhs, sigma)) is Label.GT:
+                want.append(eq_id)
+            assert idx.query(lhs, sigma) == want, mode
+        assert idx.query(lhs, sigma, "first") == want[:1], mode
