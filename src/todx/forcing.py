@@ -37,14 +37,15 @@ class PartialOrdering:
     """An immutable transitive closure of term constraints.
 
     Bit j of ``gt[i]``, ``eq[i]`` and ``nge[i]`` says that element i is
-    ``>``, ``=`` or ``!>=`` element j; no diagonal bit is ever set.
+    ``>``, ``=`` or ``!>=`` element j; no diagonal bit is ever set.  An
+    element's position is its index in ``elements``, looked up there:
+    ``relation`` runs once per node, on its first visit.
     """
 
-    __slots__ = ("elements", "_pos", "gt", "eq", "nge")
+    __slots__ = ("elements", "gt", "eq", "nge")
 
     def __init__(self, elements: tuple, gt: tuple, eq: tuple, nge: tuple):
         self.elements = elements
-        self._pos = {t: i for i, t in enumerate(elements)}
         self.gt = gt
         self.eq = eq
         self.nge = nge
@@ -53,9 +54,10 @@ class PartialOrdering:
         """The known relation of s to t (GT, EQ or NGE), if any."""
         if s is t:
             return Label.EQ
-        i = self._pos.get(s)
-        j = self._pos.get(t)
-        if i is None or j is None:
+        try:
+            i = self.elements.index(s)
+            j = self.elements.index(t)
+        except ValueError:
             return None
         bit = 1 << j
         if self.gt[i] & bit:
@@ -162,7 +164,7 @@ class TpoStore:
         if found is not None:
             return found
         elements = list(parent.elements)
-        pos = dict(parent._pos)
+        pos = {t: i for i, t in enumerate(elements)}
         for v in [t for a, _, b in constraints for t in (a, b)] + list(new_terms):
             if v not in pos:
                 pos[v] = len(elements)

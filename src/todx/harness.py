@@ -600,7 +600,7 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
             name, arity = rng.choice(funcs)
             args = tuple(rng.choice(var_names) for _ in range(arity))
             lhs = (name, args)
-            key, _, _ = canonicalize_equality(
+            key, _ = canonicalize_equality(
                 sig, _resolve(sig, lhs, {}), sig.app(consts[0]))
             if key not in group_keys:
                 group_keys.add(key)
@@ -622,7 +622,7 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
         varmap: dict[str, int] = {}
         try:
             pair = canonicalize_equality(sig, _resolve(sig, lhs, varmap),
-                                         _resolve(sig, rhs, varmap))[:2]
+                                         _resolve(sig, rhs, varmap))
         except MalformedEqualityError:
             continue
         if pair in used_pairs:

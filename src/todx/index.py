@@ -4,11 +4,12 @@ Groups key on the canonical form of the left-hand side (variables
 renumbered by first occurrence), so alpha-renamed copies land in one
 group.  That form is computed once per interned term and cached in it,
 so a repeated query pays one slot read for it.  A query whose lhs is
-that canonical form itself, and whose substitution binds lhs variables
-only, hands its substitution to the checks as it is: one subset test
-against the group's variables.  Any other query renames its bindings
-into the canonical numbering, and an lhs variable it leaves unbound is
-bound to the caller's variable, whose name the images may share.
+that canonical form itself hands its substitution to the checks as it
+is, whatever else it binds: every check reads it only at lhs variables,
+and variables inside images stay free.  Any other query renames its
+bindings into the canonical numbering, and an lhs variable it leaves
+unbound is bound to the caller's variable, whose name the images may
+share.
 Three retrieval modes answer the same queries identically:
 
 * ``off``     checks each equality on its own (see ``_check_each``),
@@ -29,10 +30,10 @@ answered since it became young, it joins a diagram, oldest first: in
 ``shared`` the group's one diagram, in ``on`` a new one of its own.  So
 an equality that dies young costs no diagram nodes, diagram members are
 all older than young ones, and answers stay in insertion order.  The
-FIFO keeps the equalities and their stamps in two maps of one order,
-and the group keeps the query count at which its head is due, which
-a removal may leave early: a query looks at the FIFO's stamps only
-once its group reaches that count.
+FIFO is one map from each young equality to its stamp, and the group
+keeps the query count at which its head is due, which a removal may
+leave early: a query looks at the stamps only once its group reaches
+that count.
 
 Removing a young equality drops it from the FIFO.  Removing a diagram
 member drops its diagram, whose other members (in ``shared`` all the
@@ -153,10 +154,9 @@ def _canonical_lhs(sig: Signature, lhs: Term) -> tuple:
 def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
     """Canonicalize an equality over its left-hand side.
 
-    Returns (lhs', rhs', old->new vid mapping).  Raises if the rhs
-    introduces variables absent from the lhs: such an equality can never
-    satisfy the ordering condition, and the demodulation workflow never
-    produces one.
+    Returns (lhs', rhs').  Raises if the rhs introduces variables
+    absent from the lhs: such an equality can never satisfy the ordering
+    condition, and the demodulation workflow never produces one.
     """
     lhs_c, vids = _canonical_lhs(sig, lhs)
     mapping = {old: new for new, old in enumerate(vids)}
@@ -164,7 +164,7 @@ def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
     if len(mapping) != len(vids):
         raise MalformedEqualityError(
             "right-hand side uses variables not in the left-hand side")
-    return lhs_c, rhs_c, mapping
+    return lhs_c, rhs_c
 
 
 def _check_id(eq_id) -> None:
@@ -174,20 +174,18 @@ def _check_id(eq_id) -> None:
 
 
 class _Group:
-    __slots__ = ("eqs", "vids", "tods", "young", "born", "queries", "due")
+    __slots__ = ("eqs", "tods", "young", "queries", "due")
 
-    def __init__(self, nvars: int):
+    def __init__(self):
         self.eqs: dict[Term, Equality] = {}     # rhs -> live, in insertion order
-        self.vids = frozenset(range(nvars))     # the canonical lhs's variables
         # diagram modes: the diagrams that hold a member, oldest first,
         # keyed by their first member's id (``on``: their one member;
-        # ``shared``: one diagram at most), the young equalities (id ->
-        # equality, oldest first) and their stamps (id -> group queries
-        # then, same order), queries answered, and the query count at
-        # which the FIFO's head is due, or earlier
+        # ``shared``: one diagram at most), the young FIFO (equality ->
+        # group queries answered when it became young, oldest first),
+        # queries answered, and the query count at which the FIFO's head
+        # is due, or earlier
         self.tods: dict[int, Tod] = {}
-        self.young: dict[int, Equality] = {}
-        self.born: dict[int, int] = {}
+        self.young: dict[Equality, int] = {}
         self.queries = 0
         self.due = _NEVER
 
@@ -214,11 +212,10 @@ class PostOrderingIndex:
         Pre-ordered equalities are accepted; their diagram nodes
         simplify away on first retrieval.
         """
-        lhs_c, rhs_c, mapping = canonicalize_equality(self.signature, lhs, rhs)
+        lhs_c, rhs_c = canonicalize_equality(self.signature, lhs, rhs)
         group = self._groups.get(lhs_c)
         if group is None:
-            group = _Group(len(mapping))
-            self._groups[lhs_c] = group
+            group = self._groups[lhs_c] = _Group()
         other = group.eqs.get(rhs_c)
         if other is not None:
             raise DuplicateEqualityError(
@@ -237,8 +234,7 @@ class PostOrderingIndex:
             if group.queries or young:
                 if not young:
                     group.due = group.queries + PROMOTE_AFTER
-                young[eq_id] = eq
-                group.born[eq_id] = group.queries
+                young[eq] = group.queries
             else:
                 self._join(group, eq)
         return eq_id
@@ -263,8 +259,8 @@ class PostOrderingIndex:
         if not group.eqs:
             del self._groups[eq.lhs]
         elif self.mode is not IndexMode.OFF:
-            if group.young.pop(eq_id, None) is not None:
-                del group.born[eq_id]   # ``due`` may be early now
+            if eq in group.young:
+                del group.young[eq]     # ``due`` may be early now
             elif self.mode is IndexMode.PER_EQUALITY:
                 del group.tods[eq_id]   # a diagram member: its diagram goes
             else:
@@ -272,8 +268,7 @@ class PostOrderingIndex:
                 # FIFO, and stamped now they hold the young behind them
                 # anyway, so all restart young in insertion order
                 group.tods.clear()
-                group.young = {e.eq_id: e for e in group.eqs.values()}
-                group.born = dict.fromkeys(group.young, group.queries)
+                group.young = dict.fromkeys(group.eqs.values(), group.queries)
                 group.due = group.queries + PROMOTE_AFTER
 
     def equality(self, eq_id: int) -> Equality:
@@ -291,14 +286,15 @@ class PostOrderingIndex:
         """Ids of live group members ordered under ``sigma``.
 
         ``lhs`` is looked up by its canonical form (cached in the term).
-        If ``lhs`` is that form and ``sigma`` binds lhs variables only,
-        the checks get ``sigma`` itself.  Otherwise its bindings are
-        renamed into the canonical numbering, those outside the lhs are
-        dropped, and an lhs variable it leaves unbound keeps the
-        caller's name, which its images may share.  In ``on`` and
-        ``shared`` the young FIFO is looked at for promotion only once
-        the group's query count reaches its ``due``.  An unknown lhs
-        yields an empty result.  ``want`` is "all" or "first".
+        If ``lhs`` is that form, the checks get ``sigma`` itself: they
+        read it only at lhs variables, so bindings outside the lhs are
+        inert.  Otherwise its bindings are renamed into the canonical
+        numbering, those outside the lhs are dropped, and an lhs
+        variable it leaves unbound keeps the caller's name, which its
+        images may share.  In ``on`` and ``shared`` the young FIFO's
+        stamps are looked at for promotion only once the group's query
+        count reaches its ``due``.  An unknown lhs yields an empty
+        result.  ``want`` is "all" or "first".
         """
         if want not in ("all", "first"):
             raise ValueError(f"want must be 'all' or 'first', not {want!r}")
@@ -307,11 +303,10 @@ class PostOrderingIndex:
         group = self._groups.get(key)
         if group is None:
             return []
-        m = sigma._m
-        if key is lhs and m.keys() <= group.vids:
-            # the renaming below would be the identity and drop nothing
+        if key is lhs:
             sigma_c = sigma
         else:
+            m = sigma._m
             renamed = {}
             var = self.signature.var
             for new, old in enumerate(vids):
@@ -340,7 +335,7 @@ class PostOrderingIndex:
                         return results
             young = group.young
             if young:
-                self._check_each(young.values(), sigma_c, first_only, results)
+                self._check_each(young, sigma_c, first_only, results)
             return results
         # baseline: each live equality checked on its own
         if self._check_each(group.eqs.values(), sigma_c, first_only, results):
@@ -351,19 +346,18 @@ class PostOrderingIndex:
         """Let the young equalities that have lived through
         ``PROMOTE_AFTER`` group queries join a diagram, oldest first,
         and set ``group.due`` by the new head of the FIFO."""
-        born = group.born
+        young = group.young
         ripe = group.queries - PROMOTE_AFTER
         grown = []
         group.due = _NEVER
-        for eq_id, stamp in born.items():
+        for eq, stamp in young.items():
             if stamp > ripe:
                 group.due = stamp + PROMOTE_AFTER
                 break
-            grown.append(eq_id)
-        young = group.young
-        for eq_id in grown:
-            del born[eq_id]
-            self._join(group, young.pop(eq_id))
+            grown.append(eq)
+        for eq in grown:
+            del young[eq]
+            self._join(group, eq)
 
     def _join(self, group: _Group, eq: Equality) -> None:
         """``eq`` joins a new diagram (``on``) or the group's one."""

@@ -308,16 +308,11 @@ class LinearExpr:
         difference is summed in one pass over the coefficients and the
         images' cached weights, without building it as an expression.
         """
-        if sigma is None and minus is None:
-            total = self.constant
-            coeffs = self._coeffs
-        else:
-            acc: dict[int, int] = {}
-            total = _fold(acc, self, 1, sigma)
-            if minus is not None:
-                total += _fold(acc, minus, -1, theta)
-            coeffs = acc.items()
-        for _, c in coeffs:
+        acc: dict[int, int] = {}
+        total = _fold(acc, self, 1, sigma)
+        if minus is not None:
+            total += _fold(acc, minus, -1, theta)
+        for c in acc.values():
             if c < 0:
                 return Label.NGE
             total += c * w0

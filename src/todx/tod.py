@@ -67,9 +67,10 @@ _TERM_LABELS = (_GT, _EQ, _NGE)
 _POS_LABELS = (_GT, _GEQ, _NGE)
 
 
-@dataclass
+@dataclass(eq=False)
 class Equality:
-    """An indexed equality; the index mints its id.
+    """An indexed equality; the index mints its id.  It compares and
+    hashes by identity, so the index's young FIFO can key on it.
 
     ``weight_diff`` is ``|lhs| - |rhs|``, which the index stores once
     for a KBO equality so that its checks sign it instead of folding

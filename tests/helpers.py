@@ -117,7 +117,7 @@ class ScenarioChecker:
         if rhs.sym is None and not lvars:
             return False
         try:
-            lhs_c, rhs_c, _ = canonicalize_equality(self.sig, lhs, rhs)
+            lhs_c, rhs_c = canonicalize_equality(self.sig, lhs, rhs)
         except MalformedEqualityError:
             return False
         if sum(l is lhs_c for _, l, _ in self.model) >= 6:
@@ -215,14 +215,15 @@ class ScenarioChecker:
                 continue
             held = diagram_members(idx)
             assert st.tods == len(held) == len(idx.tods()), (m, st.tods, held)
-            placed = [i for g in idx._groups.values() for i in g.young]
+            placed = [e.eq_id for g in idx._groups.values() for e in g.young]
             for g in idx._groups.values():
-                # the stamps follow the FIFO, whose head is due no
-                # earlier than the group says
-                assert list(g.born) == list(g.young), (m, g.born, g.young)
-                if g.born:
-                    head = next(iter(g.born.values()))
-                    assert g.due <= head + PROMOTE_AFTER, (m, g.due, head)
+                # the FIFO holds live equalities, stamped in FIFO order,
+                # and its head is due no earlier than the group says
+                stamps = list(g.young.values())
+                assert stamps == sorted(stamps), (m, stamps)
+                assert all(idx._live.get(e.eq_id) is e for e in g.young), m
+                if stamps:
+                    assert g.due <= stamps[0] + PROMOTE_AFTER, (m, g.due, stamps)
             for tod, members in held:
                 assert members, (m, "a diagram without a member")
                 # a pre-ordered member's success node may have been pruned
@@ -268,7 +269,7 @@ def diagram_members(idx) -> list:
             out += [(tod, {i}) for i, tod in g.tods.items()]
         else:
             assert len(g.tods) <= 1, len(g.tods)
-            members = {e.eq_id for e in g.eqs.values()}.difference(g.young)
+            members = {e.eq_id for e in g.eqs.values() if e not in g.young}
             out += [(tod, members) for tod in g.tods.values()]
     return out
 

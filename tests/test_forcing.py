@@ -43,6 +43,18 @@ def test_reflexive_relation(sig, store):
     assert store.empty.relation(x, x) is E
 
 
+def test_relation_of_a_non_element_is_unknown(sig, store):
+    x, y, z = sig.var(0), sig.var(1), sig.var(2)
+    tpo = store.extend(store.empty, [(x, G, y)])
+    assert tpo.elements == (x, y)
+    assert tpo.relation(z, x) is None
+    assert tpo.relation(y, z) is None
+    assert tpo.relation(z, sig.app("a")) is None
+    # identical operands are equal, elements or not
+    assert tpo.relation(y, y) is E
+    assert tpo.relation(z, z) is E
+
+
 def test_transitivity_chain_example(sig, store):
     # path: f(x) cmp y taken !>=, then g(y) cmp z taken =, examine x cmp z
     x, y, z = sig.var(0), sig.var(1), sig.var(2)
