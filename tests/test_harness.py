@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from todx import (IndexMode, PostOrderingIndex, SignatureError,
@@ -141,6 +143,46 @@ def test_gen_is_deterministic():
     b = format_script(gen_random_script(42))
     assert a == b
     assert a != format_script(gen_random_script(43))
+
+
+# sha256 of the printed scripts, so a change to the generators or to the
+# script printer that moves a single byte shows here
+_WIDE = dict(symbols=5, max_arity=3, max_depth=4, equalities=20, queries=40,
+             groups=4, delete_prob=0.3)
+_GEN_DIGESTS = {
+    ("default", "kbo"): "7362272f06186dcb7d319107839aefb7518466a1c0992042ca594bec7037a412",
+    ("default", "lpo"): "b0c506c751581ce70587a916b8269ac6d070127461bd538c57930d156536e42e",
+    ("wide", "kbo"): "6f3b68237c13d7e1842818ca69f16da6a06d38935ab44e052cd552d8c335e3f9",
+    ("wide", "lpo"): "fc0fb4f6baf8084f928ca28fc9f0f05ed704e215e24587cc351a6e6145378db1",
+}
+_BENCH_DIGESTS = {
+    ("swap", "kbo"): "15f650839b93846af30209cb63f999e9ff4cf96f20e20bb63610521917f2c579",
+    ("swap", "lpo"): "cce351c8d03e657faabbdd1e9c12e740e186466d3eb5d8b139f4af65cb368c1a",
+    ("poly", "kbo"): "a00631a44c8fcfa0f4e56b97de651fb1712f78c6870ff67be1341f3e9261a74d",
+    ("poly", "lpo"): "49c8a03dfd4a27316ffae2438186495b2a83e6704a470e7a94bb53b18882a455",
+}
+
+
+def _digest(scripts) -> str:
+    h = hashlib.sha256()
+    for script in scripts:
+        h.update(format_script(script).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("params,order", _GEN_DIGESTS)
+def test_generated_script_bytes_are_pinned(params, order):
+    kw = _WIDE if params == "wide" else {}
+    scripts = (gen_random_script(seed, GenParams(order=order, **kw))
+               for seed in range(300))
+    assert _digest(scripts) == _GEN_DIGESTS[params, order]
+
+
+@pytest.mark.parametrize("family,order", _BENCH_DIGESTS)
+def test_bench_script_bytes_are_pinned(family, order):
+    make = {"swap": harness._argswap_script, "poly": harness._poly_script}[family]
+    scripts = (make(200, seed, order) for seed in range(5))
+    assert _digest(scripts) == _BENCH_DIGESTS[family, order]
 
 
 def test_gen_zero_queries_means_no_queries():
