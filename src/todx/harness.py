@@ -43,11 +43,6 @@ class ScriptError(ValueError):
         self.col = col
 
 
-# Raw term trees keep only names; variable-vs-symbol resolution needs the
-# signature and happens when a script runs.
-RawTree = Union[str, tuple]
-
-
 @dataclass(frozen=True)
 class SigDecl:
     """A symbol declaration; ``None`` leaves weight or precedence unset."""
@@ -63,30 +58,14 @@ class OrderDecl:
     kind: str
 
 
-def _raw_equal(a, b) -> bool:
-    """``a == b`` for raw trees, and tuples of them, of any depth: it
-    keeps its own stack, where tuple ``==`` recurses."""
-    stack = [(a, b)]
-    while stack:
-        a, b = stack.pop()
-        if type(a) is tuple and type(b) is tuple and len(a) == len(b):
-            stack.extend(zip(a, b))
-        elif type(a) is tuple or type(b) is tuple or a != b:
-            return False
-    return True
-
-
+# A script term is kept as its text without blanks, e.g. "f(x,g(a))";
+# which names are variables needs the signature and is settled when a
+# script runs.
 @dataclass(frozen=True)
 class Insert:
     eq_id: str
-    lhs: RawTree
-    rhs: RawTree
-
-    def __eq__(self, other):
-        if type(other) is not Insert:
-            return NotImplemented
-        return _raw_equal((self.eq_id, self.lhs, self.rhs),
-                          (other.eq_id, other.lhs, other.rhs))
+    lhs: str
+    rhs: str
 
 
 @dataclass(frozen=True)
@@ -97,13 +76,7 @@ class Delete:
 @dataclass(frozen=True)
 class Query:
     query_id: str
-    bindings: tuple  # of (var name, RawTree)
-
-    def __eq__(self, other):
-        if type(other) is not Query:
-            return NotImplemented
-        return _raw_equal((self.query_id, self.bindings),
-                          (other.query_id, other.bindings))
+    bindings: tuple  # of (var name, term text)
 
 
 @dataclass(frozen=True)
@@ -148,37 +121,38 @@ class _TermScanner:
     def peek(self) -> str:
         return self.text[self.pos] if self.pos < len(self.text) else ""
 
-    def term(self) -> RawTree:
-        """Scan one term.  The scanner keeps its own stack of the
-        applications still open, so any depth is fine."""
-        open_apps: list = []        # (name, args scanned so far)
+    def term(self) -> str:
+        """Scan one term and return its text without blanks.  The
+        scanner counts the applications still open, so any depth is
+        fine."""
+        out: list[str] = []
+        depth = 0
         while True:
             self.skip_ws()
             m = _IDENT.match(self.text, self.pos)
             if not m:
                 raise self.error("expected an identifier")
             self.pos = m.end()
+            out.append(m.group())
             self.skip_ws()
             if self.peek() == "(":
                 self.pos += 1
-                open_apps.append((m.group(), []))
+                out.append("(")
+                depth += 1
                 continue
-            t: RawTree = m.group()
-            # t completes an argument; close every application it ends
-            while open_apps:
-                name, args = open_apps[-1]
-                args.append(t)
+            # the name completes an argument; close every application it ends
+            while depth:
                 self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    break
-                if self.peek() != ")":
+                c = self.peek()
+                if c not in (",", ")"):
                     raise self.error("expected ',' or ')'")
                 self.pos += 1
-                open_apps.pop()
-                t = (name, tuple(args))
+                out.append(c)
+                if c == ",":
+                    break
+                depth -= 1
             else:
-                return t
+                return "".join(out)
 
     def expect_end(self) -> None:
         self.skip_ws()
@@ -190,25 +164,6 @@ class _TermScanner:
         if not self.text.startswith(token, self.pos):
             raise self.error(f"expected {token!r}")
         self.pos += len(token)
-
-
-def format_term(t: RawTree) -> str:
-    """Print a raw tree in prefix notation, with its own stack."""
-    out: list[str] = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, str):      # a name, or punctuation queued below
-            out.append(t)
-            continue
-        name, args = t
-        out.append(name + "(")
-        stack.append(")")
-        for i in range(len(args) - 1, -1, -1):
-            stack.append(args[i])
-            if i:
-                stack.append(",")
-    return "".join(out)
 
 
 # -- script parsing ---------------------------------------------------------------
@@ -359,11 +314,11 @@ def format_script(script: Script) -> str:
         elif isinstance(c, OrderDecl):
             out.append(f"ord {c.kind}")
         elif isinstance(c, Insert):
-            out.append(f"eq {c.eq_id}: {format_term(c.lhs)} = {format_term(c.rhs)}")
+            out.append(f"eq {c.eq_id}: {c.lhs} = {c.rhs}")
         elif isinstance(c, Delete):
             out.append(f"del {c.eq_id}")
         elif isinstance(c, Query):
-            inner = ", ".join(f"{v} := {format_term(t)}" for v, t in c.bindings)
+            inner = ", ".join(f"{v} := {t}" for v, t in c.bindings)
             out.append(f"query {c.query_id}: {inner}")
         elif isinstance(c, Expect):
             out.append(f"expect {c.query_id}: {{{','.join(sorted(c.eq_ids))}}}")
@@ -403,33 +358,31 @@ def _build_signature(commands: Iterable[Command]) -> Signature:
                      for c in decls)
 
 
-# Stack marker in _resolve: apply a symbol to the terms resolved last.
-_APPLY = object()
+# the tokens of term text: "name(" opens an application and ")" closes
+# it; commas only separate names, so they are skipped
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(?|\)")
 
 
-def _resolve(sig: Signature, raw: RawTree, varmap: dict) -> Term:
-    """A raw name tree as a term; undeclared identifiers are variables,
-    numbered through ``varmap`` in left-to-right order.  The walk keeps
-    its own stack, so any term the parser accepts resolves."""
-    done: list[Term] = []       # resolved arguments waiting for their symbol
-    stack: list = [raw]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            if sig.has_symbol(item):
-                done.append(sig.app(item, ()))
-            else:
-                done.append(sig.var(varmap.setdefault(item, len(varmap))))
-        elif item[0] is _APPLY:
-            _, name, n = item
-            first = len(done) - n
-            done[first:] = [sig.app(name, done[first:])]
+def _resolve(sig: Signature, text: str, varmap: dict) -> Term:
+    """Term text as a term; undeclared identifiers are variables,
+    numbered through ``varmap`` in left-to-right order.  It keeps its
+    own stack of open applications, so any term the parser accepts
+    resolves."""
+    args: list[Term] = []       # the arguments resolved so far
+    open_apps: list = []        # (name, arguments of the enclosing one)
+    for tok in _TOKEN.findall(text):
+        if tok[-1] == "(":
+            open_apps.append((tok[:-1], args))
+            args = []
+        elif tok == ")":
+            name, outer = open_apps.pop()
+            outer.append(sig.app(name, args))
+            args = outer
+        elif sig.has_symbol(tok):
+            args.append(sig.app(tok, ()))
         else:
-            name, args = item
-            stack.append((_APPLY, name, len(args)))
-            # leftmost argument on top: variables are met in order
-            stack.extend(reversed(args))
-    return done[0]
+            args.append(sig.var(varmap.setdefault(tok, len(varmap))))
+    return args[0]
 
 
 # errors a script that parses can still raise while it runs
@@ -557,7 +510,7 @@ _GROUND_PROB = 0.7      # chance that a query binds a variable to a ground term
 
 
 def _gen_term(rng: random.Random, funcs, consts, var_names,
-              depth: int) -> RawTree:
+              depth: int) -> str:
     choices = list(consts) + list(var_names)
     if depth > 0 and funcs:
         choices += [f for f, _ in funcs] * 2
@@ -565,8 +518,9 @@ def _gen_term(rng: random.Random, funcs, consts, var_names,
     arity = dict(funcs).get(pick)
     if arity is None:
         return pick
-    return (pick, tuple(_gen_term(rng, funcs, consts, var_names, depth - 1)
-                        for _ in range(arity)))
+    args = [_gen_term(rng, funcs, consts, var_names, depth - 1)
+            for _ in range(arity)]
+    return f"{pick}({','.join(args)})"
 
 
 def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
@@ -593,29 +547,28 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
     # equalities on their canonical form, the same way the index will
     sig = _build_signature(commands)
 
-    group_lhs: list[RawTree] = []
+    # (lhs text, its variable names): a constant or a symbol over names
+    group_lhs: list[tuple] = []
     group_keys: set = set()
     if funcs:
         for _ in range(params.groups):
             name, arity = rng.choice(funcs)
-            args = tuple(rng.choice(var_names) for _ in range(arity))
-            lhs = (name, args)
+            args = [rng.choice(var_names) for _ in range(arity)]
+            lhs = f"{name}({','.join(args)})"
             key, _ = canonicalize_equality(
                 sig, _resolve(sig, lhs, {}), sig.app(consts[0]))
             if key not in group_keys:
                 group_keys.add(key)
-                group_lhs.append(lhs)
+                group_lhs.append((lhs, list(dict.fromkeys(args))))
     if not group_lhs:
-        group_lhs = [rng.choice(consts)]
+        group_lhs = [(rng.choice(consts), var_names[:1])]
 
     eq_cmds: list[Insert] = []
     used_pairs = set()
     attempts = 0
     while len(eq_cmds) < params.equalities and attempts < params.equalities * 30:
         attempts += 1
-        lhs = rng.choice(group_lhs)
-        # a group lhs is a constant or a symbol over variable names
-        vs = list(dict.fromkeys(lhs[1])) if isinstance(lhs, tuple) else var_names[:1]
+        lhs, vs = rng.choice(group_lhs)
         rhs = _gen_term(rng, funcs, consts, vs, rng.randint(0, params.max_depth))
         if rhs == lhs:
             continue
@@ -675,12 +628,11 @@ def _argswap_script(n: int, seed: int, order: str) -> Script:
         SigDecl("b", 0, 1, 1),
         SigDecl("f", 2, 1, 2),
         OrderDecl(order),
-        Insert("e1", ("f", ("x", "y")), ("f", ("y", "x"))),
-        Insert("e2", ("f", ("x", "y")), ("f", ("x", "x"))),
+        Insert("e1", "f(x,y)", "f(y,x)"),
+        Insert("e2", "f(x,y)", "f(x,x)"),
     ]
     rng = random.Random(seed)
-    images = ["a", "b", ("f", ("a", "a")), ("f", ("a", "b")),
-              ("f", ("b", "a")), ("f", (("f", ("a", "a")), "b")), "u0", "u1"]
+    images = ["a", "b", "f(a,a)", "f(a,b)", "f(b,a)", "f(f(a,a),b)", "u0", "u1"]
     for i in range(n):
         commands.append(Query(f"q{i + 1}", (("x", rng.choice(images)),
                                             ("y", rng.choice(images)))))
@@ -701,17 +653,17 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
     kbo = make_order("kbo", sig)
     funcs = [("f", 2), ("g", 1), ("h", 1)]
     consts = ["a", "b"]
-    lhs_raw = ("f", ("x", "y"))
+    lhs = "f(x,y)"
     chosen = []
     attempts = 0
     while len(chosen) < 6 and attempts < 500:
         attempts += 1
-        rhs_raw = _gen_term(rng, funcs, consts, ["x", "y"], 3)
-        if rhs_raw in chosen or rhs_raw == lhs_raw:
+        rhs = _gen_term(rng, funcs, consts, ["x", "y"], 3)
+        if rhs in chosen or rhs == lhs:
             continue
         varmap: dict[str, int] = {}
-        l = _resolve(sig, lhs_raw, varmap)
-        r = _resolve(sig, rhs_raw, varmap)
+        l = _resolve(sig, lhs, varmap)
+        r = _resolve(sig, rhs, varmap)
         if len(varmap) > 2:
             continue
         diff = term_weight(l) - term_weight(r)
@@ -719,8 +671,8 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
             continue
         if kbo.compare(l, r) is Label.GT or kbo.compare(r, l) is Label.GT:
             continue
-        chosen.append(rhs_raw)
-        commands.append(Insert(f"e{len(chosen)}", lhs_raw, rhs_raw))
+        chosen.append(rhs)
+        commands.append(Insert(f"e{len(chosen)}", lhs, rhs))
     for i in range(n):
         bindings = []
         for v in ("x", "y"):

@@ -82,10 +82,13 @@ class IndexMode(enum.Enum):
 # first queries, and an insert into a walked diagram lands before the
 # exit, so every specialized path that reaches the exit replicates and
 # re-specializes it; only an equality checked many more times repays
-# either.  Measured in ``shared`` mode on perfbench's churn_kbo (seed 5),
-# where each equality lives 24 of its group's queries: 8 and 16 still
-# promote and leave shared p50 at 73 and 54 us, against 20 us at 24, 32
-# or 64.  32 keeps a margin above that lifetime, and costs a long-lived
+# either.  Measured in ``shared`` mode on perfbench's churn_kbo (seeds
+# 701-703, 5 s runs, CPython 3.11 on a 2-core Xeon), where each
+# equality lives 24 of its group's queries: 8 and 16 still promote and
+# leave shared p95 at 201 and 104 us (p50 6.3 and 6.1 us), against 12.6,
+# 12.1 and 12.2 us (p50 5.5, 5.2 and 5.2 us) at 24, 32 and 64; poly_kbo
+# inserts only before its first query and reads alike at every value.
+# 32 keeps a margin above that lifetime, and costs a long-lived
 # equality at most 32 closure comparisons before a diagram takes over.
 PROMOTE_AFTER = 32
 
@@ -306,21 +309,11 @@ class PostOrderingIndex:
         if key is lhs:
             sigma_c = sigma
         else:
-            m = sigma._m
-            renamed = {}
-            var = self.signature.var
-            for new, old in enumerate(vids):
-                img = m.get(old)
-                if img is None:
-                    # unbound: it keeps the caller's name, which images
-                    # may share
-                    if old != new:
-                        renamed[new] = var(old)
-                # a binding renamed onto its own image is an identity
-                elif not (img.sym is None and img.vid == new):
-                    renamed[new] = img
-            sigma_c = object.__new__(Substitution)  # no identity left to drop
-            sigma_c._m = renamed
+            # an unbound variable keeps the caller's name, which images
+            # may share; the constructor drops the identities
+            m, var = sigma._m, self.signature.var
+            sigma_c = Substitution({new: m.get(old) or var(old)
+                                    for new, old in enumerate(vids)})
         self.stats.queries += 1
         results = []
         if self.mode is not IndexMode.OFF:

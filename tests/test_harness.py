@@ -1,6 +1,9 @@
 import hashlib
+import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from todx import (IndexMode, PostOrderingIndex, SignatureError,
                   UnknownSymbolError, harness)
@@ -352,6 +355,67 @@ def test_scripts_10000_deep_compare_by_value():
     assert script != parse_script(text("a", "y"))
 
 
+_TREE_SIG = "sig a/0\nsig b/0\nsig g/1\nsig f/2\nord kbo\n"
+
+# raw trees as Signature.intern takes them, variable i printed as xi
+_trees = st.recursive(
+    st.sampled_from(["a", "b", 0, 1, 2]),
+    lambda sub: st.one_of(
+        st.tuples(st.just("g"), st.lists(sub, min_size=1, max_size=1)),
+        st.tuples(st.just("f"), st.lists(sub, min_size=2, max_size=2))),
+    max_leaves=12)
+
+
+def _tokens(tree) -> list:
+    """The tokens of a raw tree in prefix order, with its own stack."""
+    out, stack = [], [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, int):
+            out.append(f"x{t}")
+        elif isinstance(t, str):    # a constant, or punctuation queued below
+            out.append(t)
+        else:
+            name, args = t
+            out += [name, "("]
+            stack.append(")")
+            for i in reversed(range(len(args))):
+                stack.append(args[i])
+                if i:
+                    stack.append(",")
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_trees, depth=st.integers(0, 3),
+       blanks=st.lists(st.sampled_from(["", " ", "\t", " \t "]),
+                       min_size=1, max_size=5))
+@example(tree=0, depth=10 ** 4, blanks=[" "])
+def test_script_terms_resolve_as_interned_trees(tree, depth, blanks):
+    # term text with blanks around every token parses to its blank-free
+    # text, prints as that text, and resolves to the interned tree
+    for i in range(depth):
+        tree = ("f", [tree, "b"]) if i % 100 == 0 else ("g", [tree])
+    toks = _tokens(tree)
+    pad = itertools.cycle(blanks)
+    spaced = "".join(next(pad) + tok for tok in toks)
+    plain = "".join(toks)
+    script = parse_script(f"{_TREE_SIG}eq e1: {spaced} = a\n"
+                          f"query q1: x0 :={spaced}\n")
+    assert script.commands[-2:] == (Insert("e1", plain, "a"),
+                                    Query("q1", (("x0", plain),)))
+    assert format_script(script).endswith(
+        f"eq e1: {plain} = a\nquery q1: x0 := {plain}\n")
+    sig = harness._build_signature(script.commands)
+    varmap = {f"x{i}": i for i in range(3)}
+    assert harness._resolve(sig, plain, varmap) is sig.intern(tree)
+    # without fixed numbers, variables are numbered as they first occur
+    varmap = {}
+    harness._resolve(sig, plain, varmap)
+    assert list(varmap) == list(dict.fromkeys(
+        tok for tok in toks if tok[0] == "x"))
+
+
 @pytest.mark.parametrize("content", [None, b"sig a/0\n\xff\n"],
                          ids=["missing", "not-utf8"])
 def test_cli_unreadable_script_exits_2(tmp_path, capsys, content):
@@ -397,7 +461,7 @@ def test_sig_decl_built_in_code_keeps_weight_zero():
 
 def test_script_without_source_lines_raises_the_original_error():
     script = Script((SigDecl("a", 0, 1, 0), OrderDecl("kbo"),
-                     Insert("e1", ("g", ("x",)), "a")))
+                     Insert("e1", "g(x)", "a")))
     with pytest.raises(UnknownSymbolError):
         run(script)
 
