@@ -16,6 +16,10 @@ Three retrieval modes answer the same queries identically:
 * ``on``      gives each long-lived equality a diagram of its own,
 * ``shared``  gives them one diagram per group.
 
+In both diagram modes a query walks its group's diagrams, oldest first,
+in one call of ``todx.tod.retrieve``, so ``on`` sets the walk up and
+updates the counters once per query, not once per diagram.
+
 The index alone knows which equalities exist: it mints their ids,
 rejects a live duplicate by its canonical (lhs, rhs) pair, and counts
 the live equalities and diagrams off its own maps.
@@ -56,7 +60,7 @@ from typing import Union
 from .ordering import make_order
 from .stats import Stats
 from .terms import Label, Signature, Substitution, Term, term_weight
-from .tod import Equality, Tod
+from .tod import Equality, Tod, retrieve
 
 
 class MalformedEqualityError(ValueError):
@@ -296,8 +300,10 @@ class PostOrderingIndex:
         variable it leaves unbound keeps the caller's name, which its
         images may share.  In ``on`` and ``shared`` the young FIFO's
         stamps are looked at for promotion only once the group's query
-        count reaches its ``due``.  An unknown lhs yields an empty
-        result.  ``want`` is "all" or "first".
+        count reaches its ``due``; then one walk goes over the group's
+        diagrams, oldest first, and the young equalities are checked
+        after it unless it found the first answer wanted.  An unknown
+        lhs yields an empty result.  ``want`` is "all" or "first".
         """
         if want not in ("all", "first"):
             raise ValueError(f"want must be 'all' or 'first', not {want!r}")
@@ -322,10 +328,9 @@ class PostOrderingIndex:
             group.queries += 1
             tods = group.tods
             if tods:
-                for tod in tods.values():
-                    tod.retrieve(sigma_c, first_only, results)
-                    if first_only and results:
-                        return results
+                retrieve(tods.values(), sigma_c, first_only, results)
+                if first_only and results:
+                    return results
             young = group.young
             if young:
                 self._check_each(young, sigma_c, first_only, results)
@@ -368,7 +373,7 @@ class PostOrderingIndex:
 
         A KBO equality's stored weight difference ``constant + sum c*v``
         is signed as ``constant + sum c*least(v)`` in integer arithmetic,
-        by the rule of the positivity checks in ``Tod.retrieve``, inline
+        by the rule of the positivity checks in the diagram walk, inline
         as there.  A nonzero total is the verdict of ``compare_closure``'s
         weight step, GT or NGE, and counts as its one step.  A zero
         total, a ``c < 0`` on an unbound variable or a non-ground image

@@ -18,6 +18,8 @@ are not affected.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from .terms import EMPTY_SUBST, Label, Signature, Substitution, Term, term_weight
 
 _GT, _EQ, _GEQ, _NGE = Label.GT, Label.EQ, Label.GEQ, Label.NGE
@@ -44,23 +46,29 @@ def _deref(s: Term, sigma: Substitution):
 
 
 def closure_equal(s: Term, sigma: Substitution, t: Term, theta: Substitution) -> bool:
-    """Whether s*sigma and t*theta denote the same term, without building it."""
-    if s is t and sigma is theta:
-        return True
-    s, sigma = _deref(s, sigma)
-    t, theta = _deref(t, theta)
-    if sigma is EMPTY_SUBST and theta is EMPTY_SUBST:
-        return s is t
-    if s.sym is None or t.sym is None:
-        # A variable survived deref with an empty substitution while the
-        # other side is a non-ground application: never equal.
-        return False
-    if s.sym is not t.sym:
-        return False
-    for a, b in zip(s.args, t.args):
-        if not closure_equal(a, sigma, b, theta):
-            return False
-    return True
+    """Whether s*sigma and t*theta denote the same term, without building
+    it.  Argument pairs wait on a stack of its own, so any depth is fine."""
+    stack = None    # most calls settle at the top pair without one
+    while True:
+        if s is not t or sigma is not theta:
+            s, sigma = _deref(s, sigma)
+            t, theta = _deref(t, theta)
+            if sigma is EMPTY_SUBST and theta is EMPTY_SUBST:
+                if s is not t:
+                    return False
+            elif s.sym is not t.sym:
+                # this includes a variable left by deref, which has an
+                # empty substitution, against a non-ground application
+                return False
+            else:
+                pairs = zip(s.args, repeat(sigma), t.args, repeat(theta))
+                if stack is None:
+                    stack = list(pairs)
+                else:
+                    stack.extend(pairs)
+        if not stack:
+            return True
+        s, sigma, t, theta = stack.pop()
 
 
 class TermOrder:
@@ -96,29 +104,35 @@ class KboOrder(TermOrder):
 
     def compare_closure(self, s: Term, sigma: Substitution,
                         t: Term, theta: Substitution) -> Label:
-        self.steps += 1
-        s, sigma = _deref(s, sigma)
-        t, theta = _deref(t, theta)
-        if s is t and sigma is theta:
-            return _EQ
-        # the weight of an instance needs only the variables of s
-        sg = term_weight(s).sign(self.signature.w0, sigma,
-                                 term_weight(t), theta)
-        if sg is not _GEQ:
-            return sg
-        if s.sym is None or t.sym is None:
-            # A variable left by deref vs. a term of the same weight:
-            # equal instances were ruled out above, greater is impossible.
-            return _NGE
-        if s.sym.precedence > t.sym.precedence:
-            return _GT
-        if s.sym is not t.sym:
-            return _NGE
-        for a, b in zip(s.args, t.args):
-            if not closure_equal(a, sigma, b, theta):
-                c = self.compare_closure(a, sigma, b, theta)
-                return _GT if c is _GT else _NGE
-        return _EQ
+        # a loop into the first differing argument pair, one step a
+        # level: its verdict is the answer, but EQ below the top is NGE
+        eq = _EQ
+        while True:
+            self.steps += 1
+            s, sigma = _deref(s, sigma)
+            t, theta = _deref(t, theta)
+            if s is t and sigma is theta:
+                return eq
+            # the weight of an instance needs only the variables of s
+            sg = term_weight(s).sign(self.signature.w0, sigma,
+                                     term_weight(t), theta)
+            if sg is not _GEQ:
+                return sg
+            if s.sym is None or t.sym is None:
+                # A variable left by deref vs. a term of the same weight:
+                # equal instances were ruled out above, greater is impossible.
+                return _NGE
+            if s.sym.precedence > t.sym.precedence:
+                return _GT
+            if s.sym is not t.sym:
+                return _NGE
+            for a, b in zip(s.args, t.args):
+                if not closure_equal(a, sigma, b, theta):
+                    s, t = a, b
+                    break
+            else:
+                return eq
+            eq = _NGE
 
 
 class LpoOrder(TermOrder):

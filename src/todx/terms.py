@@ -265,8 +265,8 @@ class LinearExpr:
 
     ``_csum`` is the sum of the coefficients.  A term's weight has only
     non-negative coefficients, so its least value over all groundings
-    with |u| >= w0 is ``constant + w0 * _csum``: the walk in
-    ``Tod.retrieve`` reads an image's least weight off its cached
+    with |u| >= w0 is ``constant + w0 * _csum``: the diagram walk
+    ``todx.tod.retrieve`` reads an image's least weight off its cached
     ``Term._weight`` this way.
     """
 

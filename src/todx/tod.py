@@ -14,6 +14,9 @@ success sets as before, it is just faster to walk.  Once the path of a
 substitution has settled, a walk along it rewrites nothing and only
 evaluates the checks it passes.
 
+The module's ``retrieve`` walks several diagrams one after another in
+one loop; ``Tod.retrieve`` is that walk over one diagram.
+
 Edges carry ``Label``s.  The answer of a check, evaluated or forced,
 is the label of the edge the walk takes next, and the label a walk
 arrives by is the fact its comparison adds to the path.
@@ -61,7 +64,7 @@ class NodeKind(enum.Enum):
 
 _GT, _EQ, _GEQ, _NGE, _NEXT = (Label.GT, Label.EQ, Label.GEQ, Label.NGE,
                                Label.NEXT)
-_TERM, _POS = NodeKind.TERM, NodeKind.POS
+_TERM, _POS, _EXIT = NodeKind.TERM, NodeKind.POS, NodeKind.EXIT
 
 _TERM_LABELS = (_GT, _EQ, _NGE)
 _POS_LABELS = (_GT, _GEQ, _NGE)
@@ -204,9 +207,10 @@ class Tod:
     def evaluate_node(self, node: TodNode, sigma: Substitution) -> Label:
         """The edge a substitution takes out of an evaluation node.
 
-        This is the definition of a node's label.  ``retrieve`` inlines
-        it for the visited nodes it walks, and signs a positivity check
-        from its images' least weights where that gives the same label.
+        This is the definition of a node's label.  The module's walk
+        ``retrieve`` inlines it for the visited nodes of every diagram it
+        walks, and signs a positivity check from its images' least
+        weights where that gives the same label.
         """
         if node.kind is NodeKind.TERM:
             return self.order.compare_closure(node.lhs, sigma, node.rhs, sigma)
@@ -372,110 +376,8 @@ class Tod:
 
     def retrieve(self, sigma: Substitution, first_only: bool = False,
                  results: Optional[list] = None) -> list:
-        """Equality ids ordered under ``sigma`` (appended to ``results``
-        if given), specializing on the way.
-
-        A visited positivity check on ``constant + sum c*v`` signs
-        ``constant + sum c*least(v)`` in integer arithmetic, where
-        ``least(v)`` is the least weight of v's image over groundings
-        with |u| >= w0, read off the image's cached weight ``w`` as
-        ``w.constant + w0 * w._csum``, and is w0 for a variable sigma
-        leaves unbound.  Image weights have non-negative coefficients,
-        so this is ``LinearExpr.sign``'s label unless some ``c < 0``
-        sits on an unbound variable or a non-ground image, which can
-        cancel against another image; such a check calls ``sign``.
-        ``PostOrderingIndex._check_each`` signs an equality's stored
-        weight difference by the same rule, inline as here.
-
-        Results appear in success-node encounter order, which in a shared
-        diagram is insertion order.
-        """
-        st = self.stats
-        compare = self.order.compare_closure
-        w0 = self.order.signature.w0
-        m = sigma._m
-        results = [] if results is None else results
-        prev = self.root
-        arrival = _NEXT
-        node = self.root.out[_NEXT]
-        term = pos = success = 0    # nodes traversed, added to st on exit
-        steps = 0
-        while True:
-            if node.tpo is not None:
-                # visited: evaluate as evaluate_node does, without re-tests
-                kind = node.kind
-                if kind is _TERM:
-                    term += 1
-                    label = compare(node.lhs, sigma, node.rhs, sigma)
-                elif kind is _POS:
-                    pos += 1
-                    expr = node.expr
-                    total = expr.constant
-                    for v, c in expr._coeffs:
-                        img = m.get(v)
-                        # a negative term on an unbound variable or a
-                        # non-ground image can cancel against another image
-                        if c < 0 and (img is None or not img.ground):
-                            label = expr.sign(w0, sigma)
-                            break
-                        if img is None:
-                            total += c * w0
-                        else:
-                            w = img._weight
-                            if w is None:
-                                w = term_weight(img)
-                            total += c * (w.constant + w0 * w._csum)
-                    else:
-                        label = (_GT if total > 0 else
-                                 _GEQ if total == 0 else _NGE)
-                else:
-                    success += 1
-                    label = _NEXT
-                    results.append(node.eq.eq_id)
-                    if first_only:
-                        break
-                prev, arrival, node = node, label, node.out[label]
-                continue
-            kind = node.kind
-            if kind is NodeKind.EXIT:
-                st.answers += 1
-                break
-            # unvisited: a rewrite step; once it sets tpo, the next turn
-            # evaluates the node above
-            steps += 1
-            if steps > STEP_CAP:
-                raise StepCapExceededError(f"retrieval exceeded {STEP_CAP} steps")
-            via = (prev, arrival)
-            if kind is NodeKind.SUCCESS:
-                if node.refs > 1:
-                    node = self.replicate_node(node, via)
-                node.tpo = self._tpo_at(prev, arrival, node)
-                st.nodes_processed.success += 1
-                continue
-            tpo = self._tpo_at(prev, arrival, node)
-            forced = self._forced(node, tpo)
-            if forced is None:
-                # visited or expanded: the walk needs its own copy
-                if node.refs > 1:
-                    node = self.replicate_node(node, via)
-                if (kind is _TERM and node.lhs.sym is not None
-                        and node.rhs.sym is not None):
-                    node = self._transform(node)
-                    continue
-            if kind is _TERM:
-                st.nodes_processed.term += 1
-            else:
-                st.nodes_processed.pos += 1
-            if forced is not None:
-                node = self.remove_forced(node, forced, via)
-                continue
-            node.tpo = tpo
-        traversed = st.nodes_traversed
-        traversed.term += term
-        traversed.pos += pos
-        traversed.success += success
-        st.answers += success       # one id appended per success node
-        return results
+        """The module's walk ``retrieve`` over this diagram alone."""
+        return retrieve((self,), sigma, first_only, results)
 
     # -- introspection ------------------------------------------------------------
 
@@ -550,3 +452,127 @@ class Tod:
                 if dst.visited and not n.visited:
                     raise TodStructureError(
                         f"visited {dst!r} under unvisited {n!r}")
+
+
+def retrieve(tods, sigma: Substitution, first_only: bool = False,
+             results: Optional[list] = None) -> list:
+    """Equality ids the diagrams ``tods`` order under ``sigma`` (appended
+    to ``results`` if given), walking them one after another and
+    specializing on the way.
+
+    ``tods`` is a collection of diagrams over one order and one
+    ``Stats``, as a group's diagrams are; both are read off the first.
+    Traversed nodes and exits reached are counted in locals and added at
+    the end (``answers`` gains one per id and one per exit).
+    ``STEP_CAP`` holds per diagram, and ``first_only`` stops at the
+    first success in any diagram.
+
+    A visited positivity check on ``constant + sum c*v`` signs
+    ``constant + sum c*least(v)`` in integer arithmetic, where
+    ``least(v)`` is the least weight of v's image over groundings with
+    |u| >= w0, read off the image's cached weight ``w`` as
+    ``w.constant + w0 * w._csum``, and is w0 for a variable sigma leaves
+    unbound.  Image weights have non-negative coefficients, so this is
+    ``LinearExpr.sign``'s label unless some ``c < 0`` sits on an unbound
+    variable or a non-ground image, which can cancel against another
+    image; such a check calls ``sign``.
+    ``PostOrderingIndex._check_each`` signs an equality's stored weight
+    difference by the same rule, inline as here.
+
+    Results appear in diagram order and, within a diagram, in
+    success-node encounter order, which in a shared diagram is
+    insertion order.
+    """
+    results = [] if results is None else results
+    for tod in tods:
+        break       # the first: its order and stats serve all
+    else:
+        return results
+    st = tod.stats
+    compare = tod.order.compare_closure
+    w0 = tod.order.signature.w0
+    m = sigma._m
+    term = pos = success = exits = 0    # added to st once, at the end
+    for tod in tods:
+        prev = tod.root
+        arrival = _NEXT
+        node = prev.out[_NEXT]
+        steps = 0
+        while True:
+            if node.tpo is not None:
+                # visited: evaluate as evaluate_node does, without re-tests
+                kind = node.kind
+                if kind is _TERM:
+                    term += 1
+                    label = compare(node.lhs, sigma, node.rhs, sigma)
+                elif kind is _POS:
+                    pos += 1
+                    expr = node.expr
+                    total = expr.constant
+                    for v, c in expr._coeffs:
+                        img = m.get(v)
+                        # a negative term on an unbound variable or a
+                        # non-ground image can cancel against another image
+                        if c < 0 and (img is None or not img.ground):
+                            label = expr.sign(w0, sigma)
+                            break
+                        if img is None:
+                            total += c * w0
+                        else:
+                            w = img._weight
+                            if w is None:
+                                w = term_weight(img)
+                            total += c * (w.constant + w0 * w._csum)
+                    else:
+                        label = (_GT if total > 0 else
+                                 _GEQ if total == 0 else _NGE)
+                else:
+                    success += 1
+                    label = _NEXT
+                    results.append(node.eq.eq_id)
+                    if first_only:
+                        break
+                prev, arrival, node = node, label, node.out[label]
+                continue
+            kind = node.kind
+            if kind is _EXIT:
+                exits += 1
+                break
+            # unvisited: a rewrite step; once it sets tpo, the next turn
+            # evaluates the node above
+            steps += 1
+            if steps > STEP_CAP:
+                raise StepCapExceededError(f"retrieval exceeded {STEP_CAP} steps")
+            via = (prev, arrival)
+            if kind is NodeKind.SUCCESS:
+                if node.refs > 1:
+                    node = tod.replicate_node(node, via)
+                node.tpo = tod._tpo_at(prev, arrival, node)
+                st.nodes_processed.success += 1
+                continue
+            tpo = tod._tpo_at(prev, arrival, node)
+            forced = tod._forced(node, tpo)
+            if forced is None:
+                # visited or expanded: the walk needs its own copy
+                if node.refs > 1:
+                    node = tod.replicate_node(node, via)
+                if (kind is _TERM and node.lhs.sym is not None
+                        and node.rhs.sym is not None):
+                    node = tod._transform(node)
+                    continue
+            if kind is _TERM:
+                st.nodes_processed.term += 1
+            else:
+                st.nodes_processed.pos += 1
+            if forced is not None:
+                node = tod.remove_forced(node, forced, via)
+                continue
+            node.tpo = tpo
+        if kind is not _EXIT:
+            break       # first_only stopped at a success
+    traversed = st.nodes_traversed
+    traversed.term += term
+    traversed.pos += pos
+    traversed.success += success
+    st.answers += success + exits
+    return results

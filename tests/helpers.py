@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 
+import todx.index
 from oracles import instantiate
 from todx import (MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, Term, canonicalize_equality,
@@ -101,6 +103,7 @@ class ScenarioChecker:
         self.validate = validate
         self.max_depth = max_depth
         self._paths: dict = {}
+        self._sigma = None      # of the walk running, see _walks_recorded
 
     # -- operations ---------------------------------------------------------
 
@@ -150,8 +153,9 @@ class ScenarioChecker:
         key = rng.choice(self.group_keys)
         kvars = sorted({u.vid for u in subterms(key) if u.sym is None})
         sigma = random_subst(rng, self.sig, kvars, self.max_depth)
-        results = {m: idx.query(key, sigma, want)
-                   for m, idx in self.indexes.items()}
+        with self._walks_recorded():
+            results = {m: idx.query(key, sigma, want)
+                       for m, idx in self.indexes.items()}
         expected = [i for i, l, r in self.model
                     if l is key and i not in self.deleted
                     and self.order.compare(instantiate(self.sig, l, sigma),
@@ -182,26 +186,36 @@ class ScenarioChecker:
 
     # -- invariant tracking ---------------------------------------------------
 
-    @staticmethod
-    def _audit_forcing(tod) -> None:
-        """Wrap ``tod``'s retrieval on the instance: a forced label must
-        match what evaluating the node gives for the substitution that
-        reached it, checked before the node is bypassed."""
-        retrieve, remove_forced = tod.retrieve, tod.remove_forced
-        sigma = None
-
-        def audited_retrieve(s, first_only=False, results=None):
-            nonlocal sigma
-            sigma = s
-            return retrieve(s, first_only, results)
+    def _audit_forcing(self, tod) -> None:
+        """Wrap ``tod``'s forced bypass on the instance: a forced label
+        must match what evaluating the node gives for the substitution
+        of the walk that reached it (see ``_walks_recorded``), checked
+        before the node is bypassed."""
+        remove_forced = tod.remove_forced
 
         def audited_remove_forced(node, label, via):
-            assert tod.evaluate_node(node, sigma) is label, (
+            assert tod.evaluate_node(node, self._sigma) is label, (
                 f"forced {label} but evaluation disagrees at {node!r}")
             return remove_forced(node, label, via)
 
-        tod.retrieve = audited_retrieve
         tod.remove_forced = audited_remove_forced
+
+    @contextmanager
+    def _walks_recorded(self):
+        """Record in ``self._sigma`` the substitution of each walk the
+        indexes enter, where they enter it: ``todx.index.retrieve``."""
+        walk = todx.index.retrieve
+
+        def recorded(tods, sigma, first_only=False, results=None):
+            self._sigma = sigma
+            return walk(tods, sigma, first_only, results)
+
+        todx.index.retrieve = recorded
+        try:
+            yield
+        finally:
+            todx.index.retrieve = walk
+            self._sigma = None
 
     def _check_gauges(self) -> None:
         """The live counts the index reports agree with the model, and

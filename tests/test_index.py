@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import ScenarioChecker, subterms
+from helpers import (PROMOTE_SETTINGS, SIG_SHAPES, ScenarioChecker,
+                     random_signature, random_subst, random_term, subterms)
 from oracles import instantiate, ref_compare
 from todx import (DuplicateEqualityError, IndexMode, Label, LinearExpr,
                   MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, UnknownEqualityError,
                   canonicalize_equality, make_order, term_weight)
+import todx.index
 from todx.index import PROMOTE_AFTER
 
 MODES = ("off", "on", "shared")
@@ -45,6 +47,113 @@ def test_per_equality_mode_two_tods(sig, swap_setup):
     idx.insert(l, r2)
     assert idx.snapshot_stats().tods == 2
     assert len(idx.tods()) == 2
+
+
+# -- one walk over a group's diagrams -----------------------------------------
+
+def _third_of_four_setup(sig):
+    """f(x,y) and four rhs; under {x -> a, y -> g(a)} only the third is
+    ordered, under KBO and LPO alike."""
+    x, y = sig.var(0), sig.var(1)
+    rhss = [sig.app("f", [y, x]), sig.app("f", [y, y]), sig.app("f", [x, x]),
+            sig.app("f", [y, sig.app("f", [x, x])])]
+    a = sig.app("a")
+    return sig.app("f", [x, y]), rhss, Substitution({0: a, 1: sig.app("g", [a])})
+
+
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+def test_one_walk_stops_at_the_first_success_in_any_diagram(sig, order):
+    l, rhss, sigma = _third_of_four_setup(sig)
+    ordered = [r for r in rhss
+               if ref_compare(sig, order, instantiate(sig, l, sigma),
+                              instantiate(sig, r, sigma)) is Label.GT]
+    assert ordered == [rhss[2]]
+    idx = make_index(sig, "on", order)
+    ids = [idx.insert(l, r) for r in rhss]
+    # inserted before the first query: a diagram each
+    assert len(idx.tods()) == 4
+    # the same group without its fourth member
+    three = make_index(sig, "on", order)
+    for r in rhss[:3]:
+        three.insert(l, r)
+    assert idx.query(l, sigma, want="first") == [ids[2]]
+    assert three.query(l, sigma, want="first") == [ids[2]]
+    st, st3 = idx.snapshot_stats(), three.snapshot_stats()
+    # the fourth diagram is never entered
+    assert st.nodes_traversed == st3.nodes_traversed
+    assert st.nodes_processed == st3.nodes_processed
+    assert not any(n.visited for n in idx.tods()[3].nodes()[1:])
+    # one id, and the exits of the first two diagrams
+    assert st.answers == 3
+    assert idx.query(l, sigma) == [ids[2]]
+    assert idx.snapshot_stats().answers == 3 + 1 + 4
+
+
+def _walk_per_diagram(tods, sigma, first_only=False, results=None):
+    """The walk over a group's diagrams as a loop of one-diagram walks."""
+    results = [] if results is None else results
+    for tod in tods:
+        tod.retrieve(sigma, first_only, results)
+        if first_only and results:
+            break
+    return results
+
+
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+def test_one_walk_matches_a_walk_per_diagram(order, monkeypatch):
+    # two ``on`` indexes take the same operations; one queries through a
+    # loop that calls ``Tod.retrieve`` per diagram.  Results and every
+    # counter must agree after each query.
+    walk = todx.index.retrieve
+    diagrams = 0
+    for promote_after in PROMOTE_SETTINGS:
+        monkeypatch.setattr(todx.index, "PROMOTE_AFTER", promote_after)
+        for seed in range(30):
+            rng = random.Random(seed)
+            sig = random_signature(rng, rng.choice(list(SIG_SHAPES)))
+            keys = []
+            for _ in range(2):
+                key = random_term(rng, sig, [0, 1], 1)
+                while key.sym is None:
+                    key = random_term(rng, sig, [0, 1], 1)
+                keys.append(key)
+            one, per = (make_index(sig, "on", order) for _ in range(2))
+            for step in range(60):
+                roll = rng.random()
+                if step < 8 or roll < 0.2:
+                    lhs = rng.choice(keys)
+                    lvars = sorted({u.vid for u in subterms(lhs)
+                                    if u.sym is None})
+                    rhs = random_term(rng, sig, lvars or [0], 2)
+                    try:
+                        eq_id = one.insert(lhs, rhs)
+                    except (MalformedEqualityError, DuplicateEqualityError):
+                        continue
+                    assert per.insert(lhs, rhs) == eq_id
+                elif roll < 0.3:
+                    live = list(one._live)
+                    if live:
+                        eq_id = rng.choice(live)
+                        one.remove(eq_id)
+                        per.remove(eq_id)
+                else:
+                    lhs = rng.choice(keys)
+                    lvars = sorted({u.vid for u in subterms(lhs)
+                                    if u.sym is None})
+                    sigma = random_subst(rng, sig, lvars, 2)
+                    want = rng.choice(["all", "first"])
+                    diagrams = max([diagrams] + [len(g.tods) for g in
+                                                 one._groups.values()])
+                    got = one.query(lhs, sigma, want)
+                    monkeypatch.setattr(todx.index, "retrieve",
+                                        _walk_per_diagram)
+                    expected = per.query(lhs, sigma, want)
+                    monkeypatch.setattr(todx.index, "retrieve", walk)
+                    assert got == expected, (seed, step)
+                    assert one.snapshot_stats() == per.snapshot_stats(), (
+                        seed, step)
+    # some group held several diagrams when queried
+    assert diagrams >= 6
 
 
 def test_alpha_renamed_lhs_lands_in_same_group(sig, swap_setup):
@@ -536,8 +645,10 @@ def test_order_is_built_over_the_index_signature(sig):
 
 # -- the cached canonical lhs -------------------------------------------------
 
-def spy_substitutions(idx):
-    """Record the canonical substitutions ``idx`` passes on to its checks."""
+def spy_substitutions(idx, monkeypatch):
+    """Record the canonical substitutions ``idx`` passes on to its checks:
+    in ``off`` to its order's comparisons, otherwise to the walk over a
+    group's diagrams, where the index enters it."""
     seen = []
     if idx.mode is IndexMode.OFF:
         compare = idx.order.compare_closure
@@ -548,13 +659,13 @@ def spy_substitutions(idx):
 
         idx.order.compare_closure = spy
     else:
-        for tod in idx.tods():
-            def spy(sigma, first_only=False, results=None,
-                    _retrieve=tod.retrieve):
-                seen.append(sigma)
-                return _retrieve(sigma, first_only, results)
+        walk = todx.index.retrieve
 
-            tod.retrieve = spy
+        def spy(tods, sigma, first_only=False, results=None):
+            seen.append(sigma)
+            return walk(tods, sigma, first_only, results)
+
+        monkeypatch.setattr(todx.index, "retrieve", spy)
     return seen
 
 
@@ -576,12 +687,13 @@ def test_alpha_renamed_query_lhs_answers_alike(sig, swap_setup, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_binding_renamed_onto_itself_is_dropped(sig, swap_setup, mode):
+def test_binding_renamed_onto_itself_is_dropped(sig, swap_setup, mode,
+                                                 monkeypatch):
     l, r1, r2 = swap_setup
     idx = make_index(sig, mode)
     idx.insert(l, r1)
     idx.insert(l, r2)
-    seen = spy_substitutions(idx)
+    seen = spy_substitutions(idx, monkeypatch)
     # x5 -> x0 and x3 -> x1 are identities once x5, x3 become x0, x1
     sigma = Substitution({5: sig.var(0), 3: sig.var(1)})
     assert len(sigma._m) == 2
@@ -604,7 +716,8 @@ def test_bindings_outside_the_lhs_are_ignored(sig, swap_setup, mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_canonical_lhs_passes_its_substitution_through(sig, swap_setup, mode):
+def test_canonical_lhs_passes_its_substitution_through(sig, swap_setup, mode,
+                                                       monkeypatch):
     l, r1, r2 = swap_setup
     idx = make_index(sig, mode)
     idx.insert(l, r1)
@@ -614,12 +727,12 @@ def test_canonical_lhs_passes_its_substitution_through(sig, swap_setup, mode):
     for sigma in (Substitution({0: faa, 1: a}), Substitution({0: faa}),
                   Substitution({1: sig.var(0)}),
                   Substitution({0: faa, 2: a})):
-        seen = spy_substitutions(idx)
+        seen = spy_substitutions(idx, monkeypatch)
         idx.query(l, sigma)
         assert seen and all(s is sigma for s in seen), sigma
     # a renamed lhs takes the renaming
     sigma = Substitution({3: faa, 1: a})
-    seen = spy_substitutions(idx)
+    seen = spy_substitutions(idx, monkeypatch)
     idx.query(sig.app("f", [sig.var(3), sig.var(1)]), sigma)
     assert seen and all(s is not sigma for s in seen), sigma
 
@@ -707,6 +820,23 @@ def test_deep_lhs_retrieved_under_kbo(mode):
     idx = PostOrderingIndex(sig, "kbo", mode)
     eq_id = idx.insert(deep, x)
     assert idx.query(deep, Substitution({0: sig.app("a")})) == [eq_id]
+
+
+def test_deep_terms_on_both_sides_compared_under_kbo():
+    # g^1500(f(x,y)) = g^1500(f(y,x)): the weights tie at every level, so
+    # the comparison descends 1500 levels to f(g(a),a) > f(a,g(a)), one
+    # step per level
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("f", 2, 1, 2)])
+    assert sys.getrecursionlimit() < 1500
+    x, y = sig.var(0), sig.var(1)
+    lhs, rhs = sig.app("f", [x, y]), sig.app("f", [y, x])
+    for _ in range(1500):
+        lhs, rhs = sig.app("g", [lhs]), sig.app("g", [rhs])
+    idx = PostOrderingIndex(sig, "kbo", "off")
+    e1 = idx.insert(lhs, rhs)
+    a = sig.app("a")
+    assert idx.query(lhs, Substitution({0: sig.app("g", [a]), 1: a})) == [e1]
+    assert idx.snapshot_stats().naive_comparisons == 1500 + 2
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -70,6 +71,19 @@ def test_closure_equal_needs_no_instantiation(sig):
     t = sig.app("g", [x])
     assert closure_equal(t, EMPTY_SUBST, t, EMPTY_SUBST)
     assert not closure_equal(x, Substitution({0: a}), b, EMPTY_SUBST)
+
+
+def test_closure_equal_of_deep_chains(sig):
+    # g^(10^4)(x) and g^(10^4)(y) differ only at the bottom
+    assert sys.getrecursionlimit() < 10 ** 4
+    x, y = sig.var(0), sig.var(1)
+    s, t = x, y
+    for _ in range(10 ** 4):
+        s, t = sig.app("g", [s]), sig.app("g", [t])
+    a, b = sig.app("a"), sig.app("b")
+    apart, alike = Substitution({0: a, 1: b}), Substitution({0: a, 1: a})
+    assert not closure_equal(s, apart, t, apart)
+    assert closure_equal(s, alike, t, alike)
 
 
 def test_closure_weight_variable_case(sig):
