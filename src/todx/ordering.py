@@ -48,7 +48,7 @@ def _deref(s: Term, sigma: Substitution):
 def closure_equal(s: Term, sigma: Substitution, t: Term, theta: Substitution) -> bool:
     """Whether s*sigma and t*theta denote the same term, without building
     it.  Argument pairs wait on a stack of its own, so any depth is fine."""
-    stack = None    # most calls settle at the top pair without one
+    stack = []
     while True:
         if s is not t or sigma is not theta:
             s, sigma = _deref(s, sigma)
@@ -61,11 +61,7 @@ def closure_equal(s: Term, sigma: Substitution, t: Term, theta: Substitution) ->
                 # empty substitution, against a non-ground application
                 return False
             else:
-                pairs = zip(s.args, repeat(sigma), t.args, repeat(theta))
-                if stack is None:
-                    stack = list(pairs)
-                else:
-                    stack.extend(pairs)
+                stack.extend(zip(s.args, repeat(sigma), t.args, repeat(theta)))
         if not stack:
             return True
         s, sigma, t, theta = stack.pop()

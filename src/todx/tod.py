@@ -460,8 +460,9 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
     to ``results`` if given), walking them one after another and
     specializing on the way.
 
-    ``tods`` is a collection of diagrams over one order and one
-    ``Stats``, as a group's diagrams are; both are read off the first.
+    ``tods`` is a non-empty collection of diagrams over one order and
+    one ``Stats``, as a group's diagrams are; both are read off the
+    first.
     Traversed nodes and exits reached are counted in locals and added at
     the end (``answers`` gains one per id and one per exit).
     ``STEP_CAP`` holds per diagram, and ``first_only`` stops at the
@@ -484,13 +485,10 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
     insertion order.
     """
     results = [] if results is None else results
-    for tod in tods:
-        break       # the first: its order and stats serve all
-    else:
-        return results
-    st = tod.stats
-    compare = tod.order.compare_closure
-    w0 = tod.order.signature.w0
+    first = next(iter(tods))
+    st = first.stats
+    compare = first.order.compare_closure
+    w0 = first.order.signature.w0
     m = sigma._m
     term = pos = success = exits = 0    # added to st once, at the end
     for tod in tods:
