@@ -217,7 +217,10 @@ class PostOrderingIndex:
         """Add an equality; returns its id.
 
         Pre-ordered equalities are accepted; their diagram nodes
-        simplify away on first retrieval.
+        simplify away on first retrieval.  Canonicalization rebuilds
+        each non-ground subterm with the index's signature, which
+        raises ``SignatureError`` on another signature's symbol; a
+        ground subterm is not rebuilt, so a foreign one goes unchecked.
         """
         lhs_c, rhs_c = canonicalize_equality(self.signature, lhs, rhs)
         group = self._groups.get(lhs_c)
@@ -372,13 +375,13 @@ class PostOrderingIndex:
         stopped at a first answer.
 
         A KBO equality's stored weight difference ``constant + sum c*v``
-        is signed as ``constant + sum c*least(v)`` in integer arithmetic,
-        by the rule of the positivity checks in the diagram walk, inline
-        as there.  A nonzero total is the verdict of ``compare_closure``'s
-        weight step, GT or NGE, and counts as its one step.  A zero
-        total, a ``c < 0`` on an unbound variable or a non-ground image
-        (another image can cancel it), and an LPO equality take one
-        closure comparison.
+        is signed as ``constant + sum c*least(v)`` in integer arithmetic
+        (``least(v)``: v's image's ``Term.least``, or w0), inline as the
+        diagram walk signs it.  A nonzero total is the verdict of
+        ``compare_closure``'s weight step, GT or NGE, and counts as its
+        one step.  A zero total, a ``c < 0`` on an unbound variable or a
+        non-ground image (another image can cancel it), and an LPO
+        equality take one closure comparison.
         """
         st = self.stats
         order = self.order
@@ -398,13 +401,7 @@ class PostOrderingIndex:
                     if c < 0 and (img is None or not img.ground):
                         total = 0       # undecided: compare below
                         break
-                    if img is None:
-                        total += c * w0
-                    else:
-                        w = img._weight
-                        if w is None:
-                            w = term_weight(img)
-                        total += c * (w.constant + w0 * w._csum)
+                    total += c * (w0 if img is None else img.least)
             if total < 0:
                 decided += 1
                 continue

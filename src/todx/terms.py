@@ -46,21 +46,26 @@ class Term:
 
     Never construct directly; use ``Signature.var`` / ``Signature.app``.
     Equality and hashing are by identity, which coincides with
-    structural equality thanks to interning.  ``_weight`` and ``_canon``
-    cache pure functions of the term (its weight, and the index's
-    canonical form of it as a left-hand side), filled on first use;
-    they live and die with the term and never go stale.
+    structural equality thanks to interning.  ``least`` is the term's
+    weight with every variable at ``w0``, its least weight over all
+    groundings with |x| >= w0; the signature sets it on construction.
+    ``_weight`` and ``_canon`` cache pure functions of the term (its
+    weight, and the index's canonical form of it as a left-hand side),
+    filled on first use; they live and die with the term and never go
+    stale.
     """
 
-    __slots__ = ("sym", "args", "vid", "ground", "tid", "_weight", "_canon")
+    __slots__ = ("sym", "args", "vid", "ground", "tid", "least", "_weight",
+                 "_canon")
 
     def __init__(self, sym: Optional[Symbol], args: tuple, vid: int,
-                 ground: bool, tid: int):
+                 ground: bool, tid: int, least: int):
         self.sym = sym
         self.args = args
         self.vid = vid
         self.ground = ground
         self.tid = tid
+        self.least = least
         self._weight: Optional[LinearExpr] = None
         self._canon: Optional[tuple] = None
 
@@ -155,13 +160,16 @@ class Signature:
     def var(self, vid: int) -> Term:
         t = self._vars.get(vid)
         if t is None:
-            t = Term(None, (), vid, False, self._new_tid())
+            t = Term(None, (), vid, False, self._new_tid(), self.w0)
             self._vars[vid] = t
         return t
 
     def app(self, f: Union[Symbol, str], args: Sequence[Term] = ()) -> Term:
         if isinstance(f, str):
             f = self.symbol(f)
+        elif self._by_name.get(f.name) is not f:
+            # its index may key another symbol's terms here
+            raise SignatureError(f"symbol {f.name} is not of this signature")
         args = tuple(args)
         if len(args) != f.arity:
             raise ArityError(
@@ -169,7 +177,8 @@ class Signature:
         key = (f.index,) + tuple(a.tid for a in args)
         t = self._apps.get(key)
         if t is None:
-            t = Term(f, args, -1, all(a.ground for a in args), self._new_tid())
+            t = Term(f, args, -1, all(a.ground for a in args), self._new_tid(),
+                     f.weight + sum(a.least for a in args))
             self._apps[key] = t
         return t
 
@@ -262,21 +271,14 @@ class LinearExpr:
     Zero coefficients are dropped on construction, so comparing against
     the zero expression is a cheap structural check.  Instances are
     immutable and hashable.
-
-    ``_csum`` is the sum of the coefficients.  A term's weight has only
-    non-negative coefficients, so its least value over all groundings
-    with |u| >= w0 is ``constant + w0 * _csum``: the diagram walk
-    ``todx.tod.retrieve`` reads an image's least weight off its cached
-    ``Term._weight`` this way.
     """
 
-    __slots__ = ("constant", "_coeffs", "_csum")
+    __slots__ = ("constant", "_coeffs")
 
     def __init__(self, constant: int = 0, coeffs: Union[dict, Iterable[tuple]] = ()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         self.constant = constant
         self._coeffs = tuple(sorted((v, c) for v, c in items if c != 0))
-        self._csum = sum(c for _, c in self._coeffs)
 
     @property
     def is_zero(self) -> bool:

@@ -470,9 +470,7 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
 
     A visited positivity check on ``constant + sum c*v`` signs
     ``constant + sum c*least(v)`` in integer arithmetic, where
-    ``least(v)`` is the least weight of v's image over groundings with
-    |u| >= w0, read off the image's cached weight ``w`` as
-    ``w.constant + w0 * w._csum``, and is w0 for a variable sigma leaves
+    ``least(v)`` is v's image's ``Term.least``, or w0 if sigma leaves v
     unbound.  Image weights have non-negative coefficients, so this is
     ``LinearExpr.sign``'s label unless some ``c < 0`` sits on an unbound
     variable or a non-ground image, which can cancel against another
@@ -514,13 +512,7 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
                         if c < 0 and (img is None or not img.ground):
                             label = expr.sign(w0, sigma)
                             break
-                        if img is None:
-                            total += c * w0
-                        else:
-                            w = img._weight
-                            if w is None:
-                                w = term_weight(img)
-                            total += c * (w.constant + w0 * w._csum)
+                        total += c * (w0 if img is None else img.least)
                     else:
                         label = (_GT if total > 0 else
                                  _GEQ if total == 0 else _NGE)

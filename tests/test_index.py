@@ -10,7 +10,7 @@ from helpers import (PROMOTE_SETTINGS, SIG_SHAPES, ScenarioChecker,
 from oracles import instantiate, ref_compare
 from todx import (DuplicateEqualityError, IndexMode, Label, LinearExpr,
                   MalformedEqualityError, NodeKind, PostOrderingIndex,
-                  Signature, Substitution, UnknownEqualityError,
+                  Signature, SignatureError, Substitution, UnknownEqualityError,
                   canonicalize_equality, make_order, term_weight)
 import todx.index
 from todx.index import PROMOTE_AFTER
@@ -207,6 +207,24 @@ def test_rhs_with_fresh_variables_rejected(sig):
     x, z = sig.var(0), sig.var(5)
     with pytest.raises(MalformedEqualityError):
         make_index(sig, "off").insert(sig.app("g", [x]), sig.app("f", [x, z]))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_insert_refuses_another_signatures_term(mode):
+    # g and h trade indexes between the signatures: rebuilt in A, B's h(x)
+    # would take the interner slot of A's g(x)
+    a_sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("h", 1, 5, 2),
+                       ("f", 2, 1, 3)])
+    b_sig = Signature([("a", 0, 1, 0), ("h", 1, 5, 1), ("g", 1, 1, 2),
+                       ("f", 2, 1, 3)])
+    x = b_sig.var(0)
+    idx = make_index(a_sig, mode)
+    with pytest.raises(SignatureError, match="symbol h"):
+        idx.insert(b_sig.app("f", [b_sig.app("h", [x]), x]),
+                   b_sig.app("f", [x, x]))
+    gx = a_sig.app("g", [a_sig.var(0)])
+    assert repr(gx) == "g(x0)" and gx.least == 1 + a_sig.w0
+    assert idx.groups() == []
 
 
 def test_remove_unknown_and_idempotent(sig, swap_setup):
@@ -898,7 +916,7 @@ def test_unbound_variable_cancelled_by_an_image(mode):
         assert idx.query(lhs, sigma) == [eq_id]
 
 
-@pytest.mark.parametrize("mode", ["on", "shared"])
+@pytest.mark.parametrize("mode", MODES)
 def test_ground_queries_sign_positivity_checks_without_sign(guard_setup, mode,
                                                             monkeypatch):
     sig, lhs, rhs = guard_setup
@@ -917,7 +935,12 @@ def test_ground_queries_sign_positivity_checks_without_sign(guard_setup, mode,
     monkeypatch.setattr(LinearExpr, "sign", counting_sign)
     pos = idx.stats.nodes_traversed.pos
     assert idx.query(lhs, ground) == [eq_id]
-    assert idx.stats.nodes_traversed.pos > pos
+    assert idx.stats.nodes_traversed.pos > pos or mode == "off"
+    # a fresh image is signed by its least weight, set by the interner:
+    # its weight is never built
+    fresh = sig.app("h", [sig.app("h", [a, a]), a])
+    assert idx.query(lhs, Substitution({0: fresh, 1: a})) == [eq_id]
+    assert fresh._weight is None
     assert calls == []
     assert idx.query(lhs, Substitution({0: a, 1: sig.var(5)})) == []
     assert calls

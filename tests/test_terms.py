@@ -46,6 +46,9 @@ def test_intern_raw_tree_10000_deep(sig):
     for _ in range(10 ** 4):
         built = sig.app("g", [built])
     assert deep is built
+    # its weight with x0 at a, |a| = w0
+    at_w0 = term_weight(deep).subst(Substitution({0: sig.app("a")}))
+    assert deep.least == at_w0.constant == 10 ** 4 + 3
 
 
 def test_term_repr(sig):
@@ -235,6 +238,17 @@ def test_interning_identity_matches_structure(raw1, raw2):
     assert sig.intern(raw1) is t1
 
 
+@given(st.sampled_from([1, 2]), _raw_trees)
+@settings(max_examples=300)
+def test_least_is_the_weight_with_every_variable_at_w0(w0, raw):
+    sig = Signature([("a", 0, w0, 0), ("b", 0, w0 + 1, 1), ("g", 1, 1, 2),
+                     ("f", 2, 2, 3)])
+    t = sig.intern(raw)
+    at_w0 = Substitution({v: sig.app("a") for v in (0, 1, 2)})
+    assert t.least == term_weight(instantiate(sig, t, at_w0)).constant
+    assert sig.var(7).least == w0
+
+
 def test_linear_expr_drops_zero_coeffs():
     e = LinearExpr(1, {0: 0, 1: 2})
     assert dict(e._coeffs) == {1: 2}
@@ -289,9 +303,8 @@ def test_walk_signs_positivity_as_sign_does(w0, constant, coeffs, images):
     # free variable at a, |a| = w0
     at_w0 = Substitution({v: sig.app("a") for v in (0, 1, 2, 3, 100, 101)})
     for img in sigma._m.values():
-        w = term_weight(img)
         least = term_weight(instantiate(sig, img, at_w0))
-        assert w.constant + w0 * w._csum == least.constant
+        assert img.least == least.constant
     e = LinearExpr(constant, coeffs)
     tod, answers = one_check_diagram(sig, e)
     assert tod.retrieve(sigma) == [answers[e.sign(w0, sigma)]]
