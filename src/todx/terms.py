@@ -177,8 +177,11 @@ class Signature:
         key = (f.index,) + tuple(a.tid for a in args)
         t = self._apps.get(key)
         if t is None:
-            t = Term(f, args, -1, all(a.ground for a in args), self._new_tid(),
-                     f.weight + sum(a.least for a in args))
+            ground, least = True, f.weight
+            for a in args:
+                ground = ground and a.ground
+                least += a.least
+            t = Term(f, args, -1, ground, self._new_tid(), least)
             self._apps[key] = t
         return t
 
