@@ -260,10 +260,6 @@ class Label(enum.Enum):
     NGE = "!>="
     NEXT = "."
 
-    # Every walk step looks up ``node.out[label]``; Enum's own __hash__
-    # is a Python-level call that hashes the member name, identity is not.
-    __hash__ = object.__hash__
-
     def __repr__(self) -> str:
         return self.value
 

@@ -19,7 +19,12 @@ one loop; ``Tod.retrieve`` is that walk over one diagram.
 
 Edges carry ``Label``s.  The answer of a check, evaluated or forced,
 is the label of the edge the walk takes next, and the label a walk
-arrives by is the fact its comparison adds to the path.
+arrives by is the fact its comparison adds to the path.  Each kind uses
+fixed labels, so a node keeps its edges in three slots: ``gt``, ``mid``
+(EQ of a comparison, GEQ of a positivity check, NEXT of the root and of
+a success) and ``nge``.  The walk and every rewrite read and write the
+slots; ``TodNode.out`` is a ``{label: target}`` view built from them
+for introspection.
 
 A diagram is mutated during retrieval, so all operations on one diagram
 are single-threaded; distinct diagrams may be used concurrently.
@@ -66,8 +71,11 @@ _GT, _EQ, _GEQ, _NGE, _NEXT = (Label.GT, Label.EQ, Label.GEQ, Label.NGE,
                                Label.NEXT)
 _TERM, _POS, _EXIT = NodeKind.TERM, NodeKind.POS, NodeKind.EXIT
 
-_TERM_LABELS = (_GT, _EQ, _NGE)
-_POS_LABELS = (_GT, _GEQ, _NGE)
+# the label of the mid slot, and the slots each kind fills
+_MID_LABEL = {NodeKind.TERM: _EQ, NodeKind.POS: _GEQ, NodeKind.ROOT: _NEXT,
+              NodeKind.SUCCESS: _NEXT, NodeKind.EXIT: _NEXT}
+_LAYOUT = {NodeKind.TERM: ("gt", "mid", "nge"), NodeKind.POS: ("gt", "mid", "nge"),
+           NodeKind.ROOT: ("mid",), NodeKind.SUCCESS: ("mid",), NodeKind.EXIT: ()}
 
 
 @dataclass(eq=False)
@@ -88,9 +96,12 @@ class Equality:
 
 class TodNode:
     """A diagram node.  It is visited exactly when it has ``tpo``, the
-    closure of its path formula, which the walk sets on the first visit."""
+    closure of its path formula, which the walk sets on the first visit.
+    Its edges are the slots ``gt``, ``mid`` and ``nge``; a slot its kind
+    does not use is None."""
 
-    __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "tpo", "out", "refs")
+    __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "tpo", "gt", "mid",
+                 "nge", "refs")
 
     def __init__(self, kind: NodeKind, lhs: Optional[Term] = None,
                  rhs: Optional[Term] = None, expr: Optional[LinearExpr] = None,
@@ -101,12 +112,27 @@ class TodNode:
         self.expr = expr
         self.eq = eq
         self.tpo: Optional[PartialOrdering] = None
-        self.out: dict[Label, TodNode] = {}
+        self.gt = self.mid = self.nge = None
         self.refs = 0       # incoming edges
 
     @property
     def visited(self) -> bool:
         return self.tpo is not None
+
+    @property
+    def out(self) -> dict:
+        """The edges as ``{label: target}``, a view built from the slots."""
+        edges = ((_GT, self.gt), (_MID_LABEL[self.kind], self.mid),
+                 (_NGE, self.nge))
+        return {label: dst for label, dst in edges if dst is not None}
+
+    def edge(self, label: Label) -> Optional[TodNode]:
+        """The target of the ``label`` edge, or None."""
+        if label is _GT:
+            return self.gt
+        if label is _NGE:
+            return self.nge
+        return self.mid if label is _MID_LABEL[self.kind] else None
 
     def label(self) -> str:
         k = self.kind
@@ -137,20 +163,34 @@ class Tod:
         self.root = TodNode(NodeKind.ROOT)
         self.exit = TodNode(NodeKind.EXIT)
         self.root.tpo = self.tpo_store.empty
-        self._link(self.root, _NEXT, self.exit)
+        self._link3(self.root, None, self.exit, None)
 
     # -- construction helpers -------------------------------------------------
 
     def _link(self, src: TodNode, label: Label, dst: TodNode) -> None:
-        src.out[label] = dst
+        if label is _GT:
+            src.gt = dst
+        elif label is _NGE:
+            src.nge = dst
+        else:
+            src.mid = dst
         dst.refs += 1
+
+    def _link3(self, src: TodNode, gt: Optional[TodNode], mid: TodNode,
+               nge: Optional[TodNode]) -> None:
+        """Give ``src``, which has no edges, these three; None for a slot
+        its kind does not use."""
+        src.gt, src.mid, src.nge = gt, mid, nge
+        for dst in (gt, mid, nge):
+            if dst is not None:
+                dst.refs += 1
 
     def _unlink_out(self, src: TodNode) -> list:
         """Remove all outgoing edges of ``src``; return the old targets."""
-        old = list(src.out.values())
+        old = [dst for dst in (src.gt, src.mid, src.nge) if dst is not None]
         for dst in old:
             dst.refs -= 1
-        src.out = {}
+        src.gt = src.mid = src.nge = None
         return old
 
     def _term(self, lhs: Term, rhs: Term, gt: TodNode, eq: TodNode,
@@ -158,16 +198,14 @@ class Tod:
         """A new comparison node lhs vs rhs with its three edges."""
         c = TodNode(NodeKind.TERM, lhs=lhs, rhs=rhs)
         self.stats.nodes_created.term += 1
-        self._link(c, _GT, gt)
-        self._link(c, _EQ, eq)
-        self._link(c, _NGE, nge)
+        self._link3(c, gt, eq, nge)
         return c
 
-    def _rewire(self, node: TodNode, edges: dict) -> TodNode:
+    def _rewire(self, node: TodNode, gt: TodNode, mid: TodNode,
+                nge: TodNode) -> TodNode:
         """Replace ``node``'s outgoing edges; prune what that orphans."""
         old_targets = self._unlink_out(node)
-        for label, dst in edges.items():
-            self._link(node, label, dst)
+        self._link3(node, gt, mid, nge)
         self._cleanup(old_targets)
         return node
 
@@ -195,10 +233,8 @@ class Tod:
         succ = TodNode(NodeKind.SUCCESS, eq=eq)
         new_exit = TodNode(NodeKind.EXIT)
         self.exit = new_exit
-        self._link(cmp_node, _GT, succ)
-        self._link(cmp_node, _EQ, new_exit)
-        self._link(cmp_node, _NGE, new_exit)
-        self._link(succ, _NEXT, new_exit)
+        self._link3(cmp_node, succ, new_exit, new_exit)
+        self._link3(succ, None, new_exit, None)
         self.stats.nodes_created.term += 1
         self.stats.nodes_created.success += 1
 
@@ -233,12 +269,6 @@ class Tod:
 
     # -- generic transformations ----------------------------------------------
 
-    @staticmethod
-    def _check_via(node: TodNode, via: tuple) -> None:
-        src, label = via
-        if src.out.get(label) is not node:
-            raise TodStructureError("traversal edge does not lead to the node")
-
     def replicate_node(self, node: TodNode, via: tuple) -> TodNode:
         """Give the traversal edge ``via`` a copy of ``node``; return it.
 
@@ -253,8 +283,7 @@ class Tod:
         copy = TodNode(node.kind, lhs=node.lhs, rhs=node.rhs,
                        expr=node.expr, eq=node.eq)
         self._move_edge(node, via, copy)
-        for label, dst in node.out.items():
-            self._link(copy, label, dst)
+        self._link3(copy, node.gt, node.mid, node.nge)
         created = self.stats.nodes_created
         if node.kind is NodeKind.TERM:
             created.term += 1
@@ -268,8 +297,10 @@ class Tod:
                    target: TodNode) -> TodNode:
         """Send the edge ``via`` from ``node`` to ``target``; prune
         ``node`` and what that orphans once no edge reaches it."""
-        self._check_via(node, via)
-        self._link(*via, target)
+        src, label = via
+        if src.edge(label) is not node:
+            raise TodStructureError("traversal edge does not lead to the node")
+        self._link(src, label, target)
         node.refs -= 1
         self._cleanup((node,))
         return target
@@ -281,9 +312,10 @@ class Tod:
         its other incoming edges and is pruned once it has none."""
         if node.visited:
             raise TodStructureError("forced removal applies to unvisited nodes")
-        if label not in node.out:
+        target = node.edge(label)
+        if target is None:
             raise TodStructureError(f"node has no {label!r} edge")
-        return self._move_edge(node, via, node.out[label])
+        return self._move_edge(node, via, target)
 
     # -- order-specific transformations -----------------------------------------
 
@@ -310,7 +342,7 @@ class Tod:
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
-        gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
+        gt, eq, nge = node.gt, node.mid, node.nge
         ps, pt = s.sym.precedence, t.sym.precedence
         if ps != pt:
             geq = gt if ps > pt else nge
@@ -322,7 +354,7 @@ class Tod:
         node.expr = term_weight(s) - term_weight(t)
         node.lhs = node.rhs = None
         self.stats.nodes_created.pos += 1
-        return self._rewire(node, {_GT: gt, _GEQ: geq, _NGE: nge})
+        return self._rewire(node, gt, geq, nge)
 
     def transform_lpo(self, node: TodNode) -> TodNode:
         """Expand a comparison of two applications by the LPO definition.
@@ -342,7 +374,7 @@ class Tod:
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
-        gt, eq, nge = node.out[_GT], node.out[_EQ], node.out[_NGE]
+        gt, eq, nge = node.gt, node.mid, node.nge
         ps, pt = s.sym.precedence, t.sym.precedence
         if not (t.args if ps > pt else s.args):
             raise TodStructureError("a constant side is decided statically")
@@ -357,15 +389,15 @@ class Tod:
                 right.insert(0, self._term(a, t, gt, gt, right[0]))
         if ps > pt:
             node.rhs = t.args[0]
-            return self._rewire(node, {_GT: left[0], _EQ: nge, _NGE: nge})
+            return self._rewire(node, left[0], nge, nge)
         if ps < pt:
             node.lhs = s.args[0]
-            return self._rewire(node, {_GT: gt, _EQ: gt, _NGE: right[0]})
+            return self._rewire(node, gt, gt, right[0])
         mid = eq
         for i in range(len(s.args) - 1, 0, -1):
             mid = self._term(s.args[i], t.args[i], left[i], mid, right[i])
         node.lhs, node.rhs = s.args[0], t.args[0]
-        return self._rewire(node, {_GT: left[0], _EQ: mid, _NGE: right[0]})
+        return self._rewire(node, left[0], mid, right[0])
 
     def _transform(self, node: TodNode) -> TodNode:
         if self.order.kind == "kbo":
@@ -386,8 +418,7 @@ class Tod:
         seen = {self.root}
         order = [self.root]
         for n in order:     # breadth first: the list grows as it is read
-            for label in Label:
-                m = n.out.get(label)
+            for m in (n.gt, n.mid, n.nge):      # Label order for every kind
                 if m is not None and m not in seen:
                     seen.add(m)
                     order.append(m)
@@ -407,20 +438,15 @@ class Tod:
     def validate(self) -> None:
         """Check the structural diagram invariants; raise on violation."""
         nodes = self.nodes()
-        expected = {
-            NodeKind.ROOT: {_NEXT},
-            NodeKind.SUCCESS: {_NEXT},
-            NodeKind.TERM: set(_TERM_LABELS),
-            NodeKind.POS: set(_POS_LABELS),
-            NodeKind.EXIT: set(),
-        }
         roots = [n for n in nodes if n.kind is NodeKind.ROOT]
         exits = [n for n in nodes if n.kind is NodeKind.EXIT]
         if roots != [self.root] or exits != [self.exit]:
             raise TodStructureError("diagram must have one root and one exit")
+        targets = {n: [d for d in (n.gt, n.mid, n.nge) if d is not None]
+               for n in nodes}
         indeg = dict.fromkeys(nodes, 0)
         for n in nodes:
-            for dst in n.out.values():
+            for dst in targets[n]:
                 indeg[dst] += 1
         for n in nodes:
             if n.refs != indeg[n]:
@@ -429,7 +455,7 @@ class Tod:
         # Kahn's order: a node follows every node with an edge into it
         order = [n for n in nodes if not indeg[n]]
         for n in order:
-            for dst in n.out.values():
+            for dst in targets[n]:
                 indeg[dst] -= 1
                 if not indeg[dst]:
                     order.append(dst)
@@ -437,18 +463,20 @@ class Tod:
             raise TodStructureError("cycle detected")
         reaches_exit = {self.exit}
         for n in reversed(order):
-            if any(dst in reaches_exit for dst in n.out.values()):
+            if any(dst in reaches_exit for dst in targets[n]):
                 reaches_exit.add(n)
             elif n is not self.exit:
                 raise TodStructureError(f"exit unreachable from {n!r}")
         for n in nodes:
-            if set(n.out) != expected[n.kind]:
+            filled = tuple(slot for slot in ("gt", "mid", "nge")
+                           if getattr(n, slot) is not None)
+            if filled != _LAYOUT[n.kind]:
                 raise TodStructureError(
-                    f"{n!r} has edges {set(n.out)}, wants {expected[n.kind]}")
+                    f"{n!r} fills slots {filled}, wants {_LAYOUT[n.kind]}")
             if n.visited and n.kind is not NodeKind.ROOT and n.refs != 1:
                 raise TodStructureError(
                     f"visited {n!r} has {n.refs} incoming edges")
-            for dst in n.out.values():
+            for dst in targets[n]:
                 if dst.visited and not n.visited:
                     raise TodStructureError(
                         f"visited {dst!r} under unvisited {n!r}")
@@ -492,7 +520,7 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
     for tod in tods:
         prev = tod.root
         arrival = _NEXT
-        node = prev.out[_NEXT]
+        node = prev.mid
         steps = 0
         while True:
             if node.tpo is not None:
@@ -514,15 +542,24 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
                             break
                         total += c * (w0 if img is None else img.least)
                     else:
-                        label = (_GT if total > 0 else
-                                 _GEQ if total == 0 else _NGE)
+                        if total > 0:
+                            prev, arrival, node = node, _GT, node.gt
+                        elif total:
+                            prev, arrival, node = node, _NGE, node.nge
+                        else:
+                            prev, arrival, node = node, _GEQ, node.mid
+                        continue
                 else:
                     success += 1
-                    label = _NEXT
                     results.append(node.eq.eq_id)
                     if first_only:
                         break
-                prev, arrival, node = node, label, node.out[label]
+                    prev, arrival, node = node, _NEXT, node.mid
+                    continue
+                # EQ or GEQ is the mid slot
+                prev, arrival, node = node, label, (
+                    node.gt if label is _GT else
+                    node.nge if label is _NGE else node.mid)
                 continue
             kind = node.kind
             if kind is _EXIT:

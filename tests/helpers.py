@@ -302,6 +302,13 @@ def in_edges(tod) -> dict:
     return into
 
 
+def set_edge(node, label, dst) -> None:
+    """Point the slot of ``node``'s ``label`` edge at ``dst`` (None clears
+    it), leaving every incoming-edge count as it is."""
+    slot = {Label.GT: "gt", Label.NGE: "nge"}.get(label, "mid")
+    setattr(node, slot, dst)
+
+
 def root_path(node, into: dict) -> list:
     """The unique path root -> node of a visited node, as (node, label)."""
     path = []

@@ -5,12 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (PROMOTE_SETTINGS, SIG_SHAPES, ScenarioChecker,
-                     random_signature, random_term, run_scenario)
+                     random_signature, random_term, run_scenario, set_edge)
 import todx.tod
 from todx import index as index_module
 from todx import (Equality, Label, LinearExpr, NodeKind, Signature,
-                  StepCapExceededError, Substitution, Tod, TodStructureError,
-                  make_order, term_weight)
+                  StepCapExceededError, Substitution, Tod, TodNode,
+                  TodStructureError, make_order, term_weight)
 
 GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,
                           Label.NGE, Label.NEXT)
@@ -598,7 +598,7 @@ def test_remove_forced_preconditions(sig, kbo_tod):
 def relink(src, label, dst):
     """Redirect one edge, keeping every incoming-edge count right."""
     src.out[label].refs -= 1
-    src.out[label] = dst
+    set_edge(src, label, dst)
     dst.refs += 1
 
 
@@ -644,9 +644,32 @@ def test_validate_rejects_visited_under_unvisited(one_eq):
 
 def test_validate_rejects_node_that_cannot_reach_exit(one_eq):
     tod, _, succ = one_eq
-    succ.out.pop(NEXT).refs -= 1
+    succ.out[NEXT].refs -= 1
+    set_edge(succ, NEXT, None)
     with pytest.raises(TodStructureError, match="exit unreachable"):
         tod.validate()
+
+
+@pytest.mark.parametrize("corrupt", ["root_gt", "success_nge"])
+def test_validate_rejects_slot_the_kind_does_not_use(one_eq, corrupt):
+    tod, cmp, succ = one_eq
+    # a stray edge that keeps every count right and the diagram acyclic
+    src, label, dst = ((tod.root, GT, succ) if corrupt == "root_gt"
+                       else (succ, NGE, tod.exit))
+    set_edge(src, label, dst)
+    dst.refs += 1
+    with pytest.raises(TodStructureError, match="fills slots"):
+        tod.validate()
+
+
+def test_node_keeps_its_edges_in_three_slots(one_eq):
+    tod, cmp, succ = one_eq
+    assert "out" not in TodNode.__slots__
+    assert not hasattr(cmp, "__dict__")
+    assert (cmp.gt, cmp.mid, cmp.nge) == (succ, tod.exit, tod.exit)
+    assert (succ.gt, succ.mid, succ.nge) == (None, tod.exit, None)
+    assert cmp.out == {GT: succ, EQ: tod.exit, NGE: tod.exit}
+    assert succ.out == {NEXT: tod.exit} and tod.exit.out == {}
 
 
 # -- randomized equivalence, determinism, laziness -------------------------------------
