@@ -443,7 +443,7 @@ class Tod:
         if roots != [self.root] or exits != [self.exit]:
             raise TodStructureError("diagram must have one root and one exit")
         targets = {n: [d for d in (n.gt, n.mid, n.nge) if d is not None]
-               for n in nodes}
+                   for n in nodes}
         indeg = dict.fromkeys(nodes, 0)
         for n in nodes:
             for dst in targets[n]:
