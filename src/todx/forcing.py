@@ -12,8 +12,8 @@ The closures are stored as term partial orderings: a fixed element
 sequence (top-level terms in order of first appearance) plus one bit
 row per element for each of ``>``, ``=`` and ``!>=``, so an extension's
 rows are its parent's padded with zero bits and closed again with
-Warshall's algorithm.  A store remembers each extension by its inputs,
-so the copies of a replicated node close their path once.  The store is
+Warshall's algorithm.  A store remembers each ordering it builds by
+its inputs, so the copies of a replicated node close their path once.  The store is
 a single-writer structure owned by one diagram, and dies with it.
 """
 
@@ -140,8 +140,7 @@ class TpoStore:
 
     def __len__(self) -> int:
         """The orderings held: the empty one and each one built."""
-        return 1 + sum(found is not parent
-                       for (parent, _, _), found in self._extended.items())
+        return 1 + len(self._extended)
 
     def extend(self, parent: PartialOrdering,
                constraints: Iterable[tuple] = (),
@@ -154,11 +153,14 @@ class TpoStore:
         against existing elements; the store remembers each pair's
         verdict.  The facts are set on the parent's padded rows, which
         are then closed again; with no fact to add they are closed
-        already.  Extending with nothing returns the parent unchanged.
-        Repeated inputs return the ordering built the first time.
+        already.  Extending with no fact and no new element returns the
+        parent, and remembers nothing.  Repeated inputs return the
+        ordering built the first time.
         """
         constraints = tuple(constraints)
         new_terms = tuple(new_terms)
+        if not constraints and all(t in parent.elements for t in new_terms):
+            return parent
         memo_key = (parent, constraints, new_terms)
         found = self._extended.get(memo_key)
         if found is not None:
@@ -170,10 +172,6 @@ class TpoStore:
                 pos[v] = len(elements)
                 elements.append(v)
         fresh = elements[len(parent):]
-        if not constraints and not fresh:
-            self._extended[memo_key] = parent
-            return parent
-
         pad = (0,) * (len(elements) - len(parent))
         gt, eq, nge = (list(parent.gt + pad), list(parent.eq + pad),
                        list(parent.nge + pad))

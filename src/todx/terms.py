@@ -98,10 +98,11 @@ RawTerm = Union[int, str, tuple]
 class Signature:
     """A fixed set of function symbols plus the term interner over them.
 
-    Arity, weight and precedence must be ints, every symbol weight must
-    be at least 1 and at least one constant must exist, so the smallest
-    constant weight ``w0`` is positive and the weight of any ground term
-    is at least ``w0``.
+    A symbol's name must be a non-empty str, and arity, weight and
+    precedence ints.  Every symbol weight must be at least 1 and at
+    least one constant must exist, so the smallest constant weight
+    ``w0`` is positive and the weight of any ground term is at least
+    ``w0``.  A variable id must be an int.
     """
 
     def __init__(self, symbols: Iterable[tuple]):
@@ -110,6 +111,8 @@ class Signature:
         precs = set()
         for i, decl in enumerate(symbols):
             name, arity, weight, precedence = decl
+            if type(name) is not str or not name:
+                raise SignatureError(f"symbol name {name!r} is not a non-empty str")
             # True is an int to isinstance: only a plain int counts
             if not all(type(p) is int for p in (arity, weight, precedence)):
                 raise SignatureError(
@@ -158,6 +161,8 @@ class Signature:
         return tid
 
     def var(self, vid: int) -> Term:
+        if type(vid) is not int:        # True would key x1
+            raise TypeError(f"variable id {vid!r} is not an int")
         t = self._vars.get(vid)
         if t is None:
             t = Term(None, (), vid, False, self._new_tid(), self.w0)

@@ -20,11 +20,11 @@ one loop; ``Tod.retrieve`` is that walk over one diagram.
 Edges carry ``Label``s.  The answer of a check, evaluated or forced,
 is the label of the edge the walk takes next, and the label a walk
 arrives by is the fact its comparison adds to the path.  Each kind uses
-fixed labels, so a node keeps its edges in three slots: ``gt``, ``mid``
-(EQ of a comparison, GEQ of a positivity check, NEXT of the root and of
-a success) and ``nge``.  The walk and every rewrite read and write the
-slots; ``TodNode.out`` is a ``{label: target}`` view built from them
-for introspection.
+fixed labels, so a node keeps its edges in three slots, ``gt``, ``mid``
+and ``nge``, and one table, ``_LABELS``, names the label of each slot
+per kind; ``_SLOT`` maps a label back to its slot.  The walk and every
+rewrite read and write the slots; ``TodNode.out`` is a
+``{label: target}`` view built from them for introspection.
 
 A diagram is mutated during retrieval, so all operations on one diagram
 are single-threaded; distinct diagrams may be used concurrently.
@@ -71,11 +71,12 @@ _GT, _EQ, _GEQ, _NGE, _NEXT = (Label.GT, Label.EQ, Label.GEQ, Label.NGE,
                                Label.NEXT)
 _TERM, _POS, _EXIT = NodeKind.TERM, NodeKind.POS, NodeKind.EXIT
 
-# the label of the mid slot, and the slots each kind fills
-_MID_LABEL = {NodeKind.TERM: _EQ, NodeKind.POS: _GEQ, NodeKind.ROOT: _NEXT,
-              NodeKind.SUCCESS: _NEXT, NodeKind.EXIT: _NEXT}
-_LAYOUT = {NodeKind.TERM: ("gt", "mid", "nge"), NodeKind.POS: ("gt", "mid", "nge"),
-           NodeKind.ROOT: ("mid",), NodeKind.SUCCESS: ("mid",), NodeKind.EXIT: ()}
+# the labels of each kind's gt, mid and nge slots, None for a slot it
+# leaves empty; and the slot of each label
+_LABELS = {NodeKind.TERM: (_GT, _EQ, _NGE), NodeKind.POS: (_GT, _GEQ, _NGE),
+           NodeKind.ROOT: (None, _NEXT, None),
+           NodeKind.SUCCESS: (None, _NEXT, None), NodeKind.EXIT: (None,) * 3}
+_SLOT = {_GT: "gt", _EQ: "mid", _GEQ: "mid", _NEXT: "mid", _NGE: "nge"}
 
 
 @dataclass(eq=False)
@@ -97,8 +98,9 @@ class Equality:
 class TodNode:
     """A diagram node.  It is visited exactly when it has ``tpo``, the
     closure of its path formula, which the walk sets on the first visit.
-    Its edges are the slots ``gt``, ``mid`` and ``nge``; a slot its kind
-    does not use is None."""
+    Its edges are the slots ``gt``, ``mid`` and ``nge``, labelled per
+    kind by ``_LABELS``; a slot its kind does not use is None.  ``out``
+    is a view of them for introspection, which the walk never builds."""
 
     __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "tpo", "gt", "mid",
                  "nge", "refs")
@@ -122,17 +124,9 @@ class TodNode:
     @property
     def out(self) -> dict:
         """The edges as ``{label: target}``, a view built from the slots."""
-        edges = ((_GT, self.gt), (_MID_LABEL[self.kind], self.mid),
-                 (_NGE, self.nge))
-        return {label: dst for label, dst in edges if dst is not None}
-
-    def edge(self, label: Label) -> Optional[TodNode]:
-        """The target of the ``label`` edge, or None."""
-        if label is _GT:
-            return self.gt
-        if label is _NGE:
-            return self.nge
-        return self.mid if label is _MID_LABEL[self.kind] else None
+        slots = (self.gt, self.mid, self.nge)
+        return {label: dst for label, dst in zip(_LABELS[self.kind], slots)
+                if dst is not None}
 
     def label(self) -> str:
         k = self.kind
@@ -166,15 +160,6 @@ class Tod:
         self._link3(self.root, None, self.exit, None)
 
     # -- construction helpers -------------------------------------------------
-
-    def _link(self, src: TodNode, label: Label, dst: TodNode) -> None:
-        if label is _GT:
-            src.gt = dst
-        elif label is _NGE:
-            src.nge = dst
-        else:
-            src.mid = dst
-        dst.refs += 1
 
     def _link3(self, src: TodNode, gt: Optional[TodNode], mid: TodNode,
                nge: Optional[TodNode]) -> None:
@@ -263,9 +248,12 @@ class Tod:
         return self.tpo_store.extend(prev.tpo, facts, new_terms)
 
     def _forced(self, node: TodNode, tpo: PartialOrdering) -> Optional[Label]:
+        """The label the path forces on ``node``; None for a success."""
         if node.kind is NodeKind.TERM:
             return force_term_label(tpo, node.lhs, node.rhs)
-        return force_positivity_label(node.expr)
+        if node.kind is NodeKind.POS:
+            return force_positivity_label(node.expr)
+        return None
 
     # -- generic transformations ----------------------------------------------
 
@@ -298,9 +286,11 @@ class Tod:
         """Send the edge ``via`` from ``node`` to ``target``; prune
         ``node`` and what that orphans once no edge reaches it."""
         src, label = via
-        if src.edge(label) is not node:
+        slot = _SLOT[label]
+        if getattr(src, slot) is not node:
             raise TodStructureError("traversal edge does not lead to the node")
-        self._link(src, label, target)
+        setattr(src, slot, target)
+        target.refs += 1
         node.refs -= 1
         self._cleanup((node,))
         return target
@@ -312,10 +302,9 @@ class Tod:
         its other incoming edges and is pruned once it has none."""
         if node.visited:
             raise TodStructureError("forced removal applies to unvisited nodes")
-        target = node.edge(label)
-        if target is None:
-            raise TodStructureError(f"node has no {label!r} edge")
-        return self._move_edge(node, via, target)
+        if label not in _LABELS[node.kind]:
+            raise TodStructureError(f"{node!r} has no {label!r} edge")
+        return self._move_edge(node, via, getattr(node, _SLOT[label]))
 
     # -- order-specific transformations -----------------------------------------
 
@@ -399,11 +388,6 @@ class Tod:
         node.lhs, node.rhs = s.args[0], t.args[0]
         return self._rewire(node, left[0], mid, right[0])
 
-    def _transform(self, node: TodNode) -> TodNode:
-        if self.order.kind == "kbo":
-            return self.transform_kbo(node)
-        return self.transform_lpo(node)
-
     # -- retrieval ---------------------------------------------------------------
 
     def retrieve(self, sigma: Substitution, first_only: bool = False,
@@ -468,11 +452,11 @@ class Tod:
             elif n is not self.exit:
                 raise TodStructureError(f"exit unreachable from {n!r}")
         for n in nodes:
-            filled = tuple(slot for slot in ("gt", "mid", "nge")
-                           if getattr(n, slot) is not None)
-            if filled != _LAYOUT[n.kind]:
+            filled = tuple(dst is not None for dst in (n.gt, n.mid, n.nge))
+            wants = tuple(label is not None for label in _LABELS[n.kind])
+            if filled != wants:
                 raise TodStructureError(
-                    f"{n!r} fills slots {filled}, wants {_LAYOUT[n.kind]}")
+                    f"{n!r} fills slots {filled} (gt, mid, nge), wants {wants}")
             if n.visited and n.kind is not NodeKind.ROOT and n.refs != 1:
                 raise TodStructureError(
                     f"visited {n!r} has {n.refs} incoming edges")
@@ -514,6 +498,7 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
     first = next(iter(tods))
     st = first.stats
     compare = first.order.compare_closure
+    kbo = first.order.kind == "kbo"
     w0 = first.order.signature.w0
     m = sigma._m
     term = pos = success = exits = 0    # added to st once, at the end
@@ -571,12 +556,6 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
             if steps > STEP_CAP:
                 raise StepCapExceededError(f"retrieval exceeded {STEP_CAP} steps")
             via = (prev, arrival)
-            if kind is NodeKind.SUCCESS:
-                if node.refs > 1:
-                    node = tod.replicate_node(node, via)
-                node.tpo = tod._tpo_at(prev, arrival, node)
-                st.nodes_processed.success += 1
-                continue
             tpo = tod._tpo_at(prev, arrival, node)
             forced = tod._forced(node, tpo)
             if forced is None:
@@ -585,12 +564,15 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
                     node = tod.replicate_node(node, via)
                 if (kind is _TERM and node.lhs.sym is not None
                         and node.rhs.sym is not None):
-                    node = tod._transform(node)
+                    node = (tod.transform_kbo(node) if kbo
+                            else tod.transform_lpo(node))
                     continue
             if kind is _TERM:
                 st.nodes_processed.term += 1
-            else:
+            elif kind is _POS:
                 st.nodes_processed.pos += 1
+            else:
+                st.nodes_processed.success += 1
             if forced is not None:
                 node = tod.remove_forced(node, forced, via)
                 continue

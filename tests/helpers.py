@@ -12,6 +12,7 @@ from todx import (MalformedEqualityError, NodeKind, PostOrderingIndex,
                   make_order)
 from todx.index import PROMOTE_AFTER
 from todx.terms import Label
+from todx.tod import _SLOT
 
 # Values of ``todx.index.PROMOTE_AFTER`` the fuzz and churn tests run
 # under: 0 inserts a young equality into the diagram at the group's next
@@ -305,8 +306,7 @@ def in_edges(tod) -> dict:
 def set_edge(node, label, dst) -> None:
     """Point the slot of ``node``'s ``label`` edge at ``dst`` (None clears
     it), leaving every incoming-edge count as it is."""
-    slot = {Label.GT: "gt", Label.NGE: "nge"}.get(label, "mid")
-    setattr(node, slot, dst)
+    setattr(node, _SLOT[label], dst)
 
 
 def root_path(node, into: dict) -> list:

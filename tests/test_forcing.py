@@ -124,6 +124,20 @@ def test_same_extension_is_remembered(sig, store):
     assert rows(c) == rows(a)
 
 
+def test_store_holds_only_the_orderings_it_builds(sig, store):
+    x, y = sig.var(0), sig.var(1)
+    assert len(store) == 1      # the empty ordering
+    a = store.extend(store.empty, (), (x, y))
+    assert len(store) == 2
+    assert store.extend(store.empty, (), (x, y)) is a and len(store) == 2
+    # no fact and no term that is not an element yet: the parent itself
+    assert store.extend(a, (), (y, x, y)) is a
+    assert store.extend(a) is a and len(store) == 2
+    b = store.extend(a, [(x, G, y)])
+    assert b is not a and len(store) == 3
+    assert store.extend(a, [(x, G, y)]) is b and len(store) == 3
+
+
 def test_derived_relations_stay_consistent(sig, store):
     rng = random.Random(13)
     order = store.order

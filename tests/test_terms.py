@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -84,6 +85,25 @@ def test_signature_rejects_duplicate_precedence():
 def test_signature_rejects_non_int_parameters(decl):
     with pytest.raises(SignatureError, match="symbol f"):
         Signature([("a", 0, 1, 0), decl])
+
+
+@pytest.mark.parametrize("name", [7, "", None, b"f", ("f",)])
+def test_signature_rejects_a_name_that_is_not_a_nonempty_str(name):
+    with pytest.raises(SignatureError, match=re.escape(f"symbol name {name!r}")):
+        Signature([("a", 0, 1, 0), (name, 2, 1, 1)])
+
+
+@pytest.mark.parametrize("vid", [True, False, 1.0, "1", None])
+def test_var_rejects_an_id_that_is_not_an_int(sig, vid):
+    x1 = sig.var(1)
+    with pytest.raises(TypeError, match="variable id"):
+        sig.var(vid)
+    # a refused id names no variable, before or after x1 exists
+    fresh = Signature([("a", 0, 1, 0), ("f", 2, 1, 1)])
+    with pytest.raises(TypeError):
+        fresh.var(vid)
+    assert repr(fresh.app("f", [fresh.var(1), fresh.var(0)])) == "f(x1,x0)"
+    assert sig.var(1) is x1
 
 
 def test_signature_requires_a_constant():
@@ -263,16 +283,17 @@ def one_check_diagram(sig, expr):
     Returns the diagram and the id the walk answers for each label."""
     tod = Tod(make_order("kbo", sig))
     check = TodNode(NodeKind.POS, expr=expr)
-    tod.root.out[Label.NEXT].refs -= 1      # the exit
-    tod._link(tod.root, Label.NEXT, check)
+    tod.root.mid.refs -= 1      # the exit, whose slot _link3 overwrites
+    tod._link3(tod.root, None, check, None)
     check.tpo = tod.tpo_store.empty
-    answers = {}
-    for eq_id, label in enumerate((Label.GT, Label.GEQ, Label.NGE), 1):
+    succs = []
+    for eq_id in (1, 2, 3):
         succ = TodNode(NodeKind.SUCCESS, eq=Equality(eq_id, None, None))
         succ.tpo = tod.tpo_store.empty
-        tod._link(check, label, succ)
-        tod._link(succ, Label.NEXT, tod.exit)
-        answers[label] = eq_id
+        tod._link3(succ, None, tod.exit, None)
+        succs.append(succ)
+    tod._link3(check, *succs)   # gt, mid (GEQ) and nge
+    answers = {Label.GT: 1, Label.GEQ: 2, Label.NGE: 3}
     tod.validate()
     return tod, answers
 

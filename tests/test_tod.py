@@ -592,6 +592,23 @@ def test_remove_forced_preconditions(sig, kbo_tod):
         kbo_tod.remove_forced(first, EQ, (kbo_tod.root, NEXT))
 
 
+def test_remove_forced_refuses_a_label_the_kind_does_not_use(sig, kbo_tod):
+    l, r1, _ = swap_terms(sig)
+    kbo_tod.insert(Equality(1, l, r1))
+    node = kbo_tod.root.out[NEXT]
+    succ = node.gt
+    with pytest.raises(TodStructureError, match="has no .* edge"):
+        kbo_tod.remove_forced(node, GEQ, (kbo_tod.root, NEXT))
+    with pytest.raises(TodStructureError, match="has no .* edge"):
+        kbo_tod.remove_forced(succ, GT, (node, GT))
+    assert kbo_tod.transform_kbo(node) is node and node.kind is NodeKind.POS
+    before = kbo_tod.structure()
+    with pytest.raises(TodStructureError, match="has no .* edge"):
+        kbo_tod.remove_forced(node, EQ, (kbo_tod.root, NEXT))
+    assert kbo_tod.structure() == before and kbo_tod.root.mid is node
+    kbo_tod.validate()
+
+
 # -- validation ------------------------------------------------------------------------
 
 
