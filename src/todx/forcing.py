@@ -12,9 +12,9 @@ The closures are stored as term partial orderings: a fixed element
 sequence (top-level terms in order of first appearance) plus one bit
 row per element for each of ``>``, ``=`` and ``!>=``, so an extension's
 rows are its parent's padded with zero bits and closed again with
-Warshall's algorithm.  A store remembers each ordering it builds by
-its inputs, so the copies of a replicated node close their path once.  The store is
-a single-writer structure owned by one diagram, and dies with it.
+Warshall's algorithm.  A store keeps each ordering it builds, by its
+inputs, so the copies of a replicated node close their path once; it
+is a single-writer structure owned by one diagram, and dies with it.
 """
 
 from __future__ import annotations

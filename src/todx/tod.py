@@ -498,7 +498,6 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
     first = next(iter(tods))
     st = first.stats
     compare = first.order.compare_closure
-    kbo = first.order.kind == "kbo"
     w0 = first.order.signature.w0
     m = sigma._m
     term = pos = success = exits = 0    # added to st once, at the end
@@ -564,7 +563,7 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
                     node = tod.replicate_node(node, via)
                 if (kind is _TERM and node.lhs.sym is not None
                         and node.rhs.sym is not None):
-                    node = (tod.transform_kbo(node) if kbo
+                    node = (tod.transform_kbo(node) if tod.order.kind == "kbo"
                             else tod.transform_lpo(node))
                     continue
             if kind is _TERM:
