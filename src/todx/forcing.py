@@ -68,9 +68,6 @@ class PartialOrdering:
             return Label.NGE
         return None
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def _close(gt: list, eq: list, nge: list) -> tuple:
     """Close bit rows of facts under the axioms of a simplification order.
@@ -171,8 +168,9 @@ class TpoStore:
             if v not in pos:
                 pos[v] = len(elements)
                 elements.append(v)
-        fresh = elements[len(parent):]
-        pad = (0,) * (len(elements) - len(parent))
+        n = len(parent.elements)
+        fresh = elements[n:]
+        pad = (0,) * (len(elements) - n)
         gt, eq, nge = (list(parent.gt + pad), list(parent.eq + pad),
                        list(parent.nge + pad))
         for a, rel, b in constraints:

@@ -93,6 +93,21 @@ def test_signature_rejects_a_name_that_is_not_a_nonempty_str(name):
         Signature([("a", 0, 1, 0), (name, 2, 1, 1)])
 
 
+@pytest.mark.parametrize("name", ["x1", "x0", "x007", "a,b", "f(", "a b", "a)",
+                                  "1a", "é"])
+def test_signature_rejects_a_name_that_does_not_print_back(name):
+    # with x1 a symbol, f(x1, var 1) would print as f(x1,x1)
+    with pytest.raises(SignatureError, match=re.escape(f"symbol name {name!r}")):
+        Signature([("a", 0, 1, 0), (name, 0, 1, 1)])
+
+
+@pytest.mark.parametrize("name", ["x", "xa", "x1a", "_", "a1", "X1"])
+def test_signature_accepts_an_identifier_that_is_not_a_variable(name):
+    sig = Signature([("a", 0, 1, 0), (name, 1, 1, 1)])
+    t = sig.app(name, [sig.var(1)])
+    assert repr(t) == f"{name}(x1)"
+
+
 @pytest.mark.parametrize("vid", [True, False, 1.0, "1", None])
 def test_var_rejects_an_id_that_is_not_an_int(sig, vid):
     x1 = sig.var(1)
