@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import harness
@@ -41,16 +42,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:
-        params = harness.GenParams(
-            symbols=args.symbols, max_arity=args.max_arity,
-            max_depth=args.depth, equalities=args.equalities,
-            queries=args.queries, groups=args.groups,
-            delete_prob=args.delete_prob, order=args.order)
+        params = harness.GenParams(**{f.name: getattr(args, f.name)
+                                      for f in fields(harness.GenParams)})
     except ValueError as err:
         print(f"todx gen: {err}", file=sys.stderr)
         return 2
-    script = harness.gen_random_script(args.seed, params)
-    text = harness.format_script(script)
+    text = harness.format_script(harness.gen_random_script(args.seed, params))
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
@@ -96,14 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate a random script")
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--out", default=None)
-    p_gen.add_argument("--symbols", type=int, default=4)
-    p_gen.add_argument("--max-arity", type=int, default=2)
-    p_gen.add_argument("--depth", type=int, default=3)
-    p_gen.add_argument("--equalities", type=int, default=10)
-    p_gen.add_argument("--queries", type=int, default=20)
-    p_gen.add_argument("--groups", type=int, default=2)
-    p_gen.add_argument("--delete-prob", type=float, default=0.15)
-    p_gen.add_argument("--order", default="kbo", choices=["kbo", "lpo"])
+    # one option per GenParams field, which gives its default and range
+    for f in fields(harness.GenParams):
+        flag = "depth" if f.name == "max_depth" else f.name.replace("_", "-")
+        p_gen.add_argument(f"--{flag}", dest=f.name, type=type(f.default),
+                           default=f.default)
     p_gen.set_defaults(func=_cmd_gen)
 
     p_bench = sub.add_parser("bench", help="run a benchmark family")

@@ -11,12 +11,12 @@ A script is line-based::
     query q1: x := a, y := f(a,a)
     expect q1: {e1}
 
-Terms are written in prefix notation; identifiers not declared as
-symbols are variables.  ``w=`` and ``p=`` are optional: the weight
-defaults to 1, and a symbol without ``p=`` takes the lowest precedence
-left free, in declaration order.  A query binds variables by the
-names used in the equalities; it runs against every group whose
-left-hand side variables are all bound.
+Blanks may go between any two tokens.  Terms are in prefix notation;
+identifiers not declared as symbols are variables.  ``w=`` and ``p=``
+are optional: the weight defaults to 1, and a symbol without ``p=``
+takes the lowest precedence left free, in declaration order.  A query
+binds variables by the names used in the equalities; it runs against
+every group whose left-hand side variables are all bound.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from typing import Iterable, Optional, Union
 from .index import (DuplicateEqualityError, MalformedEqualityError,
                     PostOrderingIndex, canonicalize_equality)
 from .ordering import make_order
-from .terms import Label, Signature, SignatureError, Substitution, Term, term_weight
+from .terms import (IDENT, Label, Signature, SignatureError, Substitution, Term,
+                    is_symbol_name, term_weight)
 
 
 class ScriptError(ValueError):
@@ -99,204 +100,193 @@ class Script:
         return next(c.kind for c in self.commands if isinstance(c, OrderDecl))
 
 
-# -- term text ------------------------------------------------------------------
+# -- script parsing ---------------------------------------------------------------
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The tokens of a script line: names, numbers, ":=" and single characters;
+# blanks only separate them.  A number ends where a name cannot go on.
+_LEX = re.compile(rf"(?P<name>{IDENT})|(?P<number>[0-9]+)\b|:=|\S")
 
 
-class _TermScanner:
-    def __init__(self, text: str, line: int, offset: int):
-        self.text = text
+class _Tokens:
+    """The tokens of one script line, each with its kind and column, and
+    a cursor.  The last token is the end of the line, the empty text."""
+
+    def __init__(self, text: str, line: int):
+        self.toks = [(m.group(), m.lastgroup, m.start() + 1)
+                     for m in _LEX.finditer(text)]
+        self.toks.append(("", None, len(text.rstrip()) + 1))
         self.pos = 0
         self.line = line
-        self.offset = offset
 
-    def error(self, message: str) -> ScriptError:
-        return ScriptError(message, self.line, self.offset + self.pos + 1)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+    def error(self, message: str, back: int = 0) -> ScriptError:
+        """An error at the current token, or ``back`` tokens before it."""
+        return ScriptError(message, self.line, self.toks[self.pos - back][2])
 
     def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.toks[self.pos][0]
+
+    def take(self, want: Optional[str] = None) -> str:
+        tok = self.peek()
+        if want is not None and tok != want:
+            raise self.error(f"expected {want!r}")
+        self.pos += 1
+        return tok
+
+    def name(self, what: str) -> str:
+        if self.toks[self.pos][1] != "name":
+            raise self.error(f"expected {what}")
+        return self.take()
+
+    def number(self) -> int:
+        if self.toks[self.pos][1] != "number":
+            raise self.error("expected a number")
+        return int(self.take())
 
     def term(self) -> str:
-        """Scan one term and return its text without blanks.  The
-        scanner counts the applications still open, so any depth is
-        fine."""
+        """One term as its text without blanks.  It counts the
+        applications still open, so any depth is fine."""
         out: list[str] = []
         depth = 0
         while True:
-            self.skip_ws()
-            m = _IDENT.match(self.text, self.pos)
-            if not m:
-                raise self.error("expected an identifier")
-            self.pos = m.end()
-            out.append(m.group())
-            self.skip_ws()
+            out.append(self.name("an identifier"))
             if self.peek() == "(":
-                self.pos += 1
-                out.append("(")
+                out.append(self.take())
                 depth += 1
                 continue
             # the name completes an argument; close every application it ends
             while depth:
-                self.skip_ws()
-                c = self.peek()
-                if c not in (",", ")"):
+                if self.peek() not in (",", ")"):
                     raise self.error("expected ',' or ')'")
-                self.pos += 1
-                out.append(c)
-                if c == ",":
+                out.append(self.take())
+                if out[-1] == ",":
                     break
                 depth -= 1
             else:
                 return "".join(out)
 
-    def expect_end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error(f"unexpected trailing input {self.text[self.pos:]!r}")
-
-    def expect(self, token: str) -> None:
-        self.skip_ws()
-        if not self.text.startswith(token, self.pos):
-            raise self.error(f"expected {token!r}")
-        self.pos += len(token)
-
-
-# -- script parsing ---------------------------------------------------------------
-
-_SIG_RE = re.compile(
-    r"sig\s+(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*/\s*(?P<arity>\d+)"
-    r"(?P<attrs>(\s+[wp]=\d+)*)\s*$")
+    def end(self) -> None:
+        if self.peek():
+            raise self.error(f"unexpected trailing input {self.peek()!r}")
 
 
 def parse_script(text: str) -> Script:
     commands: list[Command] = []
     lines: list[int] = []
     seen_term_command = False
-    order_lines: list[int] = []
+    has_order = False
     eq_ids: set[str] = set()
     query_ids: set[str] = set()
     used_precs: set[int] = set()
 
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
+        tk = _Tokens(raw_line.split("#", 1)[0], lineno)
+        if not tk.peek():
             continue
-        word = line.split(None, 1)[0]
+        word = tk.take()
 
         if word == "sig":
             if seen_term_command:
-                raise ScriptError("sig declarations must precede equalities "
-                                  "and queries", lineno)
-            m = _SIG_RE.match(line)
-            if not m:
-                raise ScriptError("expected 'sig NAME/ARITY [w=INT] [p=INT]'",
-                                  lineno)
-            name = m.group("name")
+                raise tk.error("sig declarations must precede equalities "
+                               "and queries", 1)
+            name = tk.name("a symbol name")
+            if not is_symbol_name(name):
+                raise tk.error(f"symbol name {name!r} reads as a variable", 1)
             if any(isinstance(c, SigDecl) and c.name == name for c in commands):
-                raise ScriptError(f"duplicate symbol {name!r}", lineno)
-            attrs = {}
-            for attr in m.group("attrs").split():
-                key, val = attr.split("=")
+                raise tk.error(f"duplicate symbol {name!r}", 1)
+            tk.take("/")
+            arity = tk.number()
+            attrs: dict[str, int] = {}
+            while tk.peek():
+                key = tk.take()
+                if key not in ("w", "p"):
+                    raise tk.error("expected 'w=INT' or 'p=INT'", 1)
                 if key in attrs:
-                    raise ScriptError(f"symbol {name} repeats {key}=", lineno)
-                attrs[key] = int(val)
-            weight, prec = attrs.get("w"), attrs.get("p")
-            if weight is not None and weight < 1:
-                raise ScriptError(f"symbol {name} has weight {weight}; "
-                                  "weights must be >= 1", lineno)
-            if prec is not None:
-                if prec in used_precs:
-                    raise ScriptError(f"duplicate precedence {prec}", lineno)
-                used_precs.add(prec)
-            commands.append(SigDecl(name, int(m.group("arity")), weight, prec))
+                    raise tk.error(f"symbol {name} repeats {key}=", 1)
+                tk.take("=")
+                attrs[key] = val = tk.number()
+                if key == "w" and val < 1:
+                    raise tk.error(f"symbol {name} has weight {val}; "
+                                   "weights must be >= 1", 1)
+                if key == "p":
+                    if val in used_precs:
+                        raise tk.error(f"duplicate precedence {val}", 1)
+                    used_precs.add(val)
+            commands.append(SigDecl(name, arity, attrs.get("w"), attrs.get("p")))
 
         elif word == "ord":
-            parts = line.split()
-            if len(parts) != 2 or parts[1] not in ("kbo", "lpo"):
-                raise ScriptError("expected 'ord kbo' or 'ord lpo'", lineno)
-            order_lines.append(lineno)
-            commands.append(OrderDecl(parts[1]))
+            if has_order:
+                raise tk.error("script must contain exactly one 'ord' line", 1)
+            kind = tk.take()
+            if kind not in ("kbo", "lpo"):
+                raise tk.error("expected 'kbo' or 'lpo'", 1)
+            tk.end()
+            has_order = True
+            commands.append(OrderDecl(kind))
 
         elif word == "eq":
-            m = re.match(r"eq\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$", line)
-            if not m:
-                raise ScriptError("expected 'eq ID: TERM = TERM'", lineno)
-            eq_id, rest = m.group(1), m.group(2)
+            eq_id = tk.name("an equality id")
             if eq_id in eq_ids:
-                raise ScriptError(f"duplicate equality id {eq_id!r}", lineno)
+                raise tk.error(f"duplicate equality id {eq_id!r}", 1)
             eq_ids.add(eq_id)
-            sc = _TermScanner(rest, lineno, len(line) - len(rest))
-            lhs = sc.term()
-            sc.expect("=")
-            rhs = sc.term()
-            sc.expect_end()
+            tk.take(":")
+            lhs = tk.term()
+            tk.take("=")
+            rhs = tk.term()
+            tk.end()
             commands.append(Insert(eq_id, lhs, rhs))
             seen_term_command = True
 
         elif word == "del":
-            parts = line.split()
-            if len(parts) != 2:
-                raise ScriptError("expected 'del ID'", lineno)
-            if parts[1] not in eq_ids:
-                raise ScriptError(f"unknown equality id {parts[1]!r}", lineno)
-            commands.append(Delete(parts[1]))
+            eq_id = tk.name("an equality id")
+            if eq_id not in eq_ids:
+                raise tk.error(f"unknown equality id {eq_id!r}", 1)
+            tk.end()
+            commands.append(Delete(eq_id))
             seen_term_command = True
 
         elif word == "query":
-            m = re.match(r"query\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$", line)
-            if not m:
-                raise ScriptError("expected 'query ID: VAR:=TERM, ...'", lineno)
-            qid, rest = m.group(1), m.group(2)
+            qid = tk.name("a query id")
             if qid in query_ids:
-                raise ScriptError(f"duplicate query id {qid!r}", lineno)
+                raise tk.error(f"duplicate query id {qid!r}", 1)
             query_ids.add(qid)
-            sc = _TermScanner(rest, lineno, len(line) - len(rest))
-            bindings = []
-            while True:
-                sc.skip_ws()
-                mv = _IDENT.match(sc.text, sc.pos)
-                if not mv:
-                    raise sc.error("expected a variable name")
-                var = mv.group()
-                sc.pos = mv.end()
-                sc.expect(":=")
-                bindings.append((var, sc.term()))
-                sc.skip_ws()
-                if sc.peek() != ",":
-                    break
-                sc.pos += 1
-            sc.expect_end()
-            if len({v for v, _ in bindings}) != len(bindings):
-                raise ScriptError("variable bound twice in query", lineno)
-            commands.append(Query(qid, tuple(bindings)))
+            tk.take(":")
+            bindings: dict[str, str] = {}
+            while not bindings or tk.peek() == ",":
+                if bindings:
+                    tk.take()
+                var = tk.name("a variable name")
+                if var in bindings:
+                    raise tk.error("variable bound twice in query", 1)
+                tk.take(":=")
+                bindings[var] = tk.term()
+            tk.end()
+            commands.append(Query(qid, tuple(bindings.items())))
             seen_term_command = True
 
         elif word == "expect":
-            m = re.match(r"expect\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*"
-                         r"\{([^}]*)\}\s*$", line)
-            if not m:
-                raise ScriptError("expected 'expect QUERYID: {ID,...}'", lineno)
-            qid = m.group(1)
+            qid = tk.name("a query id")
             if qid not in query_ids:
-                raise ScriptError(f"unknown query id {qid!r}", lineno)
-            ids = frozenset(s.strip() for s in m.group(2).split(",") if s.strip())
-            unknown = ids - eq_ids
-            if unknown:
-                raise ScriptError(f"unknown equality ids {sorted(unknown)}", lineno)
-            commands.append(Expect(qid, ids))
+                raise tk.error(f"unknown query id {qid!r}", 1)
+            tk.take(":")
+            tk.take("{")
+            ids: set[str] = set()
+            while tk.peek() != "}":
+                if ids and tk.take() != ",":
+                    raise tk.error("expected ',' or '}'", 1)
+                eq_id = tk.name("an equality id")
+                if eq_id not in eq_ids:
+                    raise tk.error(f"unknown equality id {eq_id!r}", 1)
+                ids.add(eq_id)
+            tk.take()
+            tk.end()
+            commands.append(Expect(qid, frozenset(ids)))
 
         else:
-            raise ScriptError(f"unknown command {word!r}", lineno)
+            raise tk.error(f"unknown command {word!r}", 1)
         lines.append(lineno)
 
-    if len(order_lines) != 1:
-        raise ScriptError("script must contain exactly one 'ord' line",
-                          order_lines[1] if order_lines else 0)
+    if not has_order:
+        raise ScriptError("script must contain exactly one 'ord' line", 0)
 
     return Script(tuple(commands), tuple(lines))
 
@@ -360,7 +350,7 @@ def _build_signature(commands: Iterable[Command]) -> Signature:
 
 # the tokens of term text: "name(" opens an application and ")" closes
 # it; commas only separate names, so they are skipped
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\(?|\)")
+_TOKEN = re.compile(rf"{IDENT}\(?|\)")
 
 
 def _resolve(sig: Signature, text: str, varmap: dict) -> Term:
@@ -584,38 +574,26 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
         eq_cmds.append(Insert(f"e{len(eq_cmds) + 1}", lhs, rhs))
 
     inserted: list[str] = []
-    remaining_queries = params.queries
-    q_n = 0
-    body: list[Command] = []
+    asked = 0
     pending = list(eq_cmds)
-    while pending or remaining_queries > 0:
+    while pending or asked < params.queries:
         roll = rng.random()
-        if pending and (roll < 0.4 or remaining_queries == 0):
+        if pending and (roll < 0.4 or asked == params.queries or not inserted):
             cmd = pending.pop(0)
-            body.append(cmd)
+            commands.append(cmd)
             inserted.append(cmd.eq_id)
         elif inserted and roll < 0.4 + params.delete_prob:
-            body.append(Delete(rng.choice(inserted)))
-        elif remaining_queries > 0 and inserted:
-            q_n += 1
-            remaining_queries -= 1
+            commands.append(Delete(rng.choice(inserted)))
+        elif asked < params.queries and inserted:
+            asked += 1
             bindings = []
             for v in var_names:
-                if rng.random() < _GROUND_PROB:
-                    img = _gen_term(rng, funcs, consts, [],
-                                    rng.randint(0, params.max_depth))
-                else:
-                    img = _gen_term(rng, funcs, consts, ["u0", "u1"],
-                                    rng.randint(0, params.max_depth))
-                bindings.append((v, img))
-            body.append(Query(f"q{q_n}", tuple(bindings)))
-        elif pending:
-            cmd = pending.pop(0)
-            body.append(cmd)
-            inserted.append(cmd.eq_id)
+                free = [] if rng.random() < _GROUND_PROB else ["u0", "u1"]
+                bindings.append((v, _gen_term(rng, funcs, consts, free,
+                                              rng.randint(0, params.max_depth))))
+            commands.append(Query(f"q{asked}", tuple(bindings)))
         else:
-            remaining_queries = 0
-    commands.extend(body)
+            asked = params.queries
     return Script(tuple(commands))
 
 
@@ -664,8 +642,6 @@ def _poly_script(n: int, seed: int, order: str) -> Script:
         varmap: dict[str, int] = {}
         l = _resolve(sig, lhs, varmap)
         r = _resolve(sig, rhs, varmap)
-        if len(varmap) > 2:
-            continue
         diff = term_weight(l) - term_weight(r)
         if not diff._coeffs:
             continue

@@ -394,8 +394,7 @@ class PostOrderingIndex:
         for eq in eqs:
             total = 0
             diff = eq.weight_diff
-            # inline on purpose: one LinearExpr method shared with the
-            # walk's sign raised poly_kbo p50 18-20% in every mode
+            # kept inline: a shared LinearExpr sign method cost 18-20% p50
             if diff is not None:
                 total = diff.constant
                 for v, c in diff._coeffs:

@@ -16,16 +16,11 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 
-# An identifier: a symbol name, and in scripts a variable name or an id.
+# An identifier: a symbol name, or in a script a variable name or an id.
+# A symbol name must not read as a variable prints, x and digits, so
+# every term prints as text that parses back to it.
 IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
-# ... but a symbol name must not print as a variable does, x and digits
-_SYMBOL_NAME = re.compile(rf"(?!x[0-9]+$){IDENT}")
-
-
-def is_symbol_name(name) -> bool:
-    """Whether a term printed with this symbol name parses back: the
-    name is an identifier and not ``x`` followed by digits."""
-    return type(name) is str and _SYMBOL_NAME.fullmatch(name) is not None
+is_symbol_name = re.compile(rf"(?!x[0-9]+$){IDENT}").fullmatch
 
 
 class SignatureError(ValueError):
@@ -111,11 +106,11 @@ RawTerm = Union[int, str, tuple]
 class Signature:
     """A fixed set of function symbols plus the term interner over them.
 
-    A symbol's name must pass ``is_symbol_name``, and arity, weight and
-    precedence must be ints.  Every symbol weight must be at least 1 and at
-    least one constant must exist, so the smallest constant weight
-    ``w0`` is positive and the weight of any ground term is at least
-    ``w0``.  A variable id must be an int.
+    A symbol's name must be a str that passes ``is_symbol_name``, and
+    arity, weight and precedence ints.  Every symbol weight must be at
+    least 1 and at least one constant must exist, so the smallest
+    constant weight ``w0`` is positive and the weight of any ground term
+    is at least ``w0``.  A variable id must be an int.
     """
 
     def __init__(self, symbols: Iterable[tuple]):
@@ -124,7 +119,7 @@ class Signature:
         precs = set()
         for i, decl in enumerate(symbols):
             name, arity, weight, precedence = decl
-            if not is_symbol_name(name):
+            if type(name) is not str or not is_symbol_name(name):
                 raise SignatureError(f"symbol name {name!r} is not an "
                                      "identifier, or reads as a variable")
             # True is an int to isinstance: only a plain int counts
