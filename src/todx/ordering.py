@@ -76,13 +76,6 @@ class TermOrder:
         self.signature = signature
         self.steps = 0
 
-    def compare(self, s: Term, t: Term) -> Label:
-        raise NotImplementedError
-
-    def compare_closure(self, s: Term, sigma: Substitution,
-                        t: Term, theta: Substitution) -> Label:
-        raise NotImplementedError
-
 
 class KboOrder(TermOrder):
     """Knuth-Bendix order: weights first, then precedence, then arguments.
@@ -141,40 +134,56 @@ class LpoOrder(TermOrder):
 
     def compare_closure(self, s: Term, sigma: Substitution,
                         t: Term, theta: Substitution) -> Label:
-        self.steps += 1
-        s, sigma = _deref(s, sigma)
-        t, theta = _deref(t, theta)
-        if s is t and sigma is theta:
-            return _EQ
-        if s.sym is None:
-            return _NGE
-        if t.sym is not None:
-            if s.sym is t.sym:
-                args_s, args_t = s.args, t.args
-                k = len(args_s)
-                i = 0
-                while i < k and closure_equal(args_s[i], sigma, args_t[i], theta):
-                    i += 1
-                if i == k:
-                    return _EQ
-                if self.compare_closure(args_s[i], sigma, args_t[i], theta) is _GT:
-                    for l in range(i + 1, k):
-                        if self.compare_closure(s, sigma, args_t[l], theta) is not _GT:
-                            return _NGE
-                    return _GT
-                for j in range(i + 1, k):
-                    if self.compare_closure(args_s[j], sigma, t, theta) is not _NGE:
-                        return _GT
+        # a loop into the last comparison whose verdict is the answer,
+        # one step a turn; eq is what EQ there answers
+        eq = _EQ
+        while True:
+            self.steps += 1
+            s, sigma = _deref(s, sigma)
+            t, theta = _deref(t, theta)
+            if s is t and sigma is theta:
+                return eq
+            if s.sym is None:
                 return _NGE
-            if s.sym.precedence > t.sym.precedence:
-                for b in t.args:
-                    if self.compare_closure(s, sigma, b, theta) is not _GT:
-                        return _NGE
-                return _GT
-        for a in s.args:
-            if self.compare_closure(a, sigma, t, theta) is not _NGE:
-                return _GT
-        return _NGE
+            if t.sym is not None:
+                if s.sym is t.sym:
+                    args_s, args_t = s.args, t.args
+                    k = len(args_s)
+                    i = 0
+                    while i < k and closure_equal(args_s[i], sigma, args_t[i], theta):
+                        i += 1
+                    if i == k:
+                        return eq
+                    if i == k - 1:
+                        s, t, eq = args_s[i], args_t[i], _NGE
+                        continue
+                    if self.compare_closure(args_s[i], sigma, args_t[i], theta) is _GT:
+                        for l in range(i + 1, k - 1):
+                            if self.compare_closure(s, sigma, args_t[l], theta) is not _GT:
+                                return _NGE
+                        t, eq = args_t[k - 1], _NGE
+                        continue
+                    for j in range(i + 1, k - 1):
+                        if self.compare_closure(args_s[j], sigma, t, theta) is not _NGE:
+                            return _GT
+                    s, eq = args_s[k - 1], _GT
+                    continue
+                if s.sym.precedence > t.sym.precedence:
+                    args_t = t.args
+                    if not args_t:
+                        return _GT
+                    for b in args_t[:-1]:
+                        if self.compare_closure(s, sigma, b, theta) is not _GT:
+                            return _NGE
+                    t, eq = args_t[-1], _NGE
+                    continue
+            args_s = s.args
+            if not args_s:
+                return _NGE
+            for a in args_s[:-1]:
+                if self.compare_closure(a, sigma, t, theta) is not _NGE:
+                    return _GT
+            s, eq = args_s[-1], _GT
 
 
 def make_order(kind: str, signature: Signature) -> TermOrder:
