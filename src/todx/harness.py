@@ -142,27 +142,52 @@ class _Tokens:
             raise self.error("expected a number")
         return int(self.take())
 
-    def term(self) -> str:
-        """One term as its text without blanks.  It counts the
-        applications still open, so any depth is fine."""
+    def term(self, sig: Signature, varmap: dict, rhs: bool = False) -> tuple:
+        """One term read through ``sig``, and its text without blanks.
+
+        Declared names are symbols, and the others variables, numbered
+        through ``varmap`` as they first occur; in a right-hand side
+        (``rhs``) each must be there already.  A name the signature
+        refuses is refused at its token; on line 0, which is no script
+        line, the signature's own error is raised.  It keeps its own
+        stack of open applications, so any depth is fine.
+        """
         out: list[str] = []
-        depth = 0
-        while True:
-            out.append(self.name("an identifier"))
-            if self.peek() == "(":
-                out.append(self.take())
-                depth += 1
-                continue
-            # the name completes an argument; close every application it ends
-            while depth:
-                if self.peek() not in (",", ")"):
-                    raise self.error("expected ',' or ')'")
-                out.append(self.take())
-                if out[-1] == ",":
-                    break
-                depth -= 1
-            else:
-                return "".join(out)
+        args: list[Term] = []       # the arguments read so far
+        open_apps: list = []        # (name token, name, enclosing arguments)
+        try:
+            while True:
+                at = self.pos
+                name = self.name("an identifier")
+                out.append(name)
+                if self.peek() == "(":
+                    out.append(self.take())
+                    open_apps.append((at, name, args))
+                    args = []
+                    continue
+                if sig.has_symbol(name):
+                    args.append(sig.app(name, ()))
+                elif rhs and name not in varmap:
+                    raise self.error("right-hand side uses variables not in "
+                                     "the left-hand side", 1)
+                else:
+                    args.append(sig.var(varmap.setdefault(name, len(varmap))))
+                # the name completes an argument; close every application it ends
+                while open_apps:
+                    if self.peek() not in (",", ")"):
+                        raise self.error("expected ',' or ')'")
+                    out.append(self.take())
+                    if out[-1] == ",":
+                        break
+                    at, name, outer = open_apps.pop()
+                    outer.append(sig.app(name, args))
+                    args = outer
+                else:
+                    return args[0], "".join(out)
+        except SignatureError as err:
+            if not self.line:
+                raise
+            raise ScriptError(str(err), self.line, self.toks[at][2]) from None
 
     def end(self) -> None:
         if self.peek():
@@ -172,20 +197,26 @@ class _Tokens:
 def parse_script(text: str) -> Script:
     commands: list[Command] = []
     lines: list[int] = []
-    seen_term_command = False
+    sig: Optional[Signature] = None     # built at the first eq or query
     has_order = False
     eq_ids: set[str] = set()
     query_ids: set[str] = set()
     used_precs: set[int] = set()
 
+    tk = _Tokens("", 1)
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         tk = _Tokens(raw_line.split("#", 1)[0], lineno)
         if not tk.peek():
             continue
         word = tk.take()
+        if word in ("eq", "query") and sig is None:
+            try:
+                sig = _build_signature(commands)
+            except SignatureError as err:
+                raise tk.error(str(err), 1) from None
 
         if word == "sig":
-            if seen_term_command:
+            if sig is not None:
                 raise tk.error("sig declarations must precede equalities "
                                "and queries", 1)
             name = tk.name("a symbol name")
@@ -229,12 +260,12 @@ def parse_script(text: str) -> Script:
                 raise tk.error(f"duplicate equality id {eq_id!r}", 1)
             eq_ids.add(eq_id)
             tk.take(":")
-            lhs = tk.term()
+            varmap: dict[str, int] = {}
+            _, lhs = tk.term(sig, varmap)
             tk.take("=")
-            rhs = tk.term()
+            _, rhs = tk.term(sig, varmap, rhs=True)
             tk.end()
             commands.append(Insert(eq_id, lhs, rhs))
-            seen_term_command = True
 
         elif word == "del":
             eq_id = tk.name("an equality id")
@@ -242,7 +273,6 @@ def parse_script(text: str) -> Script:
                 raise tk.error(f"unknown equality id {eq_id!r}", 1)
             tk.end()
             commands.append(Delete(eq_id))
-            seen_term_command = True
 
         elif word == "query":
             qid = tk.name("a query id")
@@ -258,10 +288,9 @@ def parse_script(text: str) -> Script:
                 if var in bindings:
                     raise tk.error("variable bound twice in query", 1)
                 tk.take(":=")
-                bindings[var] = tk.term()
+                _, bindings[var] = tk.term(sig, {})
             tk.end()
             commands.append(Query(qid, tuple(bindings.items())))
-            seen_term_command = True
 
         elif word == "expect":
             qid = tk.name("a query id")
@@ -285,8 +314,8 @@ def parse_script(text: str) -> Script:
             raise tk.error(f"unknown command {word!r}", 1)
         lines.append(lineno)
 
-    if not has_order:
-        raise ScriptError("script must contain exactly one 'ord' line", 0)
+    if not has_order:       # refused at the end of the last line
+        raise tk.error("script must contain exactly one 'ord' line")
 
     return Script(tuple(commands), tuple(lines))
 
@@ -348,36 +377,15 @@ def _build_signature(commands: Iterable[Command]) -> Signature:
                      for c in decls)
 
 
-# the tokens of term text: "name(" opens an application and ")" closes
-# it; commas only separate names, so they are skipped
-_TOKEN = re.compile(rf"{IDENT}\(?|\)")
-
-
 def _resolve(sig: Signature, text: str, varmap: dict) -> Term:
-    """Term text as a term; undeclared identifiers are variables,
-    numbered through ``varmap`` in left-to-right order.  It keeps its
-    own stack of open applications, so any term the parser accepts
-    resolves."""
-    args: list[Term] = []       # the arguments resolved so far
-    open_apps: list = []        # (name, arguments of the enclosing one)
-    for tok in _TOKEN.findall(text):
-        if tok[-1] == "(":
-            open_apps.append((tok[:-1], args))
-            args = []
-        elif tok == ")":
-            name, outer = open_apps.pop()
-            outer.append(sig.app(name, args))
-            args = outer
-        elif sig.has_symbol(tok):
-            args.append(sig.app(tok, ()))
-        else:
-            args.append(sig.var(varmap.setdefault(tok, len(varmap))))
-    return args[0]
+    """Term text as a term, read as a script line reads it (see
+    ``_Tokens.term``), with the signature's own errors."""
+    return _Tokens(text, 0).term(sig, varmap)[0]
 
 
-# errors a script that parses can still raise while it runs
-_RUN_ERRORS = (SignatureError, MalformedEqualityError, DuplicateEqualityError,
-               RecursionError)
+# errors a script that parses can still raise while it runs: the parser
+# has read every term through the signature
+_RUN_ERRORS = (DuplicateEqualityError, RecursionError)
 
 
 def run(script: Script, mode: str = "shared", want: str = "all",

@@ -89,6 +89,29 @@ def test_one_walk_stops_at_the_first_success_in_any_diagram(sig, order):
     assert idx.snapshot_stats().answers == 3 + 1 + 4
 
 
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+def test_first_only_is_the_first_of_all_in_every_mode(sig, order):
+    # four members inserted before the first query, so on holds four
+    # diagrams; under each query only the second, third or fourth member
+    # is ordered, and each query runs twice, the second time on the
+    # settled paths
+    x, y = sig.var(0), sig.var(1)
+    a, b, ga = sig.app("a"), sig.app("b"), sig.app("g", [sig.app("a")])
+    lhs = sig.app("f", [x, y])
+    rhss = [sig.app("f", [x, sig.app("g", [x])]), sig.app("f", [y, x]),
+            sig.app("f", [x, x]), sig.app("f", [b, x])]
+    queries = [(Substitution({0: b, 1: a}), 2), (Substitution({0: a, 1: b}), 3),
+               (Substitution({0: ga, 1: ga}), 4)]
+    idxs = [make_index(sig, mode, order) for mode in MODES]
+    for idx in idxs:
+        assert [idx.insert(lhs, r) for r in rhss] == [1, 2, 3, 4]
+    assert len(idxs[1].tods()) == 4
+    for sigma, only in queries * 2:
+        for idx in idxs:
+            assert idx.query(lhs, sigma) == [only], (idx.mode, sigma)
+            assert idx.query(lhs, sigma, "first") == [only], (idx.mode, sigma)
+
+
 def _walk_per_diagram(tods, sigma, first_only=False, results=None):
     """The walk over a group's diagrams as a loop of one-diagram walks."""
     results = [] if results is None else results
@@ -861,6 +884,44 @@ def test_deep_terms_on_both_sides_compared_under_kbo(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_deep_lhs_retrieved_under_lpo(mode):
+    # g^(10^4)(x) = x under x := a, with a above g: LPO reaches the image
+    # a through the last (and only) argument of each g, one loop turn per
+    # level; the diagram modes compare g^(10^4)(x) with x as well
+    sig = Signature([("a", 0, 1, 1), ("g", 1, 1, 0)])
+    assert sys.getrecursionlimit() < 10 ** 4
+    x = sig.var(0)
+    deep = x
+    for _ in range(10 ** 4):
+        deep = sig.app("g", [deep])
+    idx = PostOrderingIndex(sig, "lpo", mode)
+    eq_id = idx.insert(deep, x)
+    assert idx.query(deep, Substitution({0: sig.app("a")})) == [eq_id]
+    if mode == "off":
+        assert idx.snapshot_stats().naive_comparisons == 10 ** 4 + 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_deep_terms_on_both_sides_compared_under_lpo(mode):
+    # g^1500(f(x,y)) = g^1500(f(y,x)): equal heads that differ only in
+    # their last argument pair, so LPO descends 1500 levels in a loop to
+    # f(g(a),a) > f(a,g(a))
+    sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("f", 2, 1, 2)])
+    assert sys.getrecursionlimit() < 1500
+    x, y = sig.var(0), sig.var(1)
+    lhs, rhs = sig.app("f", [x, y]), sig.app("f", [y, x])
+    for _ in range(1500):
+        lhs, rhs = sig.app("g", [lhs]), sig.app("g", [rhs])
+    idx = PostOrderingIndex(sig, "lpo", mode)
+    e1 = idx.insert(lhs, rhs)
+    a = sig.app("a")
+    assert idx.query(lhs, Substitution({0: sig.app("g", [a]), 1: a})) == [e1]
+    if mode == "off":
+        # then g(a) > a, f(g(a),a) > g(a) and f(g(a),a) > a
+        assert idx.snapshot_stats().naive_comparisons == 1500 + 4
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_deep_duplicate_is_a_duplicate(mode):
     # the error message prints the 10^4 deep lhs
     sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1)])
@@ -894,11 +955,12 @@ def test_negative_coefficient_on_a_free_image_is_not_read_at_w0(guard_setup,
     # x := a, y := z leaves 1 - |z|: NGE.  At |z| = w0 it reads 0, and a
     # walk that took that for GEQ would order f(a,z) > h(z,z) by the heads
     sig, lhs, rhs = guard_setup
-    idx = make_index(sig, mode)
-    idx.insert(lhs, rhs)
     sigma = Substitution({0: sig.app("a"), 1: sig.var(5)})
-    for _ in range(3):
-        assert idx.query(lhs, sigma) == []
+    for want in ("all", "first"):
+        idx = make_index(sig, mode)
+        idx.insert(lhs, rhs)
+        for _ in range(3):
+            assert idx.query(lhs, sigma, want) == []
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -909,11 +971,12 @@ def test_unbound_variable_cancelled_by_an_image(mode):
                      ("f", 2, 1, 2)])
     x, y = sig.var(0), sig.var(1)
     lhs = sig.app("f", [x, y])
-    idx = make_index(sig, mode)
-    eq_id = idx.insert(lhs, sig.app("h", [x, x]))
     sigma = Substitution({1: sig.app("g", [x])})
-    for _ in range(3):
-        assert idx.query(lhs, sigma) == [eq_id]
+    for want in ("all", "first"):
+        idx = make_index(sig, mode)
+        eq_id = idx.insert(lhs, sig.app("h", [x, x]))
+        for _ in range(3):
+            assert idx.query(lhs, sigma, want) == [eq_id]
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -68,6 +68,18 @@ _QUERY = _EQ + "query q1: x := a, y := a\n"     # line 5
     (_QUERY, "expect q2: {}", 8, "unknown query id 'q2'"),
     (_HEAD, "oops", 1, "unknown command 'oops'"),
     (_HEAD, "  ?x := a", 3, "unknown command '?'"),
+    # terms are read through the signature, built at the first eq or query
+    (_HEAD, "eq e1: f(a) = a", 8, "f expects 2 arguments, got 1"),
+    (_HEAD, "eq e1: f(x,y) = f(x,f(a))", 21, "f expects 2 arguments, got 1"),
+    (_HEAD, "eq e1: f(x,y) = g(x)", 17, "unknown symbol 'g'"),
+    (_HEAD, "eq e1: f(x,y) = f(f,x)", 19, "f expects 2 arguments, got 0"),
+    (_HEAD, "eq e1: f(x,y) = f(z,z)", 19, "variables not in the left-hand side"),
+    (_HEAD, "query q1: x := g(a), y := f(a)", 16, "unknown symbol 'g'"),
+    (_HEAD, "query q1: x := a, y := f(a)", 24, "f expects 2 arguments, got 1"),
+    ("sig f/2\nord kbo\n", "eq e1: f(x,y) = x", 1, "at least one constant"),
+    ("sig f/2\nord kbo\n", "query q1: x := f(x,x)", 1, "at least one constant"),
+    # with no ord line, the end of the last line
+    ("sig a/0\n", "sig f/2", 8, "exactly one 'ord' line"),
 ])
 def test_malformed_line_is_refused_at_its_token(before, line, col, message):
     lineno = before.count("\n") + 1

@@ -52,6 +52,18 @@ def test_intern_raw_tree_10000_deep(sig):
     assert deep.least == at_w0.constant == 10 ** 4 + 3
 
 
+def test_least_of_a_weighted_chain_10000_deep():
+    # |a| = w0 = 2 and |g| = 3: the least weight counts symbol weights,
+    # not symbols
+    sig = Signature([("a", 0, 2, 0), ("g", 1, 3, 1)])
+    raw = 0
+    for _ in range(10 ** 4):
+        raw = ("g", [raw])
+    deep = sig.intern(raw)
+    at_w0 = term_weight(deep).subst(Substitution({0: sig.app("a")}))
+    assert deep.least == at_w0.constant == 3 * 10 ** 4 + 2
+
+
 def test_term_repr(sig):
     x, a = sig.var(3), sig.app("a")
     assert repr(x) == "x3" and repr(a) == "a"
@@ -77,6 +89,16 @@ def test_signature_rejects_zero_weight():
 def test_signature_rejects_duplicate_precedence():
     with pytest.raises(SignatureError):
         Signature([("a", 0, 1, 0), ("b", 0, 1, 0)])
+
+
+# the script parser refuses both before a Signature is built
+@pytest.mark.parametrize("decls, message", [
+    ([("a", 0, 1, 0), ("g", -1, 1, 1)], "negative arity for g"),
+    ([("a", 0, 1, 0), ("a", 1, 1, 1)], "duplicate symbol name a")],
+    ids=["negative-arity", "duplicate-name"])
+def test_signature_rejects_what_a_script_cannot_declare(decls, message):
+    with pytest.raises(SignatureError, match=message):
+        Signature(decls)
 
 
 @pytest.mark.parametrize("decl", [
