@@ -15,6 +15,15 @@ rows are its parent's padded with zero bits and closed again with
 Warshall's algorithm.  A store keeps each ordering it builds, by its
 inputs, so the copies of a replicated node close their path once; it
 is a single-writer structure owned by one diagram, and dies with it.
+
+Under KBO a path also holds sign facts: each positivity check on it
+signed its weight difference ``e`` with the label the path took.  They
+are kept apart from the orderings, so that paths which differ only in
+them still share an ordering and its memo entry, as a chain
+``(e, label, rest)`` that the nodes of one path share.  They force a
+later weight difference ``e'`` pairwise by the static signs of
+``d = e' - e`` (see ``force_positivity_label``), and ``PairSigns``
+memoizes those signs for one diagram.
 """
 
 from __future__ import annotations
@@ -223,15 +232,67 @@ def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Label]:
     return tpo.relation(s, t)
 
 
-def force_positivity_label(expr: LinearExpr) -> Optional[Label]:
-    """Label forced for a positivity check: GEQ for the zero expression,
-    None otherwise.
+class PairSigns(dict):
+    """One diagram's memo of the static signs of fact pairs.
+
+    ``(e', e)`` maps to ``(s(e' - e), s(e - e'))``, where ``s`` is
+    ``.sign(w0)`` with no substitution, computed on the first lookup.
+    Expressions are immutable, so an entry never goes stale; the memo
+    dies with its diagram.
+    """
+
+    __slots__ = ("w0",)
+
+    def __init__(self, w0: int):
+        super().__init__()
+        self.w0 = w0
+
+    def __missing__(self, pair: tuple) -> tuple:
+        new, old = pair
+        signs = self[pair] = ((new - old).sign(self.w0),
+                              (old - new).sign(self.w0))
+        return signs
+
+
+def force_positivity_label(expr: LinearExpr, facts: Optional[tuple] = None,
+                           signs: Optional[PairSigns] = None
+                           ) -> Optional[Label]:
+    """Label forced for a positivity check on ``expr``, if any.
+
+    The zero expression is GEQ.  Otherwise ``facts`` decides: the path's
+    chain of sign facts ``(e, label, rest)``, None at its end, with
+    ``signs`` the diagram's memo.  For each fact, with ``d = expr - e``
+    and ``s`` the static sign:
+
+    * ``e`` GT and ``s(d) >= 0`` give GT;
+    * ``e`` GEQ and ``s(d)`` GT give GT;
+    * ``e`` GEQ and ``d`` zero give GEQ;
+    * ``e`` NGE and ``s(-d) >= 0`` give NGE.
+
+    A substitution maps every variable to a weight of at least ``w0``,
+    so a static sign holds under it, and ``expr`` is ``e`` plus ``d``.
 
     A statically signed weight difference never reaches a positivity
     check: a positive one makes KBO's ``compare(s, t)`` GT at the weight
     step, a negative one ``compare(t, s)``, and the path ordering holds
     that verdict before the comparison expands.  A merely non-negative
-    expression with variables does not force GEQ, because a substitution
-    can push its minimum above zero and flip the answer to GT.
+    expression with variables is not forced GEQ without a fact, because
+    a substitution can push its minimum above zero and flip the answer
+    to GT.
     """
-    return Label.GEQ if expr.is_zero else None
+    if expr.is_zero:
+        return Label.GEQ
+    while facts is not None:
+        old, label, facts = facts
+        ahead, behind = signs[expr, old]
+        if label is Label.GT:
+            if ahead is not Label.NGE:
+                return Label.GT
+        elif label is Label.GEQ:
+            if ahead is Label.GT:
+                return Label.GT
+            if ahead is Label.GEQ and behind is Label.GEQ:
+                return Label.GEQ        # d and -d are >= 0: d is zero
+        elif behind is not Label.NGE:
+            return Label.NGE
+    return None

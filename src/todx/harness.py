@@ -314,8 +314,14 @@ def parse_script(text: str) -> Script:
             raise tk.error(f"unknown command {word!r}", 1)
         lines.append(lineno)
 
-    if not has_order:       # refused at the end of the last line
+    # both refused at the end of the last line
+    if not has_order:
         raise tk.error("script must contain exactly one 'ord' line")
+    if sig is None:         # no eq or query line built it
+        try:
+            _build_signature(commands)
+        except SignatureError as err:
+            raise tk.error(str(err)) from None
 
     return Script(tuple(commands), tuple(lines))
 

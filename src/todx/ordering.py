@@ -94,7 +94,10 @@ class KboOrder(TermOrder):
     def compare_closure(self, s: Term, sigma: Substitution,
                         t: Term, theta: Substitution) -> Label:
         # a loop into the first differing argument pair, one step a
-        # level: its verdict is the answer, but EQ below the top is NGE
+        # level: its verdict is the answer, but EQ below the top is NGE.
+        # The last pair is not scanned: when every pair before it is
+        # equal, its verdict is the answer, EQ included, and an
+        # identical one answers without a step
         eq = _EQ
         while True:
             self.steps += 1
@@ -115,13 +118,17 @@ class KboOrder(TermOrder):
                 return _GT
             if s.sym is not t.sym:
                 return _NGE
-            for a, b in zip(s.args, t.args):
-                if not closure_equal(a, sigma, b, theta):
-                    s, t = a, b
+            args_s, args_t = s.args, t.args
+            last = len(args_s) - 1      # equal applications were caught above
+            for i in range(last):
+                if not closure_equal(args_s[i], sigma, args_t[i], theta):
+                    s, t, eq = args_s[i], args_t[i], _NGE
                     break
             else:
-                return eq
-            eq = _NGE
+                s, sigma = _deref(args_s[last], sigma)
+                t, theta = _deref(args_t[last], theta)
+                if s is t and sigma is theta:
+                    return eq
 
 
 class LpoOrder(TermOrder):
@@ -150,12 +157,16 @@ class LpoOrder(TermOrder):
                     args_s, args_t = s.args, t.args
                     k = len(args_s)
                     i = 0
-                    while i < k and closure_equal(args_s[i], sigma, args_t[i], theta):
+                    # the last pair is not scanned: when every pair before
+                    # it is equal, its verdict is the answer, EQ included,
+                    # and an identical one answers without a step
+                    while i < k - 1 and closure_equal(args_s[i], sigma, args_t[i], theta):
                         i += 1
-                    if i == k:
-                        return eq
                     if i == k - 1:
-                        s, t, eq = args_s[i], args_t[i], _NGE
+                        s, sigma = _deref(args_s[i], sigma)
+                        t, theta = _deref(args_t[i], theta)
+                        if s is t and sigma is theta:
+                            return eq
                         continue
                     if self.compare_closure(args_s[i], sigma, args_t[i], theta) is _GT:
                         for l in range(i + 1, k - 1):

@@ -5,7 +5,9 @@ positivity checks) and success nodes.  Retrieving with a query
 substitution walks the diagram, and on the way rewrites the parts it
 touches into cheaper equivalents: comparisons expand by the order's
 definition, and a node whose outcome the path already determines is
-bypassed by moving the edge the walk arrives by to its outcome.  A node
+bypassed by moving the edge the walk arrives by to its outcome.  The
+path determines an outcome by its term ordering and, under KBO, by the
+sign facts of its positivity checks (see ``todx.forcing``).  A node
 reached by several edges is split only before the walk visits or
 expands it: the arriving edge gets a fresh copy, so every visited node
 is reached by exactly one path.  Nodes count their incoming edges and
@@ -36,7 +38,8 @@ import enum
 from dataclasses import dataclass
 from typing import Optional
 
-from .forcing import PartialOrdering, TpoStore, force_positivity_label, force_term_label
+from .forcing import (PairSigns, PartialOrdering, TpoStore,
+                      force_positivity_label, force_term_label)
 from .ordering import TermOrder
 from .stats import Stats
 from .terms import Label, LinearExpr, Substitution, Term, term_weight
@@ -97,13 +100,16 @@ class Equality:
 
 class TodNode:
     """A diagram node.  It is visited exactly when it has ``tpo``, the
-    closure of its path formula, which the walk sets on the first visit.
-    Its edges are the slots ``gt``, ``mid`` and ``nge``, labelled per
-    kind by ``_LABELS``; a slot its kind does not use is None.  ``out``
-    is a view of them for introspection, which the walk never builds."""
+    closure of its path formula, which the walk sets on the first visit
+    together with ``facts``, the sign facts of the positivity checks on
+    its path: a chain ``(expr, label, rest)`` whose rest is its parent's
+    chain, None when the path has none.  Its edges are the slots ``gt``,
+    ``mid`` and ``nge``, labelled per kind by ``_LABELS``; a slot its
+    kind does not use is None.  ``out`` is a view of them for
+    introspection, which the walk never builds."""
 
-    __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "tpo", "gt", "mid",
-                 "nge", "refs")
+    __slots__ = ("kind", "lhs", "rhs", "expr", "eq", "tpo", "facts", "gt",
+                 "mid", "nge", "refs")
 
     def __init__(self, kind: NodeKind, lhs: Optional[Term] = None,
                  rhs: Optional[Term] = None, expr: Optional[LinearExpr] = None,
@@ -114,6 +120,7 @@ class TodNode:
         self.expr = expr
         self.eq = eq
         self.tpo: Optional[PartialOrdering] = None
+        self.facts: Optional[tuple] = None
         self.gt = self.mid = self.nge = None
         self.refs = 0       # incoming edges
 
@@ -152,8 +159,12 @@ class Tod:
         self.order = order
         self.stats = stats if stats is not None else Stats()
         # the store, and every ordering and comparison it keeps, dies
-        # with the diagram
+        # with the diagram, as do the KBO weight differences of its
+        # comparisons, by (s.tid, t.tid), and the static signs of pairs
+        # of them
         self.tpo_store = TpoStore(order)
+        self._diffs: dict[tuple, LinearExpr] = {}
+        self._signs = PairSigns(order.signature.w0)
         self.root = TodNode(NodeKind.ROOT)
         self.exit = TodNode(NodeKind.EXIT)
         self.root.tpo = self.tpo_store.empty
@@ -247,12 +258,42 @@ class Tod:
         new_terms = (node.lhs, node.rhs) if node.kind is NodeKind.TERM else ()
         return self.tpo_store.extend(prev.tpo, facts, new_terms)
 
-    def _forced(self, node: TodNode, tpo: PartialOrdering) -> Optional[Label]:
-        """The label the path forces on ``node``; None for a success."""
+    @staticmethod
+    def _facts_at(prev: TodNode, arrival: Label) -> Optional[tuple]:
+        """The sign facts of the path arriving from ``prev`` by ``arrival``:
+        ``prev``'s, plus its own when it is a positivity check."""
+        if prev.kind is NodeKind.POS:
+            return (prev.expr, arrival, prev.facts)
+        return prev.facts
+
+    def _weight_diff(self, s: Term, t: Term) -> LinearExpr:
+        """``|s| - |t|``, built once per diagram."""
+        key = (s.tid, t.tid)
+        diff = self._diffs.get(key)
+        if diff is None:
+            diff = self._diffs[key] = term_weight(s) - term_weight(t)
+        return diff
+
+    def _forced(self, node: TodNode, tpo: PartialOrdering,
+                facts: Optional[tuple]) -> Optional[Label]:
+        """The label the path forces on ``node``; None for a success.
+
+        A comparison the path ordering leaves open is still forced by
+        KBO's weight step when the sign facts force its weight
+        difference GT or NGE; a forced GEQ, a weight tie, leaves it
+        open.  Only KBO diagrams hold positivity checks, so only they
+        have facts.
+        """
         if node.kind is NodeKind.TERM:
-            return force_term_label(tpo, node.lhs, node.rhs)
+            label = force_term_label(tpo, node.lhs, node.rhs)
+            if label is None and facts is not None:
+                label = force_positivity_label(
+                    self._weight_diff(node.lhs, node.rhs), facts, self._signs)
+                if label is _GEQ:
+                    return None
+            return label
         if node.kind is NodeKind.POS:
-            return force_positivity_label(node.expr)
+            return force_positivity_label(node.expr, facts, self._signs)
         return None
 
     # -- generic transformations ----------------------------------------------
@@ -327,7 +368,8 @@ class Tod:
         heads into a chain of argument comparisons along = edges.  The
         weight difference has no static sign: a positive one makes
         ``compare(s, t)`` GT and a negative one ``compare(t, s)``, so the
-        path ordering has decided the node before it expands.
+        path ordering has decided the node before it expands; nor do the
+        path's sign facts force it GT or NGE (``Tod._forced``).
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
@@ -340,7 +382,7 @@ class Tod:
             for a, b in zip(reversed(s.args), reversed(t.args)):
                 geq = self._term(a, b, gt, geq, nge)
         node.kind = NodeKind.POS
-        node.expr = term_weight(s) - term_weight(t)
+        node.expr = self._weight_diff(s, t)
         node.lhs = node.rhs = None
         self.stats.nodes_created.pos += 1
         return self._rewire(node, gt, geq, nge)
@@ -460,10 +502,24 @@ class Tod:
             if n.visited and n.kind is not NodeKind.ROOT and n.refs != 1:
                 raise TodStructureError(
                     f"visited {n!r} has {n.refs} incoming edges")
-            for dst in targets[n]:
-                if dst.visited and not n.visited:
+            for label, dst in zip(_LABELS[n.kind], (n.gt, n.mid, n.nge)):
+                if dst is None or not dst.visited:
+                    continue
+                if not n.visited:
                     raise TodStructureError(
                         f"visited {dst!r} under unvisited {n!r}")
+                # the one parent's chain itself, behind the parent's own
+                # fact if it is a positivity check (() matches no chain)
+                facts = dst.facts
+                if n.kind is NodeKind.POS:
+                    facts = (facts[2] if facts == (n.expr, label, n.facts)
+                             else ())
+                if facts is not n.facts:
+                    raise TodStructureError(
+                        f"{dst!r} carries sign facts {dst.facts!r}, its "
+                        f"path {Tod._facts_at(n, label)!r}")
+            if not n.visited and n.facts is not None:
+                raise TodStructureError(f"unvisited {n!r} carries sign facts")
 
 
 def retrieve(tods, sigma: Substitution, first_only: bool = False,
@@ -556,7 +612,8 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
                 raise StepCapExceededError(f"retrieval exceeded {STEP_CAP} steps")
             via = (prev, arrival)
             tpo = tod._tpo_at(prev, arrival, node)
-            forced = tod._forced(node, tpo)
+            facts = tod._facts_at(prev, arrival)
+            forced = tod._forced(node, tpo, facts)
             if forced is None:
                 # visited or expanded: the walk needs its own copy
                 if node.refs > 1:
@@ -576,6 +633,7 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
                 node = tod.remove_forced(node, forced, via)
                 continue
             node.tpo = tpo
+            node.facts = facts
         if kind is not _EXIT:
             break       # first_only stopped at a success
     traversed = st.nodes_traversed

@@ -129,13 +129,19 @@ class ScenarioChecker:
         if any(l is lhs_c and r is rhs_c and i not in self.deleted
                for i, l, r in self.model):
             return False
+        self.insert(lhs, rhs)
+        return True
+
+    def insert(self, lhs: Term, rhs: Term) -> None:
+        """Insert an equality that is well formed and not live in every
+        index."""
+        lhs_c, rhs_c = canonicalize_equality(self.sig, lhs, rhs)
         ids = [idx.insert(lhs, rhs) for idx in self.indexes.values()]
         assert len(set(ids)) == 1, "indexes must assign identical ids"
         self.model.append((ids[0], lhs_c, rhs_c))
         if lhs_c not in self.group_keys:
             self.group_keys.append(lhs_c)
         self._after_op()
-        return True
 
     def delete_random(self) -> None:
         live = [i for i, _, _ in self.model if i not in self.deleted]
@@ -153,7 +159,11 @@ class ScenarioChecker:
         rng = self.rng
         key = rng.choice(self.group_keys)
         kvars = sorted({u.vid for u in subterms(key) if u.sym is None})
-        sigma = random_subst(rng, self.sig, kvars, self.max_depth)
+        self.query(key, random_subst(rng, self.sig, kvars, self.max_depth),
+                   want)
+
+    def query(self, key: Term, sigma: Substitution, want: str = "all") -> None:
+        """Query every index and check each answer against the oracle."""
         with self._walks_recorded():
             results = {m: idx.query(key, sigma, want)
                        for m, idx in self.indexes.items()}

@@ -2,14 +2,17 @@ import random
 
 import pytest
 
-from helpers import facts, random_term
+from helpers import ScenarioChecker, facts, random_term
 from oracles import Contradiction, ref_closure, term_formula
+import todx.tod
 from todx import forcing
-from todx import (Label, LinearExpr, Substitution, TpoInconsistencyError,
-                  TpoStore, force_positivity_label, force_term_label,
-                  make_order)
+from todx import (Label, LinearExpr, Signature, Substitution,
+                  TpoInconsistencyError, TpoStore, force_positivity_label,
+                  force_term_label, make_order, term_weight)
+from todx.forcing import PairSigns
 
 G, E, N = Label.GT, Label.EQ, Label.NGE
+GEQ = Label.GEQ
 
 
 @pytest.fixture
@@ -337,8 +340,9 @@ def test_one_shot_formula_closure_matches_incremental(sig, store):
 
 
 def test_positivity_forcing():
-    # only the zero difference forces; a statically signed one never
-    # reaches a positivity check (test_statically_unordered_pairs_are_expandable)
+    # without sign facts only the zero difference forces; a statically
+    # signed one never reaches a positivity check
+    # (test_statically_unordered_pairs_are_expandable)
     assert force_positivity_label(LinearExpr(0)) is Label.GEQ
     # not decided for every substitution: no label
     assert force_positivity_label(LinearExpr(0, {1: 1, 0: -1})) is None
@@ -356,3 +360,175 @@ def test_positivity_nonconstant_nonnegative_is_not_forced(sig):
     assert e.subst(Substitution({0: faa})).sign(sig.w0) is Label.GT
     assert e.subst(Substitution({0: sig.app("a")})).sign(sig.w0) \
         is Label.GEQ
+
+
+# -- sign facts of the path --------------------------------------------------
+
+def lin(constant, **coeffs):
+    """``constant + sum c*x<i>``, written lin(-1, x0=1, x1=2)."""
+    return LinearExpr(constant, {int(v[1:]): c for v, c in coeffs.items()})
+
+
+def chain(*pairs):
+    """The sign-fact chain of a path, its first fact last."""
+    out = None
+    for expr, label in pairs:
+        out = (expr, label, out)
+    return out
+
+
+def forced(expr, *pairs):
+    return force_positivity_label(expr, chain(*pairs), PairSigns(1))
+
+
+def test_fact_gt_and_nonnegative_difference_force_gt():
+    # x0 - 1 > 0 on the path; d = x1 - 1 is >= 0 and d = x1 > 0
+    assert forced(lin(-2, x0=1, x1=1), (lin(-1, x0=1), G)) is G
+    assert forced(lin(-1, x0=1, x1=1), (lin(-1, x0=1), G)) is G
+
+
+def test_fact_geq_and_positive_difference_force_gt():
+    # x0 - x1 >= 0 on the path; d = 1
+    assert forced(lin(1, x0=1, x1=-1), (lin(0, x0=1, x1=-1), GEQ)) is G
+
+
+def test_fact_geq_and_zero_difference_force_geq():
+    # an equal expression, not the same object
+    assert forced(lin(0, x0=1, x1=-1), (lin(0, x0=1, x1=-1), GEQ)) is GEQ
+
+
+def test_fact_nge_and_nonpositive_difference_force_nge():
+    # x0 - x1 < 0 somewhere on the path; -d = x1 > 0, and -d = 1 > 0
+    assert forced(lin(0, x0=1, x1=-2), (lin(0, x0=1, x1=-1), N)) is N
+    assert forced(lin(-1, x0=1, x1=-1), (lin(0, x0=1, x1=-1), N)) is N
+
+
+def test_zero_expression_stays_geq_whatever_the_facts():
+    assert forced(lin(0), (lin(-1, x0=1), G)) is GEQ
+    assert forced(lin(0), (lin(0, x0=1, x1=-1), N)) is GEQ
+
+
+def test_any_fact_of_the_chain_may_force():
+    # the nearest fact decides nothing (-d = 1 - 2*x1), the first one
+    # does (d = x1)
+    assert forced(lin(-1, x0=1, x1=1), (lin(-1, x0=1), G),
+                  (lin(0, x0=1, x1=-1), N)) is G
+    assert forced(lin(-1, x0=1, x1=1), (lin(0, x0=1, x1=-1), N)) is None
+
+
+@pytest.mark.parametrize("expr, fact", [
+    # GT fact, d = x1 - x0 takes both signs
+    (lin(-1, x1=1), (lin(-1, x0=1), G)),
+    # GEQ fact, d = x1 - 1 is >= 0 but not > 0, and not zero
+    (lin(-2, x0=1, x1=1), (lin(-1, x0=1), GEQ)),
+    # NGE fact, d = 1 > 0: e' may be >= 0 where e < 0
+    (lin(1, x0=1, x1=-1), (lin(0, x0=1, x1=-1), N)),
+    # NGE fact, d = x1: e' >= e, so no bound from e
+    (lin(-1, x0=1, x1=1), (lin(-1, x0=1), N)),
+    # GT fact, d = -1: e' may reach 0
+    (lin(-2, x0=1), (lin(-1, x0=1), G)),
+])
+def test_facts_that_decide_nothing_force_nothing(expr, fact):
+    assert forced(expr, fact) is None
+
+
+def test_every_forced_label_holds_under_every_substitution(sig):
+    # each rule, checked against the signs of both expressions under
+    # substitutions that give the fact its label
+    ground = [sig.app("a"), sig.app("g", [sig.app("a")]),
+              sig.app("f", [sig.app("a"), sig.app("b")])]
+    images = ground + [sig.var(5), sig.app("g", [sig.var(6)])]
+    exprs = [lin(c, x0=p, x1=q) for c in (-2, -1, 0, 1)
+             for p in (-1, 0, 1) for q in (-2, 0, 1)]
+    signs = PairSigns(sig.w0)
+    sigmas = [Substitution({0: u, 1: v}) for u in images for v in images]
+    decided = set()
+    for old in exprs:
+        for new in exprs:
+            for label in (G, GEQ, N):
+                got = force_positivity_label(new, (old, label, None), signs)
+                if got is None:
+                    continue
+                decided.add((label, got))
+                for sigma in sigmas:
+                    if old.sign(sig.w0, sigma) is label:
+                        assert new.sign(sig.w0, sigma) is got, (
+                            old, label, new, sigma)
+    assert decided >= {(G, G), (GEQ, G), (GEQ, GEQ), (N, N)}
+
+
+def test_pair_signs_are_computed_once_per_pair(monkeypatch):
+    calls = []
+    sign = LinearExpr.sign
+
+    def counted(self, *args):
+        calls.append(self)
+        return sign(self, *args)
+
+    monkeypatch.setattr(LinearExpr, "sign", counted)
+    signs = PairSigns(1)
+    e, e2 = lin(-1, x0=1), lin(-2, x0=1, x1=1)
+    assert signs[e2, e] == (GEQ, N)
+    assert signs[lin(-2, x0=1, x1=1), lin(-1, x0=1)] == (GEQ, N)
+    assert len(calls) == 2      # d and -d, once
+
+
+# KBO_SYMBOLS of the benchmark's poly_kbo: a < b < g < h < f
+POLY_SYMBOLS = [("a", 0, 1, 0), ("b", 0, 2, 1), ("g", 1, 2, 2),
+                ("h", 1, 3, 3), ("f", 2, 1, 4)]
+
+
+def poly_rhs(rng, sig, lhs, count):
+    """``count`` rhs drawn as the benchmark's poly_kbo draws them: depth 3
+    over x and y, each with a weight difference to ``lhs`` that keeps
+    variables, and neither side greater without a substitution."""
+    order = make_order("kbo", sig)
+    lhs_vars = term_weight(lhs)._coeffs
+    chosen = []
+    while len(chosen) < count:
+        rhs = random_term(rng, sig, [0, 1], 3)
+        if rhs in chosen or rhs is lhs or term_weight(rhs)._coeffs == lhs_vars:
+            continue
+        if G in (order.compare(lhs, rhs), order.compare(rhs, lhs)):
+            continue
+        chosen.append(rhs)
+    return chosen
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_sign_facts_agree_with_the_oracle_on_a_wide_kbo_group(seed, monkeypatch):
+    # one group of 24 rhs, 320 queries with images that are ground,
+    # non-ground or absent; ScenarioChecker compares every mode with
+    # the oracle and audits every forced bypass against evaluation
+    rng = random.Random(seed)
+    sig = Signature(POLY_SYMBOLS)
+    lhs = sig.app("f", [sig.var(0), sig.var(1)])
+    checker = ScenarioChecker(rng, "kbo", sig=sig)
+    for rhs in poly_rhs(rng, sig, lhs, 24):
+        checker.insert(lhs, rhs)
+    by_facts = []
+    label_of = todx.tod.force_positivity_label
+
+    def recorded(expr, facts=None, signs=None):
+        label = label_of(expr, facts, signs)
+        if label is not None and not expr.is_zero:
+            by_facts.append(label)
+        return label
+
+    monkeypatch.setattr(todx.tod, "force_positivity_label", recorded)
+    kinds = set()
+    for q in range(320):
+        bindings = {}
+        for v in (0, 1):
+            roll = rng.random()
+            if roll < 0.15:
+                kinds.add("unbound")
+                continue
+            free = [100] if roll < 0.45 else []
+            kinds.add("non-ground" if free else "ground")
+            bindings[v] = random_term(rng, sig, free, 2)
+        checker.query(lhs, Substitution(bindings),
+                      "first" if q % 10 == 9 else "all")
+    assert kinds == {"unbound", "non-ground", "ground"}
+    # every rule's label was forced by facts
+    assert set(by_facts) == {G, GEQ, N}

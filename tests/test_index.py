@@ -13,6 +13,7 @@ from todx import (DuplicateEqualityError, IndexMode, Label, LinearExpr,
                   Signature, SignatureError, Substitution, UnknownEqualityError,
                   canonicalize_equality, make_order, term_weight)
 import todx.index
+import todx.ordering
 from todx.index import PROMOTE_AFTER
 
 MODES = ("off", "on", "shared")
@@ -919,6 +920,38 @@ def test_deep_terms_on_both_sides_compared_under_lpo(mode):
     if mode == "off":
         # then g(a) > a, f(g(a),a) > g(a) and f(g(a),a) > a
         assert idx.snapshot_stats().naive_comparisons == 1500 + 4
+
+
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+def test_equal_heads_descend_into_the_last_pair_without_scanning_it(
+        order, monkeypatch):
+    # g^n(f(x,y)) = g^n(f(y,x)) in off: at each of the n levels of equal
+    # heads the comparison descends into the last (only) argument pair,
+    # so the pair resolutions grow linearly in n; scanning that pair
+    # with closure_equal before each descent made them quadratic
+    # (41006 at n = 200, 162006 at n = 400)
+    calls = []
+    deref = todx.ordering._deref
+
+    def counted(s, sigma):
+        calls.append(None)
+        return deref(s, sigma)
+
+    monkeypatch.setattr(todx.ordering, "_deref", counted)
+    counts = []
+    for n in (200, 400):
+        sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("f", 2, 1, 2)])
+        x, y = sig.var(0), sig.var(1)
+        lhs, rhs = sig.app("f", [x, y]), sig.app("f", [y, x])
+        for _ in range(n):
+            lhs, rhs = sig.app("g", [lhs]), sig.app("g", [rhs])
+        idx = PostOrderingIndex(sig, order, "off")
+        e1 = idx.insert(lhs, rhs)
+        a = sig.app("a")
+        del calls[:]
+        assert idx.query(lhs, Substitution({0: sig.app("g", [a]), 1: a})) == [e1]
+        counts.append(len(calls))
+    assert counts[1] <= 2.2 * counts[0], counts
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -78,6 +78,8 @@ _QUERY = _EQ + "query q1: x := a, y := a\n"     # line 5
     (_HEAD, "query q1: x := a, y := f(a)", 24, "f expects 2 arguments, got 1"),
     ("sig f/2\nord kbo\n", "eq e1: f(x,y) = x", 1, "at least one constant"),
     ("sig f/2\nord kbo\n", "query q1: x := f(x,x)", 1, "at least one constant"),
+    # with no eq or query line, the end of the last line
+    ("sig f/2\n", "ord kbo", 8, "at least one constant"),
     # with no ord line, the end of the last line
     ("sig a/0\n", "sig f/2", 8, "exactly one 'ord' line"),
 ])

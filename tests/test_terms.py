@@ -324,9 +324,10 @@ def one_check_diagram(sig, expr):
     tod._link3(tod.root, None, check, None)
     check.tpo = tod.tpo_store.empty
     succs = []
-    for eq_id in (1, 2, 3):
+    for eq_id, label in zip((1, 2, 3), (Label.GT, Label.GEQ, Label.NGE)):
         succ = TodNode(NodeKind.SUCCESS, eq=Equality(eq_id, None, None))
         succ.tpo = tod.tpo_store.empty
+        succ.facts = (expr, label, None)    # the check's, as a walk sets it
         tod._link3(succ, None, tod.exit, None)
         succs.append(succ)
     tod._link3(check, *succs)   # gt, mid (GEQ) and nge
