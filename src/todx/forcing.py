@@ -235,10 +235,14 @@ def force_term_label(tpo: PartialOrdering, s: Term, t: Term) -> Optional[Label]:
 class PairSigns(dict):
     """One diagram's memo of the static signs of fact pairs.
 
-    ``(e', e)`` maps to ``(s(e' - e), s(e - e'))``, where ``s`` is
-    ``.sign(w0)`` with no substitution, computed on the first lookup.
-    Expressions are immutable, so an entry never goes stale; the memo
-    dies with its diagram.
+    ``(id(e'), id(e))`` maps to ``(e', e, s(d), s(-d))`` with
+    ``d = e' - e``, where ``s`` is ``.sign(w0)`` with no substitution:
+    NGE if a coefficient is negative, else the sign of ``d`` at ``w0``.
+    Both signs come from the one subtraction, on the first lookup.  The
+    key is the two objects' identities, so a lookup hashes two ints, not
+    two expressions; the entry keeps both objects alive, so neither id
+    is reused while the memo lives.  Expressions are immutable, so an
+    entry never goes stale; the memo dies with its diagram.
     """
 
     __slots__ = ("w0",)
@@ -247,11 +251,25 @@ class PairSigns(dict):
         super().__init__()
         self.w0 = w0
 
-    def __missing__(self, pair: tuple) -> tuple:
-        new, old = pair
-        signs = self[pair] = ((new - old).sign(self.w0),
-                              (old - new).sign(self.w0))
-        return signs
+    def add(self, new: LinearExpr, old: LinearExpr) -> tuple:
+        """The entry for ``(new, old)``, made and kept."""
+        d = new - old
+        total = d.constant
+        neg = pos = False
+        for _, c in d._coeffs:
+            if c < 0:
+                neg = True
+            else:
+                pos = True
+            total += c * self.w0
+        entry = self[id(new), id(old)] = (
+            new, old, Label.NGE if neg else _sign(total),
+            Label.NGE if pos else _sign(-total))
+        return entry
+
+
+def _sign(total: int) -> Label:
+    return Label.GT if total > 0 else Label.GEQ if total == 0 else Label.NGE
 
 
 def force_positivity_label(expr: LinearExpr, facts: Optional[tuple] = None,
@@ -282,9 +300,11 @@ def force_positivity_label(expr: LinearExpr, facts: Optional[tuple] = None,
     """
     if expr.is_zero:
         return Label.GEQ
+    key = id(expr)
     while facts is not None:
         old, label, facts = facts
-        ahead, behind = signs[expr, old]
+        _, _, ahead, behind = (signs.get((key, id(old)))
+                               or signs.add(expr, old))
         if label is Label.GT:
             if ahead is not Label.NGE:
                 return Label.GT

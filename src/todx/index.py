@@ -381,7 +381,9 @@ class PostOrderingIndex:
         ``compare_closure``'s weight step, GT or NGE, and counts as its
         one step.  A zero total, a ``c < 0`` on an unbound variable or a
         non-ground image (another image can cancel it), and an LPO
-        equality take one closure comparison.
+        equality take one closure comparison.  The same integer sign runs
+        in two more places: the walk's positivity checks, and the weight
+        step of ``KboOrder.compare_closure`` at every level.
         """
         st = self.stats
         order = self.order

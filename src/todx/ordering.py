@@ -99,17 +99,49 @@ class KboOrder(TermOrder):
         # equal, its verdict is the answer, EQ included, and an
         # identical one answers without a step
         eq = _EQ
+        w0 = self.signature.w0
         while True:
             self.steps += 1
             s, sigma = _deref(s, sigma)
             t, theta = _deref(t, theta)
             if s is t and sigma is theta:
                 return eq
-            # the weight of an instance needs only the variables of s
-            sg = term_weight(s).sign(self.signature.w0, sigma,
-                                     term_weight(t), theta)
-            if sg is not _GEQ:
-                return sg
+            # The weight step signs |s*sigma| - |t*theta| in integers: the
+            # least weight of s*sigma (each variable's image's Term.least,
+            # w0 if unbound) less the weight of t*theta.  Weights have no
+            # negative coefficient, so this is the least difference, and
+            # exact, when every variable of t has a ground image; else
+            # LinearExpr.sign folds both weights.
+            if theta is EMPTY_SUBST:
+                exact = t.ground
+                total = -t.least
+            else:
+                exact = True
+                m = theta._m
+                wt = term_weight(t)
+                total = -wt.constant
+                for v, c in wt._coeffs:
+                    img = m.get(v)
+                    if img is None or not img.ground:
+                        exact = False
+                        break
+                    total -= c * img.least
+            if exact:
+                if sigma is EMPTY_SUBST:
+                    total += s.least
+                else:
+                    m = sigma._m
+                    ws = term_weight(s)
+                    total += ws.constant
+                    for v, c in ws._coeffs:
+                        img = m.get(v)
+                        total += c * (w0 if img is None else img.least)
+                if total:
+                    return _GT if total > 0 else _NGE
+            else:
+                sg = term_weight(s).sign(w0, sigma, term_weight(t), theta)
+                if sg is not _GEQ:
+                    return sg
             if s.sym is None or t.sym is None:
                 # A variable left by deref vs. a term of the same weight:
                 # equal instances were ruled out above, greater is impossible.

@@ -252,7 +252,11 @@ class Tod:
 
     def _tpo_at(self, prev: TodNode, arrival: Label,
                 node: TodNode) -> PartialOrdering:
-        """Closure of the path formula for the path arriving at ``node``."""
+        """Closure of the path formula for the path arriving at ``node``:
+        ``prev``'s itself, as ``extend`` would return it, when the arrival
+        adds no fact and no term."""
+        if prev.kind is not NodeKind.TERM and node.kind is not NodeKind.TERM:
+            return prev.tpo
         facts = (((prev.lhs, arrival, prev.rhs),)
                  if prev.kind is NodeKind.TERM else ())
         new_terms = (node.lhs, node.rhs) if node.kind is NodeKind.TERM else ()
@@ -544,7 +548,9 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
     variable or a non-ground image, which can cancel against another
     image; such a check calls ``sign``.
     ``PostOrderingIndex._check_each`` signs an equality's stored weight
-    difference by the same rule, inline as here.
+    difference by the same rule, inline as here, and
+    ``KboOrder.compare_closure`` signs its weight step so, at every
+    level, when every variable of its right side has a ground image.
 
     Results appear in diagram order and, within a diagram, in
     success-node encounter order, which in a shared diagram is

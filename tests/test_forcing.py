@@ -458,19 +458,39 @@ def test_every_forced_label_holds_under_every_substitution(sig):
 
 
 def test_pair_signs_are_computed_once_per_pair(monkeypatch):
+    # one subtraction per pair of objects gives both signs; an equal pair
+    # of other objects gets an entry of its own with the same signs
     calls = []
-    sign = LinearExpr.sign
+    sub = LinearExpr.__sub__
 
-    def counted(self, *args):
+    def counted(self, other):
         calls.append(self)
-        return sign(self, *args)
+        return sub(self, other)
 
-    monkeypatch.setattr(LinearExpr, "sign", counted)
+    monkeypatch.setattr(LinearExpr, "__sub__", counted)
     signs = PairSigns(1)
     e, e2 = lin(-1, x0=1), lin(-2, x0=1, x1=1)
-    assert signs[e2, e] == (GEQ, N)
-    assert signs[lin(-2, x0=1, x1=1), lin(-1, x0=1)] == (GEQ, N)
-    assert len(calls) == 2      # d and -d, once
+    assert force_positivity_label(e2, (e, GEQ, None), signs) is None
+    assert signs[id(e2), id(e)][2:] == (GEQ, N)
+    assert force_positivity_label(e2, (e, N, None), signs) is None
+    assert len(calls) == 1
+    again = lin(-2, x0=1, x1=1), lin(-1, x0=1)
+    assert signs.add(*again)[2:] == (GEQ, N)
+    assert len(calls) == 2 and len(signs) == 2
+
+
+def test_pair_sign_lookups_never_hash_an_expression(monkeypatch):
+    def refuse(self):
+        raise AssertionError("LinearExpr.__hash__ called")
+
+    monkeypatch.setattr(LinearExpr, "__hash__", refuse)
+    signs = PairSigns(1)
+    e, e2, five = lin(-1, x0=1), lin(-1, x0=1, x1=1), lin(5)
+    for _ in range(2):      # the first lookup fills the memo, the next reads it
+        assert force_positivity_label(e2, (e, G, None), signs) is G
+        assert force_positivity_label(e2, (five, N, (e, N, None)),
+                                      signs) is None
+    assert len(signs) == 2
 
 
 # KBO_SYMBOLS of the benchmark's poly_kbo: a < b < g < h < f

@@ -3,6 +3,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_signature, random_subst, random_term, subterms
 from oracles import instantiate, ref_compare, ref_weight
@@ -252,3 +254,79 @@ def test_steps_count_each_comparison_entry(sig):
     swapped = Substitution({0: a, 1: b})
     assert lpo.compare_closure(t, sigma, t, swapped) is G
     assert lpo.steps == 3
+
+
+# -- KBO's weight step in integers -------------------------------------------
+
+# the symbols of the benchmark's poly_kbo, w0 = 1: a < b < g < h < f
+_WSIG = Signature([("a", 0, 1, 0), ("b", 0, 2, 1), ("g", 1, 2, 2),
+                   ("h", 1, 3, 3), ("f", 2, 1, 4)])
+
+
+def _raw_terms(leaves):
+    """Raw trees for ``Signature.intern`` over ``_WSIG`` and ``leaves``."""
+    return st.recursive(
+        st.sampled_from(leaves),
+        lambda sub: st.one_of(
+            st.tuples(st.sampled_from(["g", "h"]),
+                      st.lists(sub, min_size=1, max_size=1)),
+            st.tuples(st.just("f"), st.lists(sub, min_size=2, max_size=2))),
+        max_leaves=8)
+
+
+# an image of x0, x1 or x2: unbound (None), ground, or over x1 and x5,
+# so an image may share a variable with the other side
+_image = st.one_of(st.none(), _raw_terms(["a", "b"]),
+                   _raw_terms(["a", 1, 5]))
+_images = st.lists(_image, min_size=3, max_size=3)
+_x = _raw_terms(["a", "b", 0, 1, 2])
+
+
+def _subst(images):
+    return Substitution({v: _WSIG.intern(raw) for v, raw in enumerate(images)
+                         if raw is not None})
+
+
+@settings(max_examples=400, deadline=None)
+@given(s=_x, t=_x, sigma=_images, theta=_images, same=st.booleans())
+# t's side ground and s's free: the least weight of f(x0,a) ties |g(a)|,
+# and the precedence answers
+@example(s=("f", [0, "a"]), t=("g", ["a"]), sigma=[None] * 3,
+         theta=[None] * 3, same=False)
+@example(s=("f", [0, 0]), t=("g", [1]), sigma=[("g", [5]), None, None],
+         theta=[None, "a", None], same=False)
+# a variable of both sides with a non-ground image: the fold decides
+@example(s=("f", [0, "a"]), t=("h", [0]), sigma=[("g", [5]), None, None],
+         theta=None, same=True)
+def test_kbo_closure_agrees_with_the_oracle_in_integers(s, t, sigma, theta,
+                                                        same):
+    s, t = _WSIG.intern(s), _WSIG.intern(t)
+    sigma = _subst(sigma)
+    theta = sigma if same else _subst(theta)
+    want = ref_compare(_WSIG, "kbo", instantiate(_WSIG, s, sigma),
+                       instantiate(_WSIG, t, theta))
+    assert make_order("kbo", _WSIG).compare_closure(s, sigma, t, theta) is want
+
+
+def test_kbo_weight_step_folds_only_a_non_ground_image_of_t(monkeypatch):
+    calls = []
+    sign = LinearExpr.sign
+
+    def counted(self, *args):
+        calls.append(self)
+        return sign(self, *args)
+
+    monkeypatch.setattr(LinearExpr, "sign", counted)
+    kbo = make_order("kbo", _WSIG)
+    i = _WSIG.intern
+    s, t = i(("f", [0, ("g", [1])])), i(("f", [1, 0]))
+    # every variable of t has a ground image; s keeps x5 and unbound x1:
+    # f(g(x5), g(x1)) vs f(g(a), g(a)) ties at the top and at g(x5) vs g(a)
+    sigma = Substitution({0: i(("g", [5]))})
+    theta = Substitution({0: i(("g", ["a"])), 1: i(("g", ["a"]))})
+    assert kbo.compare_closure(s, sigma, t, theta) is N
+    assert kbo.steps == 3 and calls == []
+    # one non-ground image on t's side: that level folds both weights
+    theta = Substitution({0: i(("g", ["a"])), 1: i(("g", [5]))})
+    assert kbo.compare_closure(s, sigma, t, theta) is N
+    assert len(calls) == 1
