@@ -16,6 +16,14 @@ Warshall's algorithm.  A store keeps each ordering it builds, by its
 inputs, so the copies of a replicated node close their path once; it
 is a single-writer structure owned by one diagram, and dies with it.
 
+A path's ordering starts at its first fact.  Only a visited comparison
+passes its terms on, through the fact its children arrive by, so before
+that the path's ordering is the store's empty one, and a comparison
+there is decided by the static verdict of its pair alone.  That verdict
+has one home, ``TpoStore.static``, which also orders the pairs that
+``extend`` adds; it compares each pair once, and under KBO with empty
+substitutions its weight step runs in integers (``todx.ordering``).
+
 Under KBO a path also holds sign facts: each positivity check on it
 signed its weight difference ``e`` with the label the path took.  They
 are kept apart from the orderings, so that paths which differ only in
@@ -130,14 +138,18 @@ def _close(gt: list, eq: list, nge: list) -> tuple:
     return tuple(gt), tuple(closed_eq), tuple(closed_nge)
 
 
+_UNKNOWN = object()
+_MIRROR = {Label.GT: Label.NGE, Label.NGE: Label.GT, None: None}
+
+
 class TpoStore:
     """Builds partial orderings for one term order, once per input."""
 
     def __init__(self, order: TermOrder):
         self.order = order
-        # (v.tid, u.tid) -> 1 if v > u, -1 if u > v, else 0.  Terms are
-        # interned and immutable, so a verdict never goes stale.
-        self._static: dict[tuple, int] = {}
+        # (v.tid, u.tid) -> static(v, u).  Terms are interned and
+        # immutable, so a verdict never goes stale.
+        self._static: dict[tuple, Optional[Label]] = {}
         # (parent, constraints, new_terms) -> extension.  Replicated
         # copies of a node arrive with the same inputs; a call that
         # raises caches nothing.
@@ -148,6 +160,25 @@ class TpoStore:
         """The orderings held: the empty one and each one built."""
         return 1 + len(self._extended)
 
+    def static(self, s: Term, t: Term) -> Optional[Label]:
+        """The static verdict of ``s`` against ``t``: EQ if ``s is t``, GT
+        if ``s > t`` and NGE if ``t > s`` under every substitution, else
+        None.  It is the relation of ``s`` to ``t`` in
+        ``extend(empty, (), (s, t))``, which this method orders; each
+        pair is compared once, in both directions.
+        """
+        if s is t:
+            return Label.EQ
+        key = (s.tid, t.tid)
+        verdict = self._static.get(key, _UNKNOWN)
+        if verdict is _UNKNOWN:
+            compare = self.order.compare
+            verdict = (Label.GT if compare(s, t) is Label.GT else
+                       Label.NGE if compare(t, s) is Label.GT else None)
+            self._static[key] = verdict
+            self._static[(t.tid, s.tid)] = _MIRROR[verdict]
+        return verdict
+
     def extend(self, parent: PartialOrdering,
                constraints: Iterable[tuple] = (),
                new_terms: Sequence[Term] = ()) -> PartialOrdering:
@@ -156,12 +187,11 @@ class TpoStore:
         ``constraints`` are (s, Label, t) facts taken from a traversed
         edge; ``new_terms`` are top-level terms entering the path.  New
         elements bring along every statically known greater-than fact
-        against existing elements; the store remembers each pair's
-        verdict.  The facts are set on the parent's padded rows, which
-        are then closed again; with no fact to add they are closed
-        already.  Extending with no fact and no new element returns the
-        parent, and remembers nothing.  Repeated inputs return the
-        ordering built the first time.
+        against existing elements, from ``static``.  The facts are set
+        on the parent's padded rows, which are then closed again; with
+        no fact to add they are closed already.  Extending with no fact
+        and no new element returns the parent, and remembers nothing.
+        Repeated inputs return the ordering built the first time.
         """
         constraints = tuple(constraints)
         new_terms = tuple(new_terms)
@@ -192,24 +222,17 @@ class TpoStore:
             else:
                 nge[i] |= 1 << j
         added = bool(constraints)
-        compare = self.order.compare
-        static = self._static
+        static = self.static
         for v in fresh:
             i = pos[v]
             for u in elements:
                 if u is v:
                     continue
-                key = (v.tid, u.tid)
-                verdict = static.get(key)
-                if verdict is None:
-                    verdict = (1 if compare(v, u) is Label.GT else
-                               -1 if compare(u, v) is Label.GT else 0)
-                    static[key] = verdict
-                    static[(u.tid, v.tid)] = -verdict
-                if verdict > 0:
+                verdict = static(v, u)
+                if verdict is Label.GT:
                     gt[i] |= 1 << pos[u]
                     added = True
-                elif verdict < 0:
+                elif verdict is Label.NGE:
                     gt[pos[u]] |= 1 << i
                     added = True
         # The parent is closed, so without a new fact its padded rows are.
@@ -289,6 +312,8 @@ def force_positivity_label(expr: LinearExpr, facts: Optional[tuple] = None,
 
     A substitution maps every variable to a weight of at least ``w0``,
     so a static sign holds under it, and ``expr`` is ``e`` plus ``d``.
+    Facts need the memo: a non-zero ``expr`` with ``facts`` and no
+    ``signs`` raises ``TypeError`` before any fact is read.
 
     A statically signed weight difference never reaches a positivity
     check: a positive one makes KBO's ``compare(s, t)`` GT at the weight
@@ -300,6 +325,9 @@ def force_positivity_label(expr: LinearExpr, facts: Optional[tuple] = None,
     """
     if expr.is_zero:
         return Label.GEQ
+    if facts is not None and signs is None:
+        raise TypeError("force_positivity_label: sign facts need the "
+                        "diagram's PairSigns memo as signs")
     key = id(expr)
     while facts is not None:
         old, label, facts = facts

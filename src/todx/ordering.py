@@ -110,11 +110,20 @@ class KboOrder(TermOrder):
             # least weight of s*sigma (each variable's image's Term.least,
             # w0 if unbound) less the weight of t*theta.  Weights have no
             # negative coefficient, so this is the least difference, and
-            # exact, when every variable of t has a ground image; else
-            # LinearExpr.sign folds both weights.
+            # exact, when every variable of t has a ground image, or with
+            # both substitutions empty once s holds each variable of t
+            # as often as t does; else LinearExpr.sign folds both weights.
             if theta is EMPTY_SUBST:
                 exact = t.ground
                 total = -t.least
+                if not exact and sigma is EMPTY_SUBST:
+                    # a variable more often in t than in s: a heavy image
+                    # of it makes |s| - |t| negative
+                    held = dict(term_weight(s)._coeffs)
+                    for v, c in term_weight(t)._coeffs:
+                        if held.get(v, 0) < c:
+                            return _NGE
+                    exact = True
             else:
                 exact = True
                 m = theta._m

@@ -6,7 +6,8 @@ substitution walks the diagram, and on the way rewrites the parts it
 touches into cheaper equivalents: comparisons expand by the order's
 definition, and a node whose outcome the path already determines is
 bypassed by moving the edge the walk arrives by to its outcome.  The
-path determines an outcome by its term ordering and, under KBO, by the
+path determines an outcome by its term ordering (before the path's first
+fact, the static verdict of a comparison's pair) and, under KBO, by the
 sign facts of its positivity checks (see ``todx.forcing``).  A node
 reached by several edges is split only before the walk visits or
 expands it: the arriving edge gets a fresh copy, so every visited node
@@ -45,7 +46,8 @@ from .stats import Stats
 from .terms import Label, LinearExpr, Substitution, Term, term_weight
 
 STEP_CAP = 10 ** 6
-"""Rewrite steps (arrivals at unvisited nodes) one retrieval may take."""
+"""Rewrite steps (arrivals at unvisited nodes) one retrieval may take.
+A KBO expansion and the positivity check it becomes are one step."""
 
 
 class StepCapExceededError(RuntimeError):
@@ -220,12 +222,15 @@ class Tod:
         """Splice a comparison for ``eq`` immediately before the exit node.
 
         The old exit object becomes the new comparison node, so the
-        rewiring cost does not depend on the diagram size.
+        rewiring cost does not depend on the diagram size.  Under KBO the
+        equality's stored weight difference enters the diagram's table.
         """
         cmp_node = self.exit
         cmp_node.kind = NodeKind.TERM
         cmp_node.lhs = eq.lhs
         cmp_node.rhs = eq.rhs
+        if eq.weight_diff is not None:
+            self._diffs[eq.lhs.tid, eq.rhs.tid] = eq.weight_diff
         succ = TodNode(NodeKind.SUCCESS, eq=eq)
         new_exit = TodNode(NodeKind.EXIT)
         self.exit = new_exit
@@ -254,8 +259,17 @@ class Tod:
                 node: TodNode) -> PartialOrdering:
         """Closure of the path formula for the path arriving at ``node``:
         ``prev``'s itself, as ``extend`` would return it, when the arrival
-        adds no fact and no term."""
-        if prev.kind is not NodeKind.TERM and node.kind is not NodeKind.TERM:
+        adds no fact and no term.
+
+        A path's ordering starts at its first fact: only a visited
+        comparison passes its terms on, through the fact its children
+        arrive by.  Before that fact the ordering is empty, and stays so
+        for a comparison too, whose ordering would hold nothing but the
+        static verdict of its pair; ``_forced`` reads that from the
+        store instead."""
+        if prev.kind is not NodeKind.TERM and (
+                node.kind is not NodeKind.TERM
+                or prev.tpo is self.tpo_store.empty):
             return prev.tpo
         facts = (((prev.lhs, arrival, prev.rhs),)
                  if prev.kind is NodeKind.TERM else ())
@@ -271,7 +285,8 @@ class Tod:
         return prev.facts
 
     def _weight_diff(self, s: Term, t: Term) -> LinearExpr:
-        """``|s| - |t|``, built once per diagram."""
+        """``|s| - |t|``, built once per diagram; for an inserted
+        equality's own comparison, the index's ``weight_diff``."""
         key = (s.tid, t.tid)
         diff = self._diffs.get(key)
         if diff is None:
@@ -282,19 +297,22 @@ class Tod:
                 facts: Optional[tuple]) -> Optional[Label]:
         """The label the path forces on ``node``; None for a success.
 
-        A comparison the path ordering leaves open is still forced by
-        KBO's weight step when the sign facts force its weight
-        difference GT or NGE; a forced GEQ, a weight tie, leaves it
-        open.  Only KBO diagrams hold positivity checks, so only they
-        have facts.
+        A comparison is decided by the path ordering ``tpo``, or by the
+        store's static verdict of its pair while ``tpo`` is the empty
+        ordering (see ``_tpo_at``).  Under KBO one it leaves open gets
+        its weight verdict: ``force_positivity_label`` on its weight
+        difference with the path's sign facts.  GT or NGE there forces
+        the comparison; GEQ, a weight tie, or None leaves it open and is
+        returned for the walk, which hands it to the positivity check
+        that the comparison becomes if it expands.
         """
         if node.kind is NodeKind.TERM:
-            label = force_term_label(tpo, node.lhs, node.rhs)
-            if label is None and facts is not None:
-                label = force_positivity_label(
-                    self._weight_diff(node.lhs, node.rhs), facts, self._signs)
-                if label is _GEQ:
-                    return None
+            s, t = node.lhs, node.rhs
+            label = (self.tpo_store.static(s, t) if tpo is self.tpo_store.empty
+                     else force_term_label(tpo, s, t))
+            if label is None and self.order.kind == "kbo":
+                return force_positivity_label(self._weight_diff(s, t), facts,
+                                              self._signs)
             return label
         if node.kind is NodeKind.POS:
             return force_positivity_label(node.expr, facts, self._signs)
@@ -372,8 +390,10 @@ class Tod:
         heads into a chain of argument comparisons along = edges.  The
         weight difference has no static sign: a positive one makes
         ``compare(s, t)`` GT and a negative one ``compare(t, s)``, so the
-        path ordering has decided the node before it expands; nor do the
-        path's sign facts force it GT or NGE (``Tod._forced``).
+        node is decided statically or by the path ordering before it
+        expands; nor do the path's sign facts force it GT or NGE
+        (``Tod._forced``).  The walk hands the new check the weight
+        verdict it computed for the comparison, in the same step.
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
@@ -404,8 +424,9 @@ class Tod:
         of t (left column), a !>= in the second chain over the remaining
         arguments of s (right column).  The original node becomes the
         head of the expansion.  The side it descends into has arguments:
-        with none, LPO decides the pair without a substitution, and the
-        path ordering has done so before the node expands.
+        with none, LPO decides the pair without a substitution, so the
+        node is decided statically or by the path ordering before it
+        expands.
         """
         self._check_expandable(node)
         s, t = node.lhs, node.rhs
@@ -620,15 +641,23 @@ def retrieve(tods, sigma: Substitution, first_only: bool = False,
             tpo = tod._tpo_at(prev, arrival, node)
             facts = tod._facts_at(prev, arrival)
             forced = tod._forced(node, tpo, facts)
-            if forced is None:
+            if forced is None or kind is _TERM and forced is _GEQ:
                 # visited or expanded: the walk needs its own copy
                 if node.refs > 1:
                     node = tod.replicate_node(node, via)
-                if (kind is _TERM and node.lhs.sym is not None
-                        and node.rhs.sym is not None):
-                    node = (tod.transform_kbo(node) if tod.order.kind == "kbo"
-                            else tod.transform_lpo(node))
+                if (kind is not _TERM or node.lhs.sym is None
+                        or node.rhs.sym is None):
+                    forced = None       # a weight tie decides no comparison
+                elif tod.order.kind != "kbo":
+                    node = tod.transform_lpo(node)
                     continue
+                else:
+                    # the positivity check takes the comparison's weight
+                    # verdict in this step: GEQ bypasses it, None visits
+                    node = tod.transform_kbo(node)
+                    kind = _POS
+                    if forced is None:
+                        tpo = tod._tpo_at(prev, arrival, node)
             if kind is _TERM:
                 st.nodes_processed.term += 1
             elif kind is _POS:

@@ -24,11 +24,11 @@ SEED = 3
 
 COUNTS = {
     ("swap_lpo", "off"): {"answers": 2944, "created": 0, "naive_steps": 14994, "processed": 0, "queries": 2000, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 0},
-    ("swap_lpo", "on"): {"answers": 4944, "created": 11, "naive_steps": 0, "processed": 8, "queries": 2000, "reachable_nodes": 8, "tpo_pool": 12, "traversed": 4944},
-    ("swap_lpo", "shared"): {"answers": 2944, "created": 19, "naive_steps": 0, "processed": 12, "queries": 2000, "reachable_nodes": 6, "tpo_pool": 14, "traversed": 4206},
+    ("swap_lpo", "on"): {"answers": 4944, "created": 11, "naive_steps": 0, "processed": 8, "queries": 2000, "reachable_nodes": 8, "tpo_pool": 7, "traversed": 4944},
+    ("swap_lpo", "shared"): {"answers": 2944, "created": 19, "naive_steps": 0, "processed": 12, "queries": 2000, "reachable_nodes": 6, "tpo_pool": 12, "traversed": 4206},
     ("poly_kbo", "off"): {"answers": 70718, "created": 0, "naive_steps": 98189, "processed": 0, "queries": 16000, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 0},
-    ("poly_kbo", "on"): {"answers": 150718, "created": 468, "naive_steps": 0, "processed": 329, "queries": 16000, "reachable_nodes": 550, "tpo_pool": 274, "traversed": 153038},
-    ("poly_kbo", "shared"): {"answers": 70718, "created": 2105, "naive_steps": 0, "processed": 1719, "queries": 16000, "reachable_nodes": 1582, "tpo_pool": 445, "traversed": 121235},
+    ("poly_kbo", "on"): {"answers": 150718, "created": 468, "naive_steps": 0, "processed": 329, "queries": 16000, "reachable_nodes": 550, "tpo_pool": 143, "traversed": 153038},
+    ("poly_kbo", "shared"): {"answers": 70718, "created": 2105, "naive_steps": 0, "processed": 1719, "queries": 16000, "reachable_nodes": 1582, "tpo_pool": 317, "traversed": 121235},
     ("churn_kbo", "off"): {"answers": 4439, "created": 0, "naive_steps": 9919, "processed": 0, "queries": 1200, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 0},
     ("churn_kbo", "on"): {"answers": 4967, "created": 611, "naive_steps": 8138, "processed": 316, "queries": 1200, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 2541},
     ("churn_kbo", "shared"): {"answers": 3239, "created": 288, "naive_steps": 9919, "processed": 0, "queries": 1200, "reachable_nodes": 0, "tpo_pool": 0, "traversed": 0},

@@ -1,8 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import ScenarioChecker, facts, random_term
+from helpers import (SIG_SHAPES, ScenarioChecker, facts, random_signature,
+                     random_term)
 from oracles import Contradiction, ref_closure, term_formula
 import todx.tod
 from todx import forcing
@@ -92,6 +95,25 @@ def test_static_verdicts_are_compared_once_per_pair(sig):
     assert again.relation(gx, x) is G and first.relation(gx, x) is G
     # only the pairs with the new element a were compared
     assert all(a in pair for pair in calls[n:])
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(SIG_SHAPES)),
+       st.sampled_from(["kbo", "lpo"]))
+@settings(max_examples=200, deadline=None)
+def test_static_verdict_is_the_relation_of_a_fresh_pair(seed, shape, kind):
+    # a comparison on a path with no fact reads the static verdict in
+    # place of the ordering extend(empty, (), (s, t)) would build
+    rng = random.Random(seed)
+    sig = random_signature(rng, shape, max_weight=3)
+    order = make_order(kind, sig)
+    verdicts, orderings = TpoStore(order), TpoStore(order)
+    for _ in range(10):
+        s = random_term(rng, sig, [0, 1, 2], 2)
+        t = rng.choice([s, random_term(rng, sig, [0, 1, 2], 2)])
+        for u, v in ((s, t), (t, s)):
+            want = orderings.extend(orderings.empty, (), (u, v)).relation(u, v)
+            assert verdicts.static(u, v) is want, (u, v)
+    assert verdicts.static(s, s) is E
 
 
 def test_static_facts_join_new_elements(sig, store):
@@ -348,6 +370,17 @@ def test_positivity_forcing():
     assert force_positivity_label(LinearExpr(0, {1: 1, 0: -1})) is None
     assert force_positivity_label(LinearExpr(-1, {0: 1})) is None
     assert force_positivity_label(LinearExpr(1, {0: -1})) is None
+
+
+def test_positivity_facts_without_the_memo_raise_type_error():
+    # the zero expression and a path with no fact need no memo
+    e = LinearExpr(1, {0: 1})
+    fact = (LinearExpr(0, {0: 1}), G, None)
+    assert force_positivity_label(LinearExpr(0), fact) is GEQ
+    assert force_positivity_label(e) is None
+    with pytest.raises(TypeError, match="PairSigns"):
+        force_positivity_label(e, fact)
+    assert force_positivity_label(e, fact, PairSigns(1)) is G
 
 
 def test_positivity_nonconstant_nonnegative_is_not_forced(sig):

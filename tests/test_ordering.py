@@ -1,13 +1,14 @@
 import itertools
 import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_signature, random_subst, random_term, subterms
-from oracles import instantiate, ref_compare, ref_weight
+from oracles import instantiate, ref_compare, ref_kbo, ref_weight
 from todx import (EMPTY_SUBST, Label, Signature, Substitution, closure_equal,
                   make_order, LinearExpr, term_weight)
 
@@ -330,3 +331,32 @@ def test_kbo_weight_step_folds_only_a_non_ground_image_of_t(monkeypatch):
     theta = Substitution({0: i(("g", ["a"])), 1: i(("g", [5]))})
     assert kbo.compare_closure(s, sigma, t, theta) is N
     assert len(calls) == 1
+
+
+@settings(max_examples=400, deadline=None)
+@given(s=_x, t=_x)
+# the variable condition fails: x1 only in t
+@example(s=("f", [0, "a"]), t=("h", [1]))
+# a weight tie, |f(x0,a)| = |g(x0)|, settled by the precedence f > g
+@example(s=("f", [0, "a"]), t=("g", [0]))
+@example(s=("g", [0]), t=("f", [0, "a"]))
+def test_unsubstituted_kbo_pairs_weigh_in_integers(s, t):
+    s, t = _WSIG.intern(s), _WSIG.intern(t)
+    kbo = make_order("kbo", _WSIG)
+    with mock.patch.object(LinearExpr, "sign",
+                           side_effect=AssertionError("LinearExpr.sign")):
+        got = kbo.compare(s, t)
+    assert got is ref_kbo(_WSIG, s, t)
+
+
+def test_unsubstituted_kbo_variable_condition_and_precedence():
+    kbo = make_order("kbo", _WSIG)
+    i = _WSIG.intern
+    fxa, gx = i(("f", [0, "a"])), i(("g", [0]))
+    with mock.patch.object(LinearExpr, "sign",
+                           side_effect=AssertionError("LinearExpr.sign")):
+        # |f(x0,a)| - |h(x1)| is 2 + x0 - 3 - x1: negative for a heavy x1
+        assert kbo.compare(fxa, i(("h", [1]))) is N
+        assert kbo.compare(fxa, gx) is G and kbo.compare(gx, fxa) is N
+        # h(x0) outweighs f(a,x0) by one at the top
+        assert kbo.compare(i(("h", [0])), i(("f", ["a", 0]))) is G

@@ -792,3 +792,57 @@ def test_step_cap_counts_rewrite_steps_not_walked_nodes(sig, kbo_tod,
     walked = t.total
     assert kbo_tod.retrieve(sigma) == [1]
     assert t.total - walked > 1
+
+
+# -- one rewrite step per comparison ---------------------------------------------
+
+
+def test_no_ordering_before_the_first_visited_comparison(sig, kbo_tod):
+    # f(x,y) vs f(x,x) expands to a y - x check and x vs x, which is
+    # bypassed: a walk on which y - x is positive visits no comparison
+    # and builds no ordering
+    x, y = sig.var(0), sig.var(1)
+    kbo_tod.insert(Equality(1, sig.app("f", [x, y]), sig.app("f", [x, x])))
+    a = sig.app("a")
+    assert kbo_tod.retrieve(subst(sig, a, sig.app("f", [a, a]))) == [1]
+    kbo_tod.validate()
+    empty = kbo_tod.tpo_store.empty
+    check = kbo_tod.root.mid
+    assert check.kind is NodeKind.POS and check.tpo is empty
+    assert check.gt.tpo is empty and len(kbo_tod.tpo_store) == 1
+    # a weight tie visits y vs x, still on the empty ordering; the
+    # success node below it holds its fact
+    assert kbo_tod.retrieve(subst(sig, a, sig.app("b"))) == [1]
+    kbo_tod.validate()
+    cmp = check.mid
+    assert cmp.kind is NodeKind.TERM and (cmp.lhs, cmp.rhs) == (y, x)
+    assert cmp.tpo is empty
+    assert len(kbo_tod.tpo_store) == 2
+    assert cmp.gt.tpo.relation(y, x) is GT
+
+
+def test_each_kbo_expansion_signs_its_weight_difference_once(sig, kbo_tod,
+                                                             monkeypatch):
+    # the comparison's step signs |s| - |t| with the path's sign facts,
+    # and the positivity check it becomes takes that verdict
+    calls, expanded = [], []
+    label_of = todx.tod.force_positivity_label
+    monkeypatch.setattr(
+        todx.tod, "force_positivity_label",
+        lambda expr, *rest: calls.append(expr) or label_of(expr, *rest))
+    transform = Tod.transform_kbo
+    monkeypatch.setattr(
+        Tod, "transform_kbo",
+        lambda tod, node: expanded.append(node) or transform(tod, node))
+    x, y = sig.var(0), sig.var(1)
+    l = sig.app("f", [x, y])
+    kbo_tod.insert(Equality(1, l, sig.app("f", [x, x])))
+    kbo_tod.insert(Equality(2, l, sig.app("f", [y, y])))
+    a = sig.app("a")
+    assert kbo_tod.retrieve(subst(sig, a, sig.app("f", [a, a]))) == [1]
+    kbo_tod.validate()
+    # the second comparison expands below the fact y - x > 0
+    assert len(expanded) == 2
+    assert len(calls) == 2
+    assert all(n.expr is e for n, e in zip(expanded, calls))
+    assert kbo_tod.stats.nodes_processed.pos == 2
