@@ -161,14 +161,31 @@ def _canonical_lhs(sig: Signature, lhs: Term) -> tuple:
 def canonicalize_equality(sig: Signature, lhs: Term, rhs: Term):
     """Canonicalize an equality over its left-hand side.
 
-    Returns (lhs', rhs').  Raises if the rhs introduces variables
-    absent from the lhs: such an equality can never satisfy the ordering
-    condition, and the demodulation workflow never produces one.
+    Returns (lhs', rhs').  Raises ``SignatureError``, naming a symbol,
+    if either side is another signature's term: ``Term.owner`` is read
+    once per side, and ``Signature.app`` keeps every term's subterms
+    its own.  Raises ``MalformedEqualityError`` if the rhs introduces
+    variables absent from the lhs: such an equality can never satisfy
+    the ordering condition, and the demodulation workflow never
+    produces one.  When the lhs renaming maps every rhs variable to
+    itself, as it does for a canonical lhs and an rhs over its
+    variables, ``rhs`` is its own canonical form and is returned as it
+    is: its variables are read off its weight, which is cached in the
+    term and which a KBO index stores anyway.  Any other rhs is rebuilt
+    in the canonical numbering.
     """
+    if lhs.owner is not sig or rhs.owner is not sig:
+        raise sig._foreign(rhs if lhs.owner is sig else lhs)
     lhs_c, vids = _canonical_lhs(sig, lhs)
+    n = len(vids)
+    for v, _ in term_weight(rhs)._coeffs:
+        if not (0 <= v < n and vids[v] == v):
+            break
+    else:
+        return lhs_c, rhs
     mapping = {old: new for new, old in enumerate(vids)}
     rhs_c = canonicalize_term(sig, rhs, mapping)
-    if len(mapping) != len(vids):
+    if len(mapping) != n:
         raise MalformedEqualityError(
             "right-hand side uses variables not in the left-hand side")
     return lhs_c, rhs_c
@@ -217,10 +234,11 @@ class PostOrderingIndex:
         """Add an equality; returns its id.
 
         Pre-ordered equalities are accepted; their diagram nodes
-        simplify away on first retrieval.  Canonicalization rebuilds
-        each non-ground subterm with the index's signature, which
-        raises ``SignatureError`` on another signature's symbol; a
-        ground subterm is not rebuilt, so a foreign one goes unchecked.
+        simplify away on first retrieval.  ``canonicalize_equality``
+        refuses a side that another signature built, ground or not, with
+        ``SignatureError``, and passes an rhs that is already canonical
+        through untouched, so an insert over a canonical lhs costs one
+        read of the rhs's cached weight, not a rebuild.
         """
         lhs_c, rhs_c = canonicalize_equality(self.signature, lhs, rhs)
         group = self._groups.get(lhs_c)

@@ -10,6 +10,7 @@ single-writer contract.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -54,26 +55,30 @@ class Term:
 
     Never construct directly; use ``Signature.var`` / ``Signature.app``.
     Equality and hashing are by identity, which coincides with
-    structural equality thanks to interning.  ``least`` is the term's
-    weight with every variable at ``w0``, its least weight over all
-    groundings with |x| >= w0; the signature sets it on construction.
+    structural equality thanks to interning.  ``owner`` is the
+    ``Signature`` that built the term; a signature builds terms from its
+    own arguments only, so it owns every subterm too.  ``least`` is the
+    term's weight with every variable at ``w0``, its least weight over
+    all groundings with |x| >= w0; the signature sets it on
+    construction.
     ``_weight`` and ``_canon`` cache pure functions of the term (its
     weight, and the index's canonical form of it as a left-hand side),
     filled on first use; they live and die with the term and never go
     stale.
     """
 
-    __slots__ = ("sym", "args", "vid", "ground", "tid", "least", "_weight",
-                 "_canon")
+    __slots__ = ("sym", "args", "vid", "ground", "tid", "least", "owner",
+                 "_weight", "_canon")
 
     def __init__(self, sym: Optional[Symbol], args: tuple, vid: int,
-                 ground: bool, tid: int, least: int):
+                 ground: bool, least: int, owner: Signature):
         self.sym = sym
         self.args = args
         self.vid = vid
         self.ground = ground
-        self.tid = tid
+        self.tid = next(_TIDS)
         self.least = least
+        self.owner = owner
         self._weight: Optional[LinearExpr] = None
         self._canon: Optional[tuple] = None
 
@@ -96,6 +101,14 @@ class Term:
                     stack += (a, ",")
                 stack.append(t.args[0])
         return "".join(out)
+
+
+# Term ids, unique across signatures: an interner key that holds another
+# signature's term matches none of the interner's own terms, so
+# ``Signature.app`` meets such an argument only when it builds a term.
+# Ids serve as dict keys only, and ``next`` on a count is one C call, so
+# signatures used from different threads still draw distinct ids.
+_TIDS = itertools.count()
 
 
 # A raw term tree for Signature.intern: an int is a variable id, a str is a
@@ -149,7 +162,6 @@ class Signature:
         self.w0 = min(consts)
         self._apps: dict[tuple, Term] = {}
         self._vars: dict[int, Term] = {}
-        self._next_tid = 0
 
     @property
     def symbols(self) -> tuple:
@@ -164,17 +176,25 @@ class Signature:
     def has_symbol(self, name: str) -> bool:
         return name in self._by_name
 
-    def _new_tid(self) -> int:
-        tid = self._next_tid
-        self._next_tid = tid + 1
-        return tid
+    def _foreign(self, t: Term) -> SignatureError:
+        """The error for ``t``, a term of another signature: it names the
+        leftmost innermost application, the first one a rebuild would
+        refuse, or the variable if ``t`` is one."""
+        while True:
+            u = next((a for a in t.args if a.sym is not None), None)
+            if u is None:
+                break
+            t = u
+        if t.sym is None:
+            return SignatureError(f"variable {t!r} is not of this signature")
+        return SignatureError(f"symbol {t.sym.name} is not of this signature")
 
     def var(self, vid: int) -> Term:
         if type(vid) is not int:        # True would key x1
             raise TypeError(f"variable id {vid!r} is not an int")
         t = self._vars.get(vid)
         if t is None:
-            t = Term(None, (), vid, False, self._new_tid(), self.w0)
+            t = Term(None, (), vid, False, self.w0, self)
             self._vars[vid] = t
         return t
 
@@ -193,9 +213,11 @@ class Signature:
         if t is None:
             ground, least = True, f.weight
             for a in args:
+                if a.owner is not self:
+                    raise self._foreign(a)
                 ground = ground and a.ground
                 least += a.least
-            t = Term(f, args, -1, ground, self._new_tid(), least)
+            t = Term(f, args, -1, ground, least, self)
             self._apps[key] = t
         return t
 
@@ -208,6 +230,8 @@ class Signature:
         if isinstance(raw, str):
             return app(raw, ())
         if isinstance(raw, Term):
+            if raw.owner is not self:
+                raise self._foreign(raw)
             return raw
         # the open application: its name, its raw arguments not yet
         # visited and its interned ones; the applications above it wait

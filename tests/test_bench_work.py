@@ -15,6 +15,9 @@ from pathlib import Path
 
 import pytest
 
+import todx.index
+from todx import Signature
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import passes  # noqa: E402
@@ -45,3 +48,33 @@ def test_one_pass_does_the_pinned_work(name, mode):
     prep = passes.prepare(workload(name), mode)
     assert passes.timed_pass(prep).failed == 0
     assert passes.counts(prep) == COUNTS[name, mode]
+
+
+@pytest.mark.parametrize("mode", passes.MODES)
+def test_churn_inserts_rebuild_no_term(mode, monkeypatch):
+    """A churn_kbo pass inserts each rhs over the canonical lhs in the
+    canonical numbering, so no operation of the pass rebuilds a term:
+    ``canonicalize_term`` is never called and every ``Signature.app``
+    call finds its term interned."""
+    prep = passes.prepare(workload("churn_kbo"), mode)
+    rebuilt, built = [], []
+    canonicalize = todx.index.canonicalize_term
+    app = Signature.app
+
+    def counting_canonicalize(sig, t, mapping):
+        rebuilt.append(t)
+        return canonicalize(sig, t, mapping)
+
+    def counting_app(sig, f, args=()):
+        n = len(sig._apps)
+        t = app(sig, f, args)
+        if len(sig._apps) != n:
+            built.append(t)
+        return t
+
+    monkeypatch.setattr(todx.index, "canonicalize_term", counting_canonicalize)
+    monkeypatch.setattr(Signature, "app", counting_app)
+    result = passes.timed_pass(prep)
+    assert result.failed == 0
+    assert sum(op[0] == passes.INSERT for op in prep.ops) == 400
+    assert rebuilt == [] and built == []

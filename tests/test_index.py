@@ -233,14 +233,19 @@ def test_rhs_with_fresh_variables_rejected(sig):
         make_index(sig, "off").insert(sig.app("g", [x]), sig.app("f", [x, z]))
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_insert_refuses_another_signatures_term(mode):
+def _signatures_trading_indexes():
     # g and h trade indexes between the signatures: rebuilt in A, B's h(x)
     # would take the interner slot of A's g(x)
     a_sig = Signature([("a", 0, 1, 0), ("g", 1, 1, 1), ("h", 1, 5, 2),
                        ("f", 2, 1, 3)])
     b_sig = Signature([("a", 0, 1, 0), ("h", 1, 5, 1), ("g", 1, 1, 2),
                        ("f", 2, 1, 3)])
+    return a_sig, b_sig
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_insert_refuses_another_signatures_term(mode):
+    a_sig, b_sig = _signatures_trading_indexes()
     x = b_sig.var(0)
     idx = make_index(a_sig, mode)
     with pytest.raises(SignatureError, match="symbol h"):
@@ -249,6 +254,46 @@ def test_insert_refuses_another_signatures_term(mode):
     gx = a_sig.app("g", [a_sig.var(0)])
     assert repr(gx) == "g(x0)" and gx.least == 1 + a_sig.w0
     assert idx.groups() == []
+
+
+# A native lhs with B's rhs: the rhs is in the canonical numbering, so
+# only the owner check stands between it and the index
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+@pytest.mark.parametrize("mode", MODES)
+def test_insert_refuses_another_signatures_rhs(mode, order):
+    a_sig, b_sig = _signatures_trading_indexes()
+    lhs = a_sig.app("f", [a_sig.var(0), a_sig.var(1)])
+    idx = make_index(a_sig, mode, order)
+    with pytest.raises(SignatureError, match="symbol h"):
+        idx.insert(lhs, b_sig.app("h", [b_sig.var(0)]))
+    with pytest.raises(SignatureError, match="variable x1"):
+        idx.insert(lhs, b_sig.var(1))
+    assert idx.groups() == []
+    eq_id = idx.insert(lhs, a_sig.app("h", [a_sig.var(0)]))
+    assert idx.equality(eq_id).rhs.owner is a_sig
+
+
+# a ground term is never rebuilt, so only its owner tells it apart
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+@pytest.mark.parametrize("mode", MODES)
+def test_insert_refuses_a_ground_term_of_another_signature(mode, order):
+    a_sig, b_sig = _signatures_trading_indexes()
+    x0 = a_sig.var(0)
+    lhs = a_sig.app("f", [x0, x0])
+    b_ha = b_sig.app("h", [b_sig.app("a")])
+    idx = make_index(a_sig, mode, order)
+    with pytest.raises(SignatureError, match="symbol a is not of this"):
+        idx.insert(lhs, b_ha)
+    with pytest.raises(SignatureError, match="symbol a is not of this"):
+        idx.insert(b_sig.app("f", [b_ha, b_ha]), a_sig.app("a"))
+    # a native term cannot hold it either, so no subterm is foreign
+    with pytest.raises(SignatureError, match="symbol a is not of this"):
+        a_sig.app("f", [x0, b_ha])
+    assert idx.groups() == []
+    idx.insert(lhs, a_sig.app("h", [a_sig.app("a")]))
+    sigma = Substitution({0: a_sig.app("g", [a_sig.app("h", [a_sig.app("a")])])})
+    # f(g(h(a)), g(h(a))) > h(a) by weight and by subterm
+    assert idx.query(lhs, sigma) == [1]
 
 
 def test_remove_unknown_and_idempotent(sig, swap_setup):
@@ -1158,3 +1203,83 @@ def test_renamed_lhs_answers_as_instantiate_then_compare(order, weights, prec,
                 want.append(eq_id)
             assert idx.query(lhs, sigma) == want, mode
         assert idx.query(lhs, sigma, "first") == want[:1], mode
+
+
+# -- a canonical rhs passes through insert ----------------------------------
+
+def _full_rebuild(sig, lhs, rhs):
+    """Both sides rebuilt in the canonical numbering, the pair ``insert``
+    must store; None if the rhs has a variable the lhs lacks."""
+    mapping = {}
+    lhs_c = todx.index.canonicalize_term(sig, lhs, mapping)
+    n = len(mapping)
+    rhs_c = todx.index.canonicalize_term(sig, rhs, mapping)
+    return None if len(mapping) != n else (lhs_c, rhs_c)
+
+
+# Raw variables 0..3 become the drawn ids: canonical (0, 1, 2), permuted,
+# sparse or negative, and repeated where two ids coincide; raw variable 3
+# is in no lhs.  Each pair is inserted as drawn, as its canonical form
+# (which always passes through) and renamed by v -> 3v + 20 (which passes
+# through only when ground), each copy first in an index of its own: the
+# other two are duplicates, whichever way each was canonicalized.
+@given(st.sampled_from(["kbo", "lpo"]),
+       st.lists(st.integers(1, 3), min_size=5, max_size=5),
+       st.permutations(range(5)),
+       st.lists(st.sampled_from([0, 1, 2, 3, 5, 7, -1]), min_size=4,
+                max_size=4),
+       _raw_terms(st.sampled_from([0, 1, 2, "a"])),
+       _raw_terms(st.sampled_from([0, 1, 2, 3, "a", "b"])))
+@settings(max_examples=300, deadline=None)
+# f(x0,x1) = g(x1), then f(x5,x7) = g(x7)
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 1, 2, 3],
+         ("f", (0, 1)), ("g", (1,)))
+@example("lpo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [5, 7, 2, 3],
+         ("f", (0, 1)), ("g", (1,)))
+# f(x1,x0) = g(x0) renames x0 to x1
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [1, 0, 2, 3],
+         ("f", (0, 1)), ("g", (1,)))
+# f(x0,x-1) = g(x-1): x-1 is the last lhs variable, so it becomes x1
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, -1, 2, 3],
+         ("f", (0, 1)), ("g", (1,)))
+# f(x0,h(x5,x2)) = g(x2): x0 and x2 keep their ids, so g(x2) passes
+# through though the lhs is not canonical
+@example("kbo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 5, 2, 3],
+         ("f", (0, ("h", (1, 2)))), ("g", (2,)))
+# f(x0,x0) = h(x0,x3): x3 is not in the lhs
+@example("lpo", [1, 1, 1, 1, 1], [0, 1, 2, 3, 4], [0, 0, 2, 3],
+         ("f", (0, 1)), ("h", (0, 3)))
+def test_insert_stores_the_rebuilt_equality(order, weights, prec, ids, lhs,
+                                            rhs):
+    sig = Signature([(name, arity, w, p)
+                     for (name, arity), w, p in zip(_SYMBOLS, weights, prec)])
+    drawn = Substitution({v: sig.var(i) for v, i in enumerate(ids)})
+    lhs = instantiate(sig, sig.intern(lhs), drawn)
+    rhs = instantiate(sig, sig.intern(rhs), drawn)
+    spread = Substitution({i: sig.var(3 * i + 20) for i in ids})
+    renamed = (instantiate(sig, lhs, spread), instantiate(sig, rhs, spread))
+    want = _full_rebuild(sig, lhs, rhs)
+    if want is None:
+        for mode in MODES:
+            idx = PostOrderingIndex(sig, order, mode)
+            for pair in ((lhs, rhs), renamed):
+                with pytest.raises(MalformedEqualityError):
+                    idx.insert(*pair)
+            assert idx.groups() == []
+        return
+    assert canonicalize_equality(sig, lhs, rhs) == want
+    copies = [(lhs, rhs), want, renamed]
+    for mode in MODES:
+        for first in copies:
+            idx = PostOrderingIndex(sig, order, mode)
+            eq = idx.equality(idx.insert(*first))
+            assert eq.lhs is want[0] and eq.rhs is want[1]
+            if order == "kbo":
+                assert eq.weight_diff == (term_weight(want[0])
+                                          - term_weight(want[1]))
+            else:
+                assert eq.weight_diff is None
+            for other in copies:
+                with pytest.raises(DuplicateEqualityError):
+                    idx.insert(*other)
+            assert idx.groups() == [(want[0], 1)]

@@ -148,6 +148,46 @@ def test_signature_requires_a_constant():
         Signature([("g", 1, 1, 0)])
 
 
+def _two_signatures():
+    """The same declarations twice: each term belongs to one of them."""
+    decls = [("a", 0, 1, 0), ("g", 1, 1, 1), ("h", 1, 5, 2)]
+    return Signature(decls), Signature(decls)
+
+
+def test_a_term_is_owned_by_the_signature_that_built_it():
+    a_sig, b_sig = _two_signatures()
+    t = a_sig.app("g", [a_sig.app("h", [a_sig.var(0)])])
+    assert t.owner is a_sig and t.args[0].owner is a_sig
+    assert a_sig.var(0).owner is a_sig and b_sig.var(0).owner is b_sig
+
+
+def test_app_refuses_another_signatures_symbol():
+    a_sig, b_sig = _two_signatures()
+    with pytest.raises(SignatureError, match="symbol g is not of this"):
+        a_sig.app(b_sig.symbol("g"), [a_sig.var(0)])
+
+
+# A's g(x0) and g(a) are interned before B's x0 and a meet A: a foreign
+# argument finds no interned term of A, whatever its shape
+@pytest.mark.parametrize("arg, message", [
+    (lambda b: b.var(0), "variable x0"),
+    (lambda b: b.app("a"), "symbol a"),
+    (lambda b: b.app("h", [b.var(0)]), "symbol h"),
+    (lambda b: b.app("g", [b.app("h", [b.app("a")])]), "symbol a")],
+    ids=["var", "constant", "app", "ground"])
+def test_app_refuses_another_signatures_argument(arg, message):
+    a_sig, b_sig = _two_signatures()
+    before = [a_sig.app("g", [a_sig.var(0)]), a_sig.app("g", [a_sig.app("a")])]
+    with pytest.raises(SignatureError, match=message):
+        a_sig.app("g", [arg(b_sig)])
+    with pytest.raises(SignatureError, match=message):
+        a_sig.intern(("g", [arg(b_sig)]))
+    with pytest.raises(SignatureError, match=message):
+        a_sig.intern(arg(b_sig))
+    assert [a_sig.app("g", [a_sig.var(0)]),
+            a_sig.app("g", [a_sig.app("a")])] == before
+
+
 def test_w0_is_min_constant_weight():
     sig = Signature([("a", 0, 3, 0), ("b", 0, 2, 1), ("g", 1, 1, 2)])
     assert sig.w0 == 2
