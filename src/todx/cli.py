@@ -1,4 +1,4 @@
-"""Command line front end: run scripts, generate them, run benchmarks."""
+"""Command line front end: run scripts and generate them."""
 
 from __future__ import annotations
 
@@ -55,24 +55,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    try:
-        report = harness.bench(args.family, args.n, order=args.order,
-                               want=args.want, seed=args.seed, mode=args.mode)
-    except ValueError as err:
-        print(f"todx bench: {err}", file=sys.stderr)
-        return 2
-    csv = harness.emit_stats_csv([report])
-    if args.stats:
-        Path(args.stats).write_text(csv, encoding="utf-8")
-    sys.stdout.write(csv)
-    if report.divergences:
-        for div in report.divergences:
-            print(f"mode divergence: {div}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="todx",
@@ -99,17 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_gen.add_argument(f"--{flag}", dest=f.name, type=type(f.default),
                            default=f.default)
     p_gen.set_defaults(func=_cmd_gen)
-
-    p_bench = sub.add_parser("bench", help="run a benchmark family")
-    p_bench.add_argument("--family", required=True, choices=["swap", "poly"])
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--mode", default="crosscheck",
-                         choices=["off", "on", "shared", "crosscheck"])
-    p_bench.add_argument("--want", default="all", choices=["all", "first"])
-    p_bench.add_argument("--order", default="kbo", choices=["kbo", "lpo"])
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--stats", default=None, metavar="CSV_PATH")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

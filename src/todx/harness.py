@@ -1,4 +1,4 @@
-"""Script files driving the index, plus generators, cross-checks and stats.
+"""Script files driving the index: parser, runner, random scripts, stats.
 
 A script is line-based::
 
@@ -30,9 +30,8 @@ from typing import Iterable, Optional, Union
 
 from .index import (DuplicateEqualityError, MalformedEqualityError,
                     PostOrderingIndex, canonicalize_equality)
-from .ordering import make_order
-from .terms import (IDENT, Label, Signature, SignatureError, Substitution, Term,
-                    is_symbol_name, term_weight)
+from .terms import (IDENT, Signature, SignatureError, Substitution, Term,
+                    is_symbol_name)
 
 
 class ScriptError(ValueError):
@@ -97,7 +96,10 @@ class Script:
 
     @property
     def order_kind(self) -> str:
-        return next(c.kind for c in self.commands if isinstance(c, OrderDecl))
+        for c in self.commands:
+            if isinstance(c, OrderDecl):
+                return c.kind
+        raise ValueError("script has no 'ord' command and no order_override")
 
 
 # -- script parsing ---------------------------------------------------------------
@@ -399,12 +401,17 @@ def run(script: Script, mode: str = "shared", want: str = "all",
         script_name: str = "script") -> RunReport:
     """Execute a script; ``crosscheck`` runs all three modes side by side.
 
-    Execution is deterministic.  A command that cannot run raises a
-    ``ScriptError`` on its source line; a script without source lines
-    (a generated one) raises the original error.
+    Execution is deterministic.  A ``want`` other than "all" or
+    "first", and a script with no ``ord`` command run without
+    ``order_override``, raise ``ValueError`` before anything runs.  A
+    command that cannot run raises a ``ScriptError`` on its source line;
+    a script without source lines (a generated one) raises the original
+    error.
     """
-    sig = _build_signature(script.commands)
+    if want not in ("all", "first"):
+        raise ValueError(f"want must be 'all' or 'first', not {want!r}")
     order_kind = order_override or script.order_kind
+    sig = _build_signature(script.commands)
     warnings = ()
     if order_kind == "lpo" and any(isinstance(c, SigDecl) and c.weight is not None
                                    for c in script.commands):
@@ -609,82 +616,6 @@ def gen_random_script(seed: int, params: Optional[GenParams] = None) -> Script:
         else:
             asked = params.queries
     return Script(tuple(commands))
-
-
-# -- benchmarks --------------------------------------------------------------------
-
-
-def _argswap_script(n: int, seed: int, order: str) -> Script:
-    commands: list[Command] = [
-        SigDecl("a", 0, 1, 0),
-        SigDecl("b", 0, 1, 1),
-        SigDecl("f", 2, 1, 2),
-        OrderDecl(order),
-        Insert("e1", "f(x,y)", "f(y,x)"),
-        Insert("e2", "f(x,y)", "f(x,x)"),
-    ]
-    rng = random.Random(seed)
-    images = ["a", "b", "f(a,a)", "f(a,b)", "f(b,a)", "f(f(a,a),b)", "u0", "u1"]
-    for i in range(n):
-        commands.append(Query(f"q{i + 1}", (("x", rng.choice(images)),
-                                            ("y", rng.choice(images)))))
-    return Script(tuple(commands))
-
-
-def _poly_script(n: int, seed: int, order: str) -> Script:
-    rng = random.Random(seed)
-    commands: list[Command] = [
-        SigDecl("a", 0, 1, 0),
-        SigDecl("b", 0, 2, 1),
-        SigDecl("g", 1, 2, 2),
-        SigDecl("h", 1, 3, 3),
-        SigDecl("f", 2, 1, 4),
-        OrderDecl(order),
-    ]
-    sig = _build_signature(commands)
-    kbo = make_order("kbo", sig)
-    funcs = [("f", 2), ("g", 1), ("h", 1)]
-    consts = ["a", "b"]
-    lhs = "f(x,y)"
-    chosen = []
-    attempts = 0
-    while len(chosen) < 6 and attempts < 500:
-        attempts += 1
-        rhs = _gen_term(rng, funcs, consts, ["x", "y"], 3)
-        if rhs in chosen or rhs == lhs:
-            continue
-        varmap: dict[str, int] = {}
-        l = _resolve(sig, lhs, varmap)
-        r = _resolve(sig, rhs, varmap)
-        diff = term_weight(l) - term_weight(r)
-        if not diff._coeffs:
-            continue
-        if kbo.compare(l, r) is Label.GT or kbo.compare(r, l) is Label.GT:
-            continue
-        chosen.append(rhs)
-        commands.append(Insert(f"e{len(chosen)}", lhs, rhs))
-    for i in range(n):
-        bindings = []
-        for v in ("x", "y"):
-            img = _gen_term(rng, funcs, consts,
-                            [] if rng.random() < 0.7 else ["u0"], 2)
-            bindings.append((v, img))
-        commands.append(Query(f"q{i + 1}", tuple(bindings)))
-    return Script(tuple(commands))
-
-
-def bench(family: str, n: int, order: str = "kbo", want: str = "all",
-          seed: int = 0, mode: str = "crosscheck") -> RunReport:
-    """Run a benchmark family and return its report (one Stats per mode)."""
-    if n < 0:
-        raise ValueError(f"bench size must be >= 0, got {n}")
-    if family == "swap":
-        script = _argswap_script(n, seed, order)
-    elif family == "poly":
-        script = _poly_script(n, seed, order)
-    else:
-        raise ValueError(f"unknown bench family {family!r}")
-    return run(script, mode=mode, want=want, script_name=f"bench-{family}")
 
 
 # -- stats output -------------------------------------------------------------------

@@ -319,7 +319,10 @@ class PostOrderingIndex:
         inert.  Otherwise its bindings are renamed into the canonical
         numbering, those outside the lhs are dropped, and an lhs
         variable it leaves unbound keeps the caller's name, which its
-        images may share.  In ``on`` and ``shared`` the young FIFO's
+        images may share.  An image another signature built would be
+        signed by that signature's weights: for a known lhs, each
+        binding's ``owner`` is read once, and a foreign image raises
+        ``SignatureError``.  In ``on`` and ``shared`` the young FIFO's
         stamps are looked at for promotion only once the group's query
         count reaches its ``due``; then one walk goes over the group's
         diagrams, oldest first, and the young equalities are checked
@@ -333,12 +336,16 @@ class PostOrderingIndex:
         group = self._groups.get(key)
         if group is None:
             return []
+        sig = self.signature
+        for img in sigma._m.values():
+            if img.owner is not sig:
+                raise sig._foreign(img)
         if key is lhs:
             sigma_c = sigma
         else:
             # an unbound variable keeps the caller's name, which images
             # may share; the constructor drops the identities
-            m, var = sigma._m, self.signature.var
+            m, var = sigma._m, sig.var
             sigma_c = Substitution({new: m.get(old) or var(old)
                                     for new, old in enumerate(vids)})
         self.stats.queries += 1

@@ -1,4 +1,6 @@
-"""Shared generators and the randomized multi-mode scenario driver."""
+"""Shared generators, the randomized multi-mode scenario driver, and the
+two counter families (``swap`` and ``poly``) that the harness tests and
+acceptance criterion 6 run through ``todx.harness.run``."""
 
 from __future__ import annotations
 
@@ -9,7 +11,9 @@ import todx.index
 from oracles import instantiate
 from todx import (MalformedEqualityError, NodeKind, PostOrderingIndex,
                   Signature, Substitution, Term, canonicalize_equality,
-                  make_order)
+                  make_order, term_weight)
+from todx.harness import (Command, Insert, OrderDecl, Query, RunReport, Script,
+                          SigDecl, _build_signature, _gen_term, _resolve, run)
 from todx.index import PROMOTE_AFTER
 from todx.terms import Label
 from todx.tod import _SLOT
@@ -337,3 +341,81 @@ def run_scenario(seed: int, order_kind: str, ops: int = 12,
     checker.insert_random()
     for _ in range(ops):
         checker.random_op()
+
+
+# -- the counter families ---------------------------------------------------------
+# Seeded scripts of the swap and poly families, run through the harness;
+# perfbench measures the same two families as swap_lpo and poly_kbo.
+
+
+def _argswap_script(n: int, seed: int, order: str) -> Script:
+    commands: list[Command] = [
+        SigDecl("a", 0, 1, 0),
+        SigDecl("b", 0, 1, 1),
+        SigDecl("f", 2, 1, 2),
+        OrderDecl(order),
+        Insert("e1", "f(x,y)", "f(y,x)"),
+        Insert("e2", "f(x,y)", "f(x,x)"),
+    ]
+    rng = random.Random(seed)
+    images = ["a", "b", "f(a,a)", "f(a,b)", "f(b,a)", "f(f(a,a),b)", "u0", "u1"]
+    for i in range(n):
+        commands.append(Query(f"q{i + 1}", (("x", rng.choice(images)),
+                                            ("y", rng.choice(images)))))
+    return Script(tuple(commands))
+
+
+def _poly_script(n: int, seed: int, order: str) -> Script:
+    rng = random.Random(seed)
+    commands: list[Command] = [
+        SigDecl("a", 0, 1, 0),
+        SigDecl("b", 0, 2, 1),
+        SigDecl("g", 1, 2, 2),
+        SigDecl("h", 1, 3, 3),
+        SigDecl("f", 2, 1, 4),
+        OrderDecl(order),
+    ]
+    sig = _build_signature(commands)
+    kbo = make_order("kbo", sig)
+    funcs = [("f", 2), ("g", 1), ("h", 1)]
+    consts = ["a", "b"]
+    lhs = "f(x,y)"
+    chosen = []
+    attempts = 0
+    while len(chosen) < 6 and attempts < 500:
+        attempts += 1
+        rhs = _gen_term(rng, funcs, consts, ["x", "y"], 3)
+        if rhs in chosen or rhs == lhs:
+            continue
+        varmap: dict[str, int] = {}
+        l = _resolve(sig, lhs, varmap)
+        r = _resolve(sig, rhs, varmap)
+        diff = term_weight(l) - term_weight(r)
+        if not diff._coeffs:
+            continue
+        if kbo.compare(l, r) is Label.GT or kbo.compare(r, l) is Label.GT:
+            continue
+        chosen.append(rhs)
+        commands.append(Insert(f"e{len(chosen)}", lhs, rhs))
+    for i in range(n):
+        bindings = []
+        for v in ("x", "y"):
+            img = _gen_term(rng, funcs, consts,
+                            [] if rng.random() < 0.7 else ["u0"], 2)
+            bindings.append((v, img))
+        commands.append(Query(f"q{i + 1}", tuple(bindings)))
+    return Script(tuple(commands))
+
+
+def bench(family: str, n: int, order: str = "kbo", want: str = "all",
+          seed: int = 0, mode: str = "crosscheck") -> RunReport:
+    """Run a benchmark family and return its report (one Stats per mode)."""
+    if n < 0:
+        raise ValueError(f"bench size must be >= 0, got {n}")
+    if family == "swap":
+        script = _argswap_script(n, seed, order)
+    elif family == "poly":
+        script = _poly_script(n, seed, order)
+    else:
+        raise ValueError(f"unknown bench family {family!r}")
+    return run(script, mode=mode, want=want, script_name=f"bench-{family}")

@@ -10,13 +10,12 @@ import itertools
 import random
 import sys
 
-from helpers import (PROMOTE_SETTINGS, ScenarioChecker, random_signature,
-                     random_subst, random_term, subterms)
+from helpers import (PROMOTE_SETTINGS, ScenarioChecker, bench,
+                     random_signature, random_subst, random_term, subterms)
 from oracles import instantiate, ref_compare
 from todx import (Equality, Label, LinearExpr, NodeKind,
                   Substitution, Tod, TpoStore, force_term_label, make_order)
 from todx import index as index_module
-from todx.harness import bench
 
 G, E, N = Label.GT, Label.EQ, Label.NGE
 GT, EQ, GEQ, NGE, NEXT = (Label.GT, Label.EQ, Label.GEQ,

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import _argswap_script, _poly_script, bench
 from todx import (IndexMode, PostOrderingIndex, SignatureError,
                   UnknownSymbolError, harness)
 from todx.harness import (Delete, GenParams, Insert, OrderDecl, Query, Script,
-                          ScriptError, SigDecl, bench, emit_stats_csv,
-                          format_script, gen_random_script, parse_script, run)
+                          ScriptError, SigDecl, emit_stats_csv, format_script,
+                          gen_random_script, parse_script, run)
 
 FIG_SCRIPT = """\
 # the motivating swap pair, queried both ways
@@ -183,7 +184,7 @@ def test_generated_script_bytes_are_pinned(params, order):
 
 @pytest.mark.parametrize("family,order", _BENCH_DIGESTS)
 def test_bench_script_bytes_are_pinned(family, order):
-    make = {"swap": harness._argswap_script, "poly": harness._poly_script}[family]
+    make = {"swap": _argswap_script, "poly": _poly_script}[family]
     scripts = (make(200, seed, order) for seed in range(5))
     assert _digest(scripts) == _BENCH_DIGESTS[family, order]
 
@@ -427,28 +428,32 @@ def test_cli_unreadable_script_exits_2(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"{path}: ")
 
 
-@pytest.mark.parametrize("command", ["gen", "run", "bench"])
+@pytest.mark.parametrize("command", ["gen", "run"])
 def test_cli_unwritable_output_exits_2(tmp_path, capsys, command):
     from todx.cli import main
     script = tmp_path / "script.tod"
     script.write_text(FIG_SCRIPT)
     out = str(tmp_path / "missing" / "out")
     argv = {"gen": ["gen", "--seed", "1", "--out", out],
-            "run": ["run", str(script), "--stats", out],
-            "bench": ["bench", "--family", "swap", "--n", "3", "--stats", out],
-            }[command]
+            "run": ["run", str(script), "--stats", out]}[command]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"todx {command}: ") and out in err
     assert err.count("\n") == 1
 
 
-def test_bench_rejects_negative_size(capsys):
-    from todx.cli import main
+def test_bench_rejects_negative_size():
     with pytest.raises(ValueError, match="-3"):
         bench("swap", -3)
-    assert main(["bench", "--family", "swap", "--n", "-3"]) == 2
-    assert capsys.readouterr().err.startswith("todx bench: ")
+
+
+def test_cli_has_no_bench_command(capsys):
+    from todx.cli import main
+    with pytest.raises(SystemExit) as exit_:
+        main(["bench", "--family", "swap", "--n", "3"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    assert not hasattr(harness, "bench")
 
 
 def test_sig_decl_built_in_code_keeps_weight_zero():
@@ -457,6 +462,22 @@ def test_sig_decl_built_in_code_keeps_weight_zero():
     with pytest.raises(SignatureError, match="weight 0"):
         run(script)
     assert SigDecl("a", 0).weight is None
+
+
+def test_run_refuses_a_script_without_an_order():
+    script = Script((SigDecl("a", 0, 1, 0),))
+    with pytest.raises(ValueError, match="no 'ord' command") as err:
+        run(script)
+    assert type(err.value) is ValueError and "line" not in str(err.value)
+    assert run(script, order_override="lpo").ok
+
+
+def test_run_refuses_an_unknown_want():
+    # refused before it runs, though no query would have read it
+    script = Script((SigDecl("a", 0, 1, 0), OrderDecl("kbo")))
+    with pytest.raises(ValueError, match="not 'bogus'") as err:
+        run(script, want="bogus")
+    assert type(err.value) is ValueError and "line" not in str(err.value)
 
 
 def test_script_without_source_lines_raises_the_original_error():

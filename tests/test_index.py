@@ -296,6 +296,35 @@ def test_insert_refuses_a_ground_term_of_another_signature(mode, order):
     assert idx.query(lhs, sigma) == [1]
 
 
+# A query image is not rebuilt, so only its owner tells a foreign one
+# apart; let through, it would be signed by its own signature's weights
+@pytest.mark.parametrize("order", ["kbo", "lpo"])
+@pytest.mark.parametrize("mode", MODES)
+def test_query_refuses_another_signatures_image(mode, order):
+    a_sig, b_sig = _signatures_trading_indexes()
+    x, y = a_sig.var(0), a_sig.var(1)
+    lhs = a_sig.app("f", [x, y])
+    idx = make_index(a_sig, mode, order)
+    idx.insert(lhs, a_sig.app("f", [y, y]))
+    a = a_sig.app("a")
+    faa = a_sig.app("f", [a, a])
+    # f(h(a),f(a,a)) > f(f(a,a),f(a,a)) by weight; under LPO f > h wins
+    native = Substitution({0: a_sig.app("h", [a]), 1: faa})
+    assert idx.query(lhs, native) == ([1] if order == "kbo" else [])
+    b_ha = b_sig.app("h", [b_sig.app("a")])
+    renamed = a_sig.app("f", [y, x])    # its bindings are renamed
+    for key, bindings, message in [
+            (lhs, {0: b_ha, 1: faa}, "symbol a is not of this"),
+            (renamed, {0: faa, 1: b_ha}, "symbol a is not of this"),
+            (lhs, {0: faa, 1: b_sig.var(2)}, "variable x2 is not of this"),
+            (lhs, {0: faa, 1: a, 5: b_ha}, "symbol a is not of this")]:
+        with pytest.raises(SignatureError, match=message):
+            idx.query(key, Substitution(bindings))
+    assert idx.snapshot_stats().queries == 1
+    assert idx.query(renamed, Substitution({0: faa, 1: a_sig.app("h", [a])})) \
+        == idx.query(lhs, native)
+
+
 def test_remove_unknown_and_idempotent(sig, swap_setup):
     l, r1, _ = swap_setup
     idx = make_index(sig, "shared")
